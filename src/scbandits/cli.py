@@ -24,6 +24,7 @@ from .harness import (
     cmd_sample,
     cmd_verify,
     load_config,
+    load_verify_options,
 )
 from .verify import VerifyOptions
 
@@ -77,16 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _verify_options_from(args) -> VerifyOptions:
     if args.config is not None:
-        import json
-
-        raw = json.loads(open(args.config).read())
-        return VerifyOptions(
-            seed=int(raw.get("seed", VerifyOptions.seed)),
-            scale=float(raw.get("scale", args.scale)),
-            xi_scale=float(raw.get("xi_scale", 1.0)),
-            include_regret=bool(raw.get("include_regret", True)),
-            checks=tuple(raw["checks"]) if "checks" in raw else None,
-        )
+        return load_verify_options(args.config, scale=args.scale)
     return VerifyOptions(scale=args.scale)
 
 

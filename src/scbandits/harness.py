@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -106,26 +107,39 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number, not a bool, that converts to a finite float (NaN fails)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _expect_known_keys(raw: dict, known: set[str], base: str) -> None:
+    for key in raw:
+        _expect(key in known, f"{base}.{key}", f"unknown key (expected one of {sorted(known)})")
+
+
 def config_from_dict(raw: dict, base: str = "$") -> ExperimentConfig:
     """Validate a JSON-shaped dict into an ExperimentConfig.
 
-    Error messages carry the JSON path of the offending entry.
+    Error messages carry the JSON path of the offending entry. Every field,
+    the output file name included, is checked here, before any compute.
     """
     _expect(isinstance(raw, dict), base, "config must be a JSON object")
-    known = {"set", "dimension", "horizon", "algorithm", "learning_rate", "adversary",
-             "seeds", "out_dir", "label", "workers", "write_per_seed", "radial_table"}
-    for key in raw:
-        _expect(key in known, f"{base}.{key}", f"unknown key (expected one of {sorted(known)})")
+    _expect_known_keys(raw, {"set", "dimension", "horizon", "algorithm", "learning_rate",
+                             "adversary", "seeds", "out_dir", "label", "workers",
+                             "write_per_seed", "radial_table"}, base)
 
     kind = raw.get("set")
     _expect(kind in (HYPERCUBE, BALL), f"{base}.set",
             f"must be '{HYPERCUBE}' or '{BALL}', got {kind!r}")
     d = raw.get("dimension")
-    _expect(isinstance(d, int) and not isinstance(d, bool) and d >= 1,
-            f"{base}.dimension", f"must be a positive integer, got {d!r}")
+    _expect(_is_int(d) and d >= 1, f"{base}.dimension", f"must be a positive integer, got {d!r}")
     n = raw.get("horizon")
-    _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-            f"{base}.horizon", f"must be a positive integer, got {n!r}")
+    _expect(_is_int(n) and n >= 1, f"{base}.horizon", f"must be a positive integer, got {n!r}")
 
     algorithm = raw.get("algorithm", SCFTPL)
     _expect(algorithm in (SCFTPL, SCRIBBLE), f"{base}.algorithm",
@@ -135,33 +149,35 @@ def config_from_dict(raw: dict, base: str = "$") -> ExperimentConfig:
     if isinstance(rate, str):
         _expect(rate == "auto", f"{base}.learning_rate", f"must be positive or 'auto', got {rate!r}")
     else:
-        _expect(isinstance(rate, (int, float)) and not isinstance(rate, bool) and rate > 0,
-                f"{base}.learning_rate", f"must be positive or 'auto', got {rate!r}")
+        _expect(_is_finite_number(rate) and rate > 0, f"{base}.learning_rate",
+                f"must be positive or 'auto', got {rate!r}")
         rate = float(rate)
 
     adv_raw = raw.get("adversary", {"kind": FIXED_VECTOR})
     _expect(isinstance(adv_raw, dict), f"{base}.adversary", "must be an object")
+    _expect_known_keys(adv_raw, {"kind", "base", "period", "angle", "seed"}, f"{base}.adversary")
     adv_kind = adv_raw.get("kind", FIXED_VECTOR)
     _expect(adv_kind in _ADVERSARY_KINDS, f"{base}.adversary.kind",
             f"must be one of {_ADVERSARY_KINDS}, got {adv_kind!r}")
     base_vec = adv_raw.get("base")
     if base_vec is not None:
-        _expect(isinstance(base_vec, (list, tuple)) and len(base_vec) == d,
-                f"{base}.adversary.base", f"must be a length-{d} array")
+        _expect(isinstance(base_vec, (list, tuple)) and len(base_vec) == d
+                and all(_is_finite_number(v) for v in base_vec),
+                f"{base}.adversary.base", f"must be a length-{d} array of numbers")
         base_vec = tuple(float(v) for v in base_vec)
     period = adv_raw.get("period")
     if period is not None:
-        _expect(isinstance(period, int) and period >= 1, f"{base}.adversary.period",
+        _expect(_is_int(period) and period >= 1, f"{base}.adversary.period",
                 f"must be a positive integer, got {period!r}")
     angle = adv_raw.get("angle")
     if angle is not None:
-        _expect(isinstance(angle, (int, float)), f"{base}.adversary.angle",
-                f"must be a number, got {angle!r}")
+        _expect(_is_finite_number(angle), f"{base}.adversary.angle",
+                f"must be a finite number, got {angle!r}")
         angle = float(angle)
     adv_seed = adv_raw.get("seed")
     if adv_seed is not None:
-        _expect(isinstance(adv_seed, int), f"{base}.adversary.seed",
-                f"must be an integer, got {adv_seed!r}")
+        _expect(_is_int(adv_seed) and 0 <= adv_seed < 2**64, f"{base}.adversary.seed",
+                f"must be a 64-bit unsigned integer, got {adv_seed!r}")
     adversary = AdversarySpec(kind=adv_kind, geometry=kind, base=base_vec,
                               period=period, angle=angle, seed=adv_seed)
 
@@ -169,38 +185,91 @@ def config_from_dict(raw: dict, base: str = "$") -> ExperimentConfig:
     _expect(isinstance(seeds, (list, tuple)) and len(seeds) >= 1, f"{base}.seeds",
             "must be a nonempty array of integers")
     for i, s in enumerate(seeds):
-        _expect(isinstance(s, int) and not isinstance(s, bool) and 0 <= s < 2**64,
+        _expect(_is_int(s) and 0 <= s < 2**64,
                 f"{base}.seeds[{i}]", f"must be a 64-bit unsigned integer, got {s!r}")
     _expect(len(set(seeds)) == len(seeds), f"{base}.seeds", "seeds must be distinct")
 
+    out_dir = raw.get("out_dir", "results")
+    _expect(isinstance(out_dir, str), f"{base}.out_dir", f"must be a string, got {out_dir!r}")
+    # the label names the output files inside out_dir, so it must be a plain
+    # file name: a bad one would otherwise fail only when the outputs are written
+    label = raw.get("label", "experiment")
+    _expect(isinstance(label, str) and label not in ("", ".", "..")
+            and not any(c in label for c in "/\\\0"), f"{base}.label",
+            f"must be a file name without '/', '\\' or NUL, not '.' or '..', got {label!r}")
+
     workers = raw.get("workers", 1)
-    _expect(isinstance(workers, int) and workers >= 1, f"{base}.workers",
+    _expect(_is_int(workers) and workers >= 1, f"{base}.workers",
             f"must be a positive integer, got {workers!r}")
+    write_per_seed = raw.get("write_per_seed", False)
+    _expect(isinstance(write_per_seed, bool), f"{base}.write_per_seed",
+            f"must be true or false, got {write_per_seed!r}")
 
     table = raw.get("radial_table", {})
     _expect(isinstance(table, dict), f"{base}.radial_table", "must be an object")
-    s_max = float(table.get("s_max", RADIAL_TABLE_S_MAX))
+    _expect_known_keys(table, {"s_max", "nodes"}, f"{base}.radial_table")
+    s_max = table.get("s_max", RADIAL_TABLE_S_MAX)
+    _expect(_is_finite_number(s_max) and s_max > 1.0, f"{base}.radial_table.s_max",
+            f"must be a number greater than 1, got {s_max!r}")
     nodes = table.get("nodes", RADIAL_TABLE_NODES)
-    _expect(isinstance(nodes, int) and nodes >= 16, f"{base}.radial_table.nodes",
+    _expect(_is_int(nodes) and nodes >= 16, f"{base}.radial_table.nodes",
             f"must be an integer >= 16, got {nodes!r}")
-    _expect(s_max > 1.0, f"{base}.radial_table.s_max", f"must exceed 1, got {s_max!r}")
 
     return ExperimentConfig(
         set_kind=kind, dimension=d, horizon=n, algorithm=algorithm, learning_rate=rate,
-        adversary=adversary, seeds=tuple(seeds), out_dir=str(raw.get("out_dir", "results")),
-        label=str(raw.get("label", "experiment")), workers=workers,
-        write_per_seed=bool(raw.get("write_per_seed", False)),
-        radial_table_s_max=s_max, radial_table_nodes=nodes,
+        adversary=adversary, seeds=tuple(seeds), out_dir=out_dir, label=label,
+        workers=workers, write_per_seed=write_per_seed,
+        radial_table_s_max=float(s_max), radial_table_nodes=nodes,
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    text = Path(path).read_text()
+def verify_options_from_dict(raw: dict, scale: float = 1.0, base: str = "$") -> VerifyOptions:
+    """Validate the JSON options of ``verify --config`` into VerifyOptions.
+
+    ``scale`` is the default for a file that sets none. Error messages carry
+    the JSON path of the offending entry.
+    """
+    _expect(isinstance(raw, dict), base, "verify options must be a JSON object")
+    _expect_known_keys(raw, {"seed", "scale", "xi_scale", "include_regret", "checks"}, base)
+    seed = raw.get("seed", VerifyOptions.seed)
+    _expect(_is_int(seed) and 0 <= seed < 2**64, f"{base}.seed",
+            f"must be a 64-bit unsigned integer, got {seed!r}")
+    scale = raw.get("scale", scale)
+    _expect(_is_finite_number(scale) and scale > 0, f"{base}.scale",
+            f"must be a positive finite number, got {scale!r}")
+    xi_scale = raw.get("xi_scale", 1.0)
+    _expect(_is_finite_number(xi_scale) and xi_scale > 0, f"{base}.xi_scale",
+            f"must be a positive finite number, got {xi_scale!r}")
+    include_regret = raw.get("include_regret", True)
+    _expect(isinstance(include_regret, bool), f"{base}.include_regret",
+            f"must be true or false, got {include_regret!r}")
+    checks = raw.get("checks")
+    if checks is not None:
+        _expect(isinstance(checks, list) and len(checks) >= 1
+                and all(isinstance(c, str) for c in checks), f"{base}.checks",
+                f"must be a nonempty array of check-name prefixes, got {checks!r}")
+        checks = tuple(checks)
+    return VerifyOptions(seed=seed, scale=float(scale), xi_scale=float(xi_scale),
+                         include_regret=include_regret, checks=checks)
+
+
+def _read_json(path: str | Path):
     try:
-        raw = json.loads(text)
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return config_from_dict(raw)
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return config_from_dict(_read_json(path))
+
+
+def load_verify_options(path: str | Path, scale: float = 1.0) -> VerifyOptions:
+    return verify_options_from_dict(_read_json(path), scale=scale)
 
 
 # ---------------------------------------------------------------------------

@@ -152,11 +152,24 @@ def log_sphere_surface(n: int) -> float:
 
 
 def radial_density_ball(s, d: int):
-    """Speed density p_V(s) = S_{d-1} f~(s) s^{d-1}, in incomplete-beta form."""
-    s = np.asarray(s, dtype=float)
-    w = s * s / (1.0 + s * s)
-    ssq = np.where(s > 0.0, s * s, 1.0)
-    out = np.where(s > 0.0, betainc((d + 1) / 2.0, d / 2.0, w) / ssq, _radial_density_at_zero(d))
+    """Speed density p_V(s) = S_{d-1} f~(s) s^{d-1}, in incomplete-beta form.
+
+    A Python float skips the array wrapping: the K quadrature calls this
+    about 1e5 times per grid as its scalar integrand. Both routes perform
+    the same IEEE operations, so they return bit-identical values.
+    """
+    scalar = isinstance(s, float)
+    if scalar:
+        if not s > 0.0:
+            return _radial_density_at_zero(d)
+        ssq = s * s
+    else:
+        s = np.asarray(s, dtype=float)
+        ssq = np.where(s > 0.0, s * s, 1.0)
+    out = betainc((d + 1) / 2.0, d / 2.0, ssq / (1.0 + ssq)) / ssq
+    if scalar:
+        return float(out)
+    out = np.where(s > 0.0, out, _radial_density_at_zero(d))
     return float(out) if out.ndim == 0 else out
 
 

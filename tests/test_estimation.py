@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scbandits import action_sets as geom
+from scbandits import engine
 from scbandits import estimation as est
 from scbandits import perturbations as pert
 from scbandits.rng import make_rng
@@ -158,6 +159,132 @@ def test_k_cache_matches_direct_and_extends():
     # beyond the initial range the cache extends itself
     far = 37.5
     assert abs(cache(far) - est.k_function_ball(far, 3)) <= 1e-5
+
+
+# K grid and speed density pinned bit for bit. float.hex of every 8th node of
+# the grid a ball run builds, KFunctionCache(d, x_max=max(8, 1.25 eta n)) with
+# the auto eta, at the n of acceptance criterion 7 (d <= 33) and of the d=1024
+# benchmark runs; and p_V on a decimal log grid of speeds. Recorded before the
+# quadrature integrand gained its scalar route and tabled angular windows.
+
+_KGRID_EVERY_8TH_HEX = {
+    2: ("0x1.0000000000007p-1", "0x1.fcbcb49530b3ap-2", "0x1.f31d00d3ac40ep-2",
+        "0x1.e39af9fca6c3dp-2", "0x1.cef4038767bebp-2", "0x1.b6164976baa89p-2",
+        "0x1.9a0b3139322f8p-2", "0x1.7be20a629afa4p-2", "0x1.5c9d6ab629b57p-2",
+        "0x1.3d24fffb11ee6p-2", "0x1.1e3c7a9c23bacp-2", "0x1.007f5e4f6b965p-2",
+        "0x1.c8c1d74b63309p-3", "0x1.945e15c40350bp-3", "0x1.642e303ea3a93p-3",
+        "0x1.3857297158f38p-3", "0x1.10d3f78700c32p-3", "0x1.db00d66ae788fp-4",
+        "0x1.9c45777fad34bp-4", "0x1.64e6eaee78765p-4", "0x1.34478a1e6a989p-4",
+        "0x1.09c47f9433f7cp-4", "0x1.c979709618ff2p-5", "0x1.892b567398806p-5",
+        "0x1.517cd3b751aabp-5", "0x1.2162c262e051fp-5", "0x1.efd48cfb4a572p-6",
+        "0x1.a87202f211b14p-6", "0x1.6b18adb986137p-6", "0x1.367030bad8aa7p-6",
+        "0x1.0949b276f1b5bp-6", "0x1.c5385ba1461f8p-7", "0x1.83015c024f125p-7",
+        "0x1.4a5d40549124dp-7", "0x1.19f0ab8afe24dp-7", "0x1.e11f1f37da728p-8",
+        "0x1.9a6e89dfc2a2bp-8", "0x1.5e126f06f8d19p-8", "0x1.2a8c4e08a4511p-8"),
+    5: ("0x1.99999999999a7p-1", "0x1.969e8cfe8b42ap-1", "0x1.8ddb7b4defc8cp-1",
+        "0x1.7fd49e783bfacp-1", "0x1.6d53a58e4be79p-1", "0x1.574fe7cacb8a8p-1",
+        "0x1.3ed426382f876p-1", "0x1.24e64b2077142p-1", "0x1.0a7454a498998p-1",
+        "0x1.e08fcd899c6bbp-2", "0x1.ae00e6d9cc3b0p-2", "0x1.7e25ae8267d86p-2",
+        "0x1.51999cc006290p-2", "0x1.28b5440134347p-2", "0x1.039b6e33e8b00p-2",
+        "0x1.c48c2713ceb03p-3", "0x1.892405d36896ap-3", "0x1.54915d6e93571p-3",
+        "0x1.264ff80319ceap-3", "0x1.fba0cca05f8d6p-4", "0x1.b501476adb83bp-4",
+        "0x1.77a426084c3dfp-4", "0x1.427acdbfb538ep-4", "0x1.1489efbc01434p-4",
+        "0x1.d9d7d3f39f1cdp-5", "0x1.95a3147bf3b49p-5", "0x1.5b037191fdbabp-5",
+        "0x1.28b0dded9c9c8p-5", "0x1.fb150b9be36e8p-6", "0x1.b126f087638a3p-6",
+        "0x1.71de545b1139ap-6", "0x1.3bbc05572d165p-6", "0x1.0d741eb5d5cc1p-6"),
+    33: ("0x1.f07c1f07c1414p-1", "0x1.ec653c14aca1dp-1", "0x1.e06f27a99a98cp-1",
+         "0x1.cd779e58a956ep-1", "0x1.b4c6182c51e30p-1", "0x1.97da5846c1ed2p-1",
+         "0x1.783bd870167e9p-1", "0x1.5753839c18579p-1", "0x1.3653bb459a02cp-1",
+         "0x1.162df5ea0818ep-1", "0x1.ef25647b52749p-2", "0x1.b5efbd809ac16p-2",
+         "0x1.8144cad73527ep-2", "0x1.51610a24dac1cp-2", "0x1.264720d2b9d37p-2",
+         "0x1.ffa17d84ec4c2p-3", "0x1.bb78d833bed9fp-3", "0x1.7f70a4af9b902p-3",
+         "0x1.4ad4ac4a9dfc4p-3", "0x1.1cebe3d3d8235p-3", "0x1.ea010dc0f4565p-4",
+         "0x1.a4cad32ec69fcp-4"),
+    1024: ("0x1.ff7fffffff5edp-1", "0x1.fb2b40628ab5ap-1", "0x1.ee852a444b23fp-1",
+           "0x1.da84f608ffbf9p-1", "0x1.c0938e4bf9bcbp-1", "0x1.a251827726fc6p-1",
+           "0x1.8160846978de9p-1", "0x1.5f3af30aa9aebp-1", "0x1.3d1c8f0724fabp-1",
+           "0x1.1bfa2499b1deap-1", "0x1.f9076769d2675p-2", "0x1.be5939a29ebbfp-2",
+           "0x1.886cbc41ea5b4p-2", "0x1.5777420b84e56p-2", "0x1.2b74abe44313fp-2",
+           "0x1.04389aa3726d2p-2", "0x1.c2f8a2ee5f7f5p-3", "0x1.85d2edbea03ffp-3"),
+}
+
+_RADIAL_DENSITY_HEX = {
+    1: ("0x1.0000000000000p-1", "0x1.fffffffffe59cp-2", "0x1.fffffffff1282p-2",
+        "0x1.ffffffff5b12bp-2", "0x1.fffffffa33a8cp-2", "0x1.ffffffbf93536p-2",
+        "0x1.fffffdbc2df11p-2", "0x1.ffffe6d58deeep-2", "0x1.ffff1d826059ap-2",
+        "0x1.fff62ba09686cp-2", "0x1.ffa797bb620bfp-2", "0x1.fc3114b9bf017p-2",
+        "0x1.dfd7d8fe7d00ep-2", "0x1.2bec333018867p-2", "0x1.37313d451a6a4p-4",
+        "0x1.27131a6286fbcp-7", "0x1.199145499721ap-10", "0x1.9f3c7e87c3179p-14",
+        "0x1.739592e004391p-17", "0x1.0c2ac1ddfeabfp-20", "0x1.dd0f3c69eaa7ep-24",
+        "0x1.57902256489f7p-27", "0x1.3168e324d8957p-30", "0x1.b7ccdd6281252p-34",
+        "0x1.86efa87a82a02p-37", "0x1.197985a08e2e7p-40"),
+    2: ("0x0.0p+0", "0x1.0c6f7a0b5d1e2p-20", "0x1.92a73710f6ecap-19",
+        "0x1.4f8b588d5e62dp-17", "0x1.f75104c9eb815p-16", "0x1.a36e2e483699ep-14",
+        "0x1.3a92a03cd7627p-12", "0x1.0624c36a0adffp-10", "0x1.8935efe337506p-9",
+        "0x1.47a17fa839f2bp-7", "0x1.eadb710c138d4p-6", "0x1.93882b8392c2bp-4",
+        "0x1.0df2e7219f6dap-2", "0x1.6a09e667f3bcdp-2", "0x1.8494a75f057acp-4",
+        "0x1.42d35602dbcefp-7", "0x1.22c94d184c3dap-10", "0x1.a35e140a879d0p-14",
+        "0x1.74d22081ea613p-17", "0x1.0c6f5fa7fac07p-20", "0x1.dd37f03325d92p-24",
+        "0x1.5798edcc90abep-27", "0x1.316b7e4f7d828p-30", "0x1.b7cdfd9c60842p-34",
+        "0x1.86effde135aadp-37", "0x1.19799812dcd0ep-40"),
+    5: ("0x0.0p+0", "0x1.fbbfb4417fa20p-78", "0x1.414f5011453a6p-71",
+        "0x1.35e7c1c2da971p-64", "0x1.88395124e5827p-58", "0x1.7a4d67032b375p-51",
+        "0x1.dec9ec05348adp-45", "0x1.cdcb00a80e979p-38", "0x1.2437fe6e32b33p-31",
+        "0x1.19bdb1b634d61p-24", "0x1.63678083f1237p-18", "0x1.4a3b9a0181dfcp-11",
+        "0x1.318a15bdc47ffp-5", "0x1.a2b772ca3480ap-2", "0x1.bd5568c128a07p-4",
+        "0x1.47a7ba20f58f4p-7", "0x1.23456160e7e35p-10", "0x1.a36e2eac3a1f3p-14",
+        "0x1.74d3b7ba70521p-17", "0x1.0c6f7a0b5ed68p-20", "0x1.dd37f5698c2c2p-24",
+        "0x1.5798ee2308c3ap-27", "0x1.316b7e5807ca5p-30", "0x1.b7cdfd9d7bdbbp-34",
+        "0x1.86effde151a6dp-37", "0x1.19799812dea11p-40"),
+    1024: ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+           "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+           "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+           "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+           "0x1.1a8b3e6a3beefp-886", "0x1.f99dbbab4900bp-2", "0x1.c71c71c71c71cp-4",
+           "0x1.47ae147ae147bp-7", "0x1.23456789abcdfp-10", "0x1.a36e2eb1c432dp-14",
+           "0x1.74d3b7ba75828p-17", "0x1.0c6f7a0b5ed8dp-20", "0x1.dd37f5698c2c2p-24",
+           "0x1.5798ee2308c3ap-27", "0x1.316b7e5807ca5p-30", "0x1.b7cdfd9d7bdbbp-34",
+           "0x1.86effde151a6dp-37", "0x1.19799812dea11p-40"),
+}
+
+_KGRID_HORIZONS = {2: 20_000, 5: 20_000, 33: 20_000, 1024: 2048}
+_DENSITY_SPEEDS = [0.0] + [float(f"{m}e{k}") for k in range(-6, 6) for m in (1, 3)] + [1e6]
+
+
+def _ball_grid_reach(d, n):
+    aset = geom.ball(d)
+    spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset)
+    return max(8.0, 1.25 * engine.resolve_learning_rate(spec, n) * n)
+
+
+@pytest.mark.parametrize("d", sorted(_KGRID_EVERY_8TH_HEX))
+def test_k_grid_bit_identical_to_pinned_values(d):
+    cache = est.KFunctionCache(d, x_max=_ball_grid_reach(d, _KGRID_HORIZONS[d]))
+    assert [v.hex() for v in cache._values[::8]] == list(_KGRID_EVERY_8TH_HEX[d])
+
+
+@pytest.mark.parametrize("d", sorted(_RADIAL_DENSITY_HEX))
+def test_radial_density_bit_identical_to_pinned_values(d):
+    pinned = [float.fromhex(h) for h in _RADIAL_DENSITY_HEX[d]]
+    scalar = [pert.radial_density_ball(s, d) for s in _DENSITY_SPEEDS]
+    assert all(type(v) is float for v in scalar)
+    assert scalar == pinned
+    # the array route performs the same operations as the scalar one
+    assert pert.radial_density_ball(np.array(_DENSITY_SPEEDS), d).tolist() == pinned
+    assert pert.radial_density_ball(np.array(_DENSITY_SPEEDS[5]), d) == pinned[5]
+
+
+@pytest.mark.parametrize("d", [2, 8, 33, 256, 4096])
+def test_k_cache_budget_and_bounds_across_reach(d):
+    # every branch of the angular evaluator (recursion, small-u rule, the
+    # d > 32 window) over the drift range an n = 2e4 run prebuilds
+    reach = _ball_grid_reach(d, 20_000)
+    cache = est.KFunctionCache(d, x_max=reach)
+    xs = np.concatenate([make_rng(53 + d).uniform(0.0, reach, 16), [1e-3, 0.5, reach]])
+    for x in xs:
+        k = est.k_function_ball(float(x), d)
+        assert abs(cache(float(x)) - k) <= 1e-5
+        assert (d - 1) / (d * (x + 2.0)) - 1e-9 <= k <= (d - 1) / d + 1e-9
 
 
 # ---------------------------------------------------------------------------

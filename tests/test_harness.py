@@ -35,7 +35,7 @@ def test_config_roundtrip():
     assert cfg.adversary.kind == "seeded_random"
 
 
-@pytest.mark.parametrize("patch,fragment", [
+BAD_ENTRIES = [
     ({"set": "simplex"}, "$.set"),
     ({"dimension": 0}, "$.dimension"),
     ({"dimension": 2.5}, "$.dimension"),
@@ -51,10 +51,48 @@ def test_config_roundtrip():
     ({"workers": 0}, "$.workers"),
     ({"radial_table": {"nodes": 4}}, "$.radial_table.nodes"),
     ({"bogus_key": 1}, "$.bogus_key"),
-])
+    # typed errors for values that used to crash or slip through as ints
+    ({"radial_table": {"s_max": None}}, "$.radial_table.s_max"),
+    ({"radial_table": {"s_max": "big"}}, "$.radial_table.s_max"),
+    ({"radial_table": {"nodes": True}}, "$.radial_table.nodes"),
+    ({"adversary": {"kind": "piecewise_switching", "period": True}}, "$.adversary.period"),
+    ({"adversary": {"kind": "seeded_random", "seed": True}}, "$.adversary.seed"),
+    ({"adversary": {"kind": "rotating_direction", "angle": True}}, "$.adversary.angle"),
+    ({"adversary": {"kind": "fixed_vector", "base": [1.0, None]}}, "$.adversary.base"),
+    ({"workers": True}, "$.workers"),
+    # the label names output files, so it is checked before any seed runs
+    ({"label": ""}, "$.label"),
+    ({"label": "."}, "$.label"),
+    ({"label": ".."}, "$.label"),
+    ({"label": "runs/a"}, "$.label"),
+    ({"label": "runs\\a"}, "$.label"),
+]
+
+
+@pytest.mark.parametrize("patch,fragment", BAD_ENTRIES)
 def test_config_rejects_bad_entries(patch, fragment):
     with pytest.raises(harness.ConfigError, match=__import__("re").escape(fragment)):
         harness.config_from_dict(base_config(**patch))
+
+
+@pytest.mark.parametrize("patch,fragment", BAD_ENTRIES)
+def test_cli_run_bad_entry_exits_1_naming_path(tmp_path, capsys, patch, fragment):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base_config(out_dir=str(tmp_path), **patch)))
+    assert cli_main(["run", "--config", str(cfg), "--quiet"]) == 1
+    assert f"{fragment}:" in capsys.readouterr().err
+
+
+def test_cli_bad_label_rejected_before_any_compute(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("engine ran before the label was validated")
+
+    monkeypatch.setattr(harness, "run", forbidden)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base_config(out_dir=str(tmp_path), label="sub/dir")))
+    assert cli_main(["run", "--config", str(cfg), "--quiet"]) == 1
+    assert "$.label:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_config_json_syntax_error_reports_line(tmp_path):
@@ -230,3 +268,39 @@ def test_cli_verify_failure_exit_code(tmp_path):
         "scale": 0.05, "checks": ["hypercube_", "k_function"], "include_regret": False,
     }))
     assert cli_main(["verify", "--config", str(good), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ('{\n  "scale": 0.1,\n  "checks": [}\n', "bad.json:3:"),
+    ('[1, 2]', "$: "),
+    ('{"scale": 0.1, "check": ["replication"]}', "$.check:"),
+    ('{"seed": "5"}', "$.seed:"),
+    ('{"seed": true}', "$.seed:"),
+    ('{"scale": "x"}', "$.scale:"),
+    ('{"scale": 0}', "$.scale:"),
+    ('{"xi_scale": null}', "$.xi_scale:"),
+    ('{"include_regret": "no"}', "$.include_regret:"),
+    ('{"checks": "replication"}', "$.checks:"),
+    ('{"checks": [1]}', "$.checks:"),
+])
+def test_cli_verify_config_rejects_bad_files(tmp_path, capsys, text, fragment):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    assert cli_main(["verify", "--config", str(cfg), "--quiet"]) == 1
+    assert fragment in capsys.readouterr().err
+
+
+def test_cli_missing_config_file_exits_1(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    assert cli_main(["verify", "--config", str(missing), "--quiet"]) == 1
+    assert cli_main(["run", "--config", str(missing), "--quiet"]) == 1
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_verify_options_from_dict_defaults_and_values():
+    assert harness.verify_options_from_dict({}, scale=0.3) == VerifyOptions(scale=0.3)
+    opts = harness.verify_options_from_dict(
+        {"seed": 5, "scale": 2, "xi_scale": 1.1, "include_regret": False,
+         "checks": ["k_function"]})
+    assert opts == VerifyOptions(seed=5, scale=2.0, xi_scale=1.1, include_regret=False,
+                                 checks=("k_function",))

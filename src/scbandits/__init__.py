@@ -7,7 +7,7 @@ harness with a CLI.
 """
 
 from .action_sets import ActionSetModel, BALL, HYPERCUBE, ball, hypercube
-from .engine import SCFTPL, SCRIBBLE, AlgorithmSpec, RoundRecord, run, run_scftpl, run_scribble
+from .engine import SCFTPL, SCRIBBLE, AlgorithmSpec, Trace, run, run_scftpl, run_scribble
 from .environments import AdversarySpec, best_in_hindsight, generate
 from .perturbations import PerturbationSampler
 from .rng import make_rng
@@ -19,9 +19,9 @@ __all__ = [
     "BALL",
     "HYPERCUBE",
     "PerturbationSampler",
-    "RoundRecord",
     "SCFTPL",
     "SCRIBBLE",
+    "Trace",
     "ball",
     "best_in_hindsight",
     "generate",

@@ -191,10 +191,11 @@ def barrier_hessian(aset: ActionSetModel, x) -> LocalNormContext:
 
 
 def hessian_matvec(ctx: LocalNormContext, v: np.ndarray) -> np.ndarray:
-    """Apply the Hessian to v in O(d)."""
+    """Apply the Hessian to v in O(d), vectorized over leading axes of v."""
     if ctx.kind == HYPERCUBE:
         return ctx.diag * v
-    return ctx.coeff_identity * v + ctx.coeff_outer * (ctx.center @ v) * ctx.center
+    # vecdot rounds each row as a 1-d dot does; a matrix-vector @ sums in another order
+    return ctx.coeff_identity * v + ctx.coeff_outer * np.vecdot(v, ctx.center)[..., None] * ctx.center
 
 
 def hessian_inv_matvec(ctx: LocalNormContext, v: np.ndarray) -> np.ndarray:

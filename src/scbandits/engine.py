@@ -19,7 +19,7 @@ level. Given (seed, config, losses) a run is bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -84,27 +84,53 @@ def resolve_learning_rate(spec: AlgorithmSpec, horizon: int) -> float:
     return math.sqrt(theta * log_n / n) / spec.action_set.dimension
 
 
-@dataclass
-class RoundRecord:
-    """State of one round: everything needed to audit the run afterwards."""
+@dataclass(frozen=True, eq=False)  # == on array fields has no single truth value
+class Trace:
+    """Per-round arrays of a run, row t - 1 for round t, for auditing it afterwards."""
 
-    t: int
-    y_hat_cum: np.ndarray      # cumulative estimate entering the round
-    x: np.ndarray              # expected action
-    action: np.ndarray         # played action
-    scalar_loss: float
-    y_hat: np.ndarray          # loss-vector estimate produced this round
-    local_norm_sq: float       # ||y_hat||^2 in the inverse-Hessian norm at x
-    step_violation: bool       # 2 eta ||y_hat||_x > 1 this round
-    bregman: float | None = None
+    x: np.ndarray               # (n, d) expected actions
+    action: np.ndarray          # (n, d) played actions
+    y_hat: np.ndarray           # (n, d) loss-vector estimates
+    scalar_loss: np.ndarray     # (n,) observed scalar losses
+    local_norm_sq: np.ndarray   # (n,) ||y_hat||^2 in the inverse-Hessian norm at x
+    step_violation: np.ndarray  # (n,) bool, 2 eta ||y_hat||_x > 1
+
+    @classmethod
+    def empty(cls, n: int, d: int) -> Trace:
+        """Unfilled arrays for n rounds in dimension d; a loop writes row t - 1 in round t."""
+        return cls(x=np.empty((n, d)), action=np.empty((n, d)), y_hat=np.empty((n, d)),
+                   scalar_loss=np.empty(n), local_norm_sq=np.empty(n),
+                   step_violation=np.empty(n, dtype=bool))
+
+    def __len__(self) -> int:
+        return self.scalar_loss.shape[0]
+
+    def head(self, rows: int) -> Trace:
+        """The first ``rows`` rounds."""
+        return Trace(*(getattr(self, f.name)[:rows] for f in fields(self)))
+
+    @property
+    def y_hat_cum(self) -> np.ndarray:
+        """Cumulative estimates entering each round, summed in round order as the loop does."""
+        return np.cumsum(np.vstack([np.zeros_like(self.y_hat[:1]), self.y_hat]), axis=0)[:-1]
 
 
 class AbortedRunError(RuntimeError):
-    """Run stopped on a numerically singular covariance; carries the trace."""
+    """Run stopped on a numerically singular covariance; carries the trace before the abort."""
 
-    def __init__(self, message: str, records: list[RoundRecord]):
+    def __init__(self, message: str, trace: Trace):
         super().__init__(message)
-        self.records = records
+        self.trace = trace
+
+
+def _record(trace: Trace, i: int, eta: float, x, action, scalar_loss: float, y_hat,
+            norm_sq: float) -> None:
+    trace.x[i] = x
+    trace.action[i] = action
+    trace.y_hat[i] = y_hat
+    trace.scalar_loss[i] = scalar_loss
+    trace.local_norm_sq[i] = norm_sq
+    trace.step_violation[i] = 2.0 * eta * math.sqrt(max(norm_sq, 0.0)) > 1.0
 
 
 def _check_scalar_loss(value: float, t: int) -> float:
@@ -118,7 +144,7 @@ def _check_scalar_loss(value: float, t: int) -> float:
 
 def run_scftpl(spec: AlgorithmSpec, losses, rng: np.random.Generator,
                sampler: PerturbationSampler | None = None,
-               k_cache: KFunctionCache | None = None) -> list[RoundRecord]:
+               k_cache: KFunctionCache | None = None) -> Trace:
     """Run the perturbed-leader algorithm against an oblivious loss sequence.
 
     ``losses`` is an (n, d) array fixed before the run. ``sampler`` and
@@ -155,10 +181,10 @@ def run_scftpl(spec: AlgorithmSpec, losses, rng: np.random.Generator,
     return _run_scftpl_hypercube(aset, losses, eta, rng)
 
 
-def _run_scftpl_hypercube(aset, losses, eta, rng) -> list[RoundRecord]:
+def _run_scftpl_hypercube(aset, losses, eta, rng) -> Trace:
     n, d = losses.shape
     y_hat_cum = np.zeros(d)
-    records: list[RoundRecord] = []
+    trace = Trace.empty(n, d)
     for t in range(1, n + 1):
         theta = -eta * y_hat_cum
         u = np.maximum(rng.random(d), 2.0**-54)
@@ -171,27 +197,23 @@ def _run_scftpl_hypercube(aset, losses, eta, rng) -> list[RoundRecord]:
         if residual.min() < 1e-10:
             raise AbortedRunError(
                 f"round {t}: expected action within 1e-10 of a vertex; "
-                f"covariance numerically singular", records)
+                f"covariance numerically singular", trace.head(t - 1))
         weighted = x / residual
         alpha = float(x @ weighted)
         cross = float(action @ weighted)
         y_hat = (action / residual - weighted * (cross / (1.0 + alpha))) * scalar_loss
         hess_diag = 2.0 * (1.0 + x * x) / (residual * residual)
         norm_sq = float(y_hat @ (y_hat / hess_diag))
-        records.append(RoundRecord(
-            t=t, y_hat_cum=y_hat_cum, x=x, action=action,
-            scalar_loss=scalar_loss, y_hat=y_hat, local_norm_sq=norm_sq,
-            step_violation=bool(2.0 * eta * math.sqrt(max(norm_sq, 0.0)) > 1.0),
-        ))
+        _record(trace, t - 1, eta, x, action, scalar_loss, y_hat, norm_sq)
         y_hat_cum = y_hat_cum + y_hat
-    return records
+    return trace
 
 
-def _run_scftpl_ball(aset, losses, eta, rng, radial_table, k_cache) -> list[RoundRecord]:
+def _run_scftpl_ball(aset, losses, eta, rng, radial_table, k_cache) -> Trace:
     n, d = losses.shape
     gauss_count = 2 * ((d + 1) // 2)
     y_hat_cum = np.zeros(d)
-    records: list[RoundRecord] = []
+    trace = Trace.empty(n, d)
     for t in range(1, n + 1):
         theta = -eta * y_hat_cum
         theta_norm = math.sqrt(float(theta @ theta))
@@ -223,21 +245,17 @@ def _run_scftpl_ball(aset, losses, eta, rng, radial_table, k_cache) -> list[Roun
         if 1.0 - x_sq < 1e-10:
             raise AbortedRunError(
                 f"round {t}: expected action within 1e-10 of the sphere; "
-                f"local geometry numerically singular", records)
+                f"local geometry numerically singular", trace.head(t - 1))
         hess_a = 2.0 / (1.0 - x_sq)
         hess_b = 4.0 / ((1.0 - x_sq) * (1.0 - x_sq))
         correction = hess_b / (hess_a * (hess_a + hess_b * x_sq))
         norm_sq = float(y_hat @ y_hat) / hess_a - correction * float(x @ y_hat) ** 2
-        records.append(RoundRecord(
-            t=t, y_hat_cum=y_hat_cum, x=x, action=action,
-            scalar_loss=scalar_loss, y_hat=y_hat, local_norm_sq=norm_sq,
-            step_violation=bool(2.0 * eta * math.sqrt(max(norm_sq, 0.0)) > 1.0),
-        ))
+        _record(trace, t - 1, eta, x, action, scalar_loss, y_hat, norm_sq)
         y_hat_cum = y_hat_cum + y_hat
-    return records
+    return trace
 
 
-def run_scribble(spec: AlgorithmSpec, losses, rng: np.random.Generator) -> list[RoundRecord]:
+def run_scribble(spec: AlgorithmSpec, losses, rng: np.random.Generator) -> Trace:
     """Run the Dikin-pole algorithm against an oblivious loss sequence.
 
     Per round this consumes one integer draw selecting among the 2d poles
@@ -254,7 +272,7 @@ def run_scribble(spec: AlgorithmSpec, losses, rng: np.random.Generator) -> list[
     d = aset.dimension
 
     y_hat_cum = np.zeros(d)
-    records: list[RoundRecord] = []
+    trace = Trace.empty(n, d)
     for t in range(1, n + 1):
         theta = -eta * y_hat_cum
         x = conjugate_gradient(aset, theta)
@@ -264,52 +282,45 @@ def run_scribble(spec: AlgorithmSpec, losses, rng: np.random.Generator) -> list[
             action = dikin_pole(aset, x, index, sign)
             ctx = barrier_hessian(aset, x)
         except BoundaryError as exc:
-            raise AbortedRunError(f"round {t}: {exc}", records) from exc
+            raise AbortedRunError(f"round {t}: {exc}", trace.head(t - 1)) from exc
         scalar_loss = _check_scalar_loss(float(losses[t - 1] @ action), t)
         y_hat = scribble_estimate(aset, x, action, scalar_loss, ctx=ctx)
         norm_sq = local_norm_sq(ctx, y_hat, inverse=True)
-        records.append(RoundRecord(
-            t=t, y_hat_cum=y_hat_cum.copy(), x=x, action=action,
-            scalar_loss=scalar_loss, y_hat=y_hat, local_norm_sq=norm_sq,
-            step_violation=bool(2.0 * eta * math.sqrt(max(norm_sq, 0.0)) > 1.0),
-        ))
+        _record(trace, t - 1, eta, x, action, scalar_loss, y_hat, norm_sq)
         y_hat_cum = y_hat_cum + y_hat
-    return records
+    return trace
 
 
-def run(spec: AlgorithmSpec, losses, rng: np.random.Generator, **kwargs) -> list[RoundRecord]:
+def run(spec: AlgorithmSpec, losses, rng: np.random.Generator, **kwargs) -> Trace:
     """Dispatch on the spec's variant."""
     if spec.variant == SCFTPL:
         return run_scftpl(spec, losses, rng, **kwargs)
     return run_scribble(spec, losses, rng)
 
 
-def regret(records: list[RoundRecord], losses, competitor) -> float:
+def regret(trace: Trace, losses, competitor) -> float:
     """Realized regret of a trace against a fixed competitor point.
 
-    sum_t <y_t, A_t> - sum_t <y_t, u>. Expectations over the learner's
-    randomness are taken by averaging this quantity over seeds at the
-    harness level.
+    sum_t <y_t, A_t> - sum_t <y_t, u>, the first sum taken in round order.
+    Expectations over the learner's randomness are taken by averaging this
+    quantity over seeds at the harness level.
     """
     losses = np.asarray(losses, dtype=float)
-    if len(records) != losses.shape[0]:
-        raise ValueError("records and losses must have matching length")
+    if len(trace) != losses.shape[0]:
+        raise ValueError("trace and losses must have matching length")
     competitor = np.asarray(competitor, dtype=float)
-    played = sum(float(losses[i] @ records[i].action) for i in range(len(records)))
+    played = sum(np.vecdot(losses, trace.action).tolist())
     return played - float(losses.sum(axis=0) @ competitor)
 
 
-def cumulative_regret(records: list[RoundRecord], losses, competitor) -> np.ndarray:
+def cumulative_regret(trace: Trace, losses, competitor) -> np.ndarray:
     """Per-round running sum of <y_t, A_t - u>, as an (n,) array."""
     losses = np.asarray(losses, dtype=float)
     competitor = np.asarray(competitor, dtype=float)
-    per_round = np.array([
-        float(losses[i] @ (records[i].action - competitor)) for i in range(len(records))
-    ])
-    return np.cumsum(per_round)
+    return np.cumsum(np.vecdot(losses, trace.action - competitor))
 
 
-def bregman_diagnostic(aset: ActionSetModel, eta: float, records: list[RoundRecord]) -> np.ndarray:
+def bregman_diagnostic(aset: ActionSetModel, eta: float, trace: Trace) -> np.ndarray:
     """Per-round conjugate Bregman divergence along the trace.
 
     B(-eta Yhat_t, -eta Yhat_{t-1}) computed through the closed-form
@@ -318,11 +329,11 @@ def bregman_diagnostic(aset: ActionSetModel, eta: float, records: list[RoundReco
     eta^2 * ||y_hat||^2 in the round's local norm.
     """
     eta = float(eta)
-    out = np.empty(len(records))
-    for i, rec in enumerate(records):
-        prev = -eta * rec.y_hat_cum
-        curr = prev - eta * rec.y_hat
+    out = np.empty(len(trace))
+    for i, (y_hat_cum, y_hat) in enumerate(zip(trace.y_hat_cum, trace.y_hat)):
+        prev = -eta * y_hat_cum
+        curr = prev - eta * y_hat
         grad_prev = conjugate_gradient(aset, prev)
         out[i] = (conjugate_value(aset, curr) - conjugate_value(aset, prev)
-                  + eta * float(rec.y_hat @ grad_prev))
+                  + eta * float(y_hat @ grad_prev))
     return out

@@ -398,16 +398,18 @@ class KFunctionCache:
 # Dikin-pole estimator and local norms
 # ---------------------------------------------------------------------------
 
-def scribble_estimate(aset: ActionSetModel, x, action, observed_loss: float,
+def scribble_estimate(aset: ActionSetModel, x, action, observed_loss,
                       ctx: LocalNormContext | None = None) -> np.ndarray:
-    """Pole-sampling estimator d * H(x) (A - x) * observed scalar loss."""
-    if abs(float(observed_loss)) > 1.0 + 1e-9:
+    """Pole-sampling estimator d * H(x) (A - x) * observed scalar loss,
+    vectorized over leading axes of ``action`` and ``observed_loss``."""
+    loss = np.asarray(observed_loss, dtype=float)
+    if np.any(np.abs(loss) > 1.0 + 1e-9):
         raise ValueError(f"observed loss must lie in [-1, 1], got {observed_loss!r}")
     if ctx is None:
         ctx = barrier_hessian(aset, x)
     x = np.asarray(x, dtype=float)
     a = np.asarray(action, dtype=float)
-    return aset.dimension * float(observed_loss) * hessian_matvec(ctx, a - x)
+    return aset.dimension * loss[..., None] * hessian_matvec(ctx, a - x)
 
 
 def local_norm_sq(ctx: LocalNormContext, v, inverse: bool = False) -> float:

@@ -50,6 +50,8 @@ from .perturbations import (
     RADIAL_TABLE_NODES,
     RADIAL_TABLE_S_MAX,
     PerturbationSampler,
+    radial_cdf_ball,
+    require_tail_budget,
 )
 from .rng import make_rng
 from .verify import CheckResult, VerifyOptions, run_verify_suite
@@ -137,14 +139,9 @@ def config_from_dict(raw: dict, base: str = "$") -> ExperimentConfig:
     _expect(kind in (HYPERCUBE, BALL), f"{base}.set",
             f"must be '{HYPERCUBE}' or '{BALL}', got {kind!r}")
     d = raw.get("dimension")
-    _expect(_is_int(d) and d >= 1, f"{base}.dimension", f"must be a positive integer, got {d!r}")
-    n = raw.get("horizon")
-    _expect(_is_int(n) and n >= 1, f"{base}.horizon", f"must be a positive integer, got {n!r}")
-
-    algorithm = raw.get("algorithm", SCFTPL)
-    _expect(algorithm in (SCFTPL, SCRIBBLE), f"{base}.algorithm",
-            f"must be '{SCFTPL}' or '{SCRIBBLE}', got {algorithm!r}")
-
+    # an array axis is at most sys.maxsize long; larger ints also overflow a float
+    _expect(_is_int(d) and 1 <= d <= sys.maxsize, f"{base}.dimension",
+            f"must be an integer in [1, {sys.maxsize}], got {d!r}")
     rate = raw.get("learning_rate", "auto")
     if isinstance(rate, str):
         _expect(rate == "auto", f"{base}.learning_rate", f"must be positive or 'auto', got {rate!r}")
@@ -152,6 +149,13 @@ def config_from_dict(raw: dict, base: str = "$") -> ExperimentConfig:
         _expect(_is_finite_number(rate) and rate > 0, f"{base}.learning_rate",
                 f"must be positive or 'auto', got {rate!r}")
         rate = float(rate)
+    n = raw.get("horizon")
+    _expect(_is_int(n) and n >= (2 if rate == "auto" else 1), f"{base}.horizon",
+            f"must be a positive integer, at least 2 with the 'auto' learning rate, got {n!r}")
+
+    algorithm = raw.get("algorithm", SCFTPL)
+    _expect(algorithm in (SCFTPL, SCRIBBLE), f"{base}.algorithm",
+            f"must be '{SCFTPL}' or '{SCRIBBLE}', got {algorithm!r}")
 
     adv_raw = raw.get("adversary", {"kind": FIXED_VECTOR})
     _expect(isinstance(adv_raw, dict), f"{base}.adversary", "must be an object")
@@ -159,11 +163,13 @@ def config_from_dict(raw: dict, base: str = "$") -> ExperimentConfig:
     adv_kind = adv_raw.get("kind", FIXED_VECTOR)
     _expect(adv_kind in _ADVERSARY_KINDS, f"{base}.adversary.kind",
             f"must be one of {_ADVERSARY_KINDS}, got {adv_kind!r}")
+    _expect(adv_kind != ROTATING_DIRECTION or d >= 2, f"{base}.adversary.kind",
+            f"'{ROTATING_DIRECTION}' needs a dimension of at least 2, got {d}")
     base_vec = adv_raw.get("base")
     if base_vec is not None:
         _expect(isinstance(base_vec, (list, tuple)) and len(base_vec) == d
-                and all(_is_finite_number(v) for v in base_vec),
-                f"{base}.adversary.base", f"must be a length-{d} array of numbers")
+                and all(_is_finite_number(v) for v in base_vec) and any(base_vec),
+                f"{base}.adversary.base", f"must be a length-{d} array of numbers, not all 0")
         base_vec = tuple(float(v) for v in base_vec)
     period = adv_raw.get("period")
     if period is not None:
@@ -211,6 +217,11 @@ def config_from_dict(raw: dict, base: str = "$") -> ExperimentConfig:
     s_max = table.get("s_max", RADIAL_TABLE_S_MAX)
     _expect(_is_finite_number(s_max) and s_max > 1.0, f"{base}.radial_table.s_max",
             f"must be a number greater than 1, got {s_max!r}")
+    if kind == BALL:
+        try:
+            require_tail_budget(radial_cdf_ball(float(s_max), d))
+        except ValueError as exc:
+            raise ConfigError(f"{base}.radial_table.s_max: {exc}") from exc
     nodes = table.get("nodes", RADIAL_TABLE_NODES)
     _expect(_is_int(nodes) and nodes >= 16, f"{base}.radial_table.nodes",
             f"must be an integer >= 16, got {nodes!r}")
@@ -335,10 +346,10 @@ def _run_one_seed(config: ExperimentConfig, losses: np.ndarray, competitor: np.n
     spec = config.algorithm_spec()
     kwargs = shared if shared is not None else _shared_caches(config)
     start = time.perf_counter()
-    records = run(spec, losses, make_rng(seed), **kwargs)
+    trace = run(spec, losses, make_rng(seed), **kwargs)
     elapsed = time.perf_counter() - start
-    curve = cumulative_regret(records, losses, competitor)
-    violations = sum(r.step_violation for r in records)
+    curve = cumulative_regret(trace, losses, competitor)
+    violations = int(trace.step_violation.sum())
     return seed, curve, violations, elapsed
 
 
@@ -438,6 +449,8 @@ def cmd_verify(options: VerifyOptions | None = None, out_dir: str | Path | None 
                quiet: bool = False) -> tuple[bool, list[CheckResult]]:
     """Run the verification suite; optionally write a JSON report."""
     results = run_verify_suite(options)
+    if not results:
+        raise ConfigError(f"$.checks: no check name starts with any of {list(options.checks)}")
     ok = all(r.passed for r in results)
     if not quiet:
         width = max(len(r.name) for r in results)

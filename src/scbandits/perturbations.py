@@ -199,6 +199,15 @@ def radial_cdf_ball(s, d: int):
 _TABLE_MAGIC = b"SCBRTBL1"
 
 
+def require_tail_budget(cdf_at_s_max: float) -> None:
+    """Reject a radial table whose last node leaves more tail mass than the budget."""
+    if cdf_at_s_max < 1.0 - _TAIL_MASS_BUDGET:
+        raise ValueError(
+            f"radial table covers only CDF {cdf_at_s_max:.9f}; "
+            f"raise s_max so the truncated tail is below {_TAIL_MASS_BUDGET:g}"
+        )
+
+
 @dataclass(frozen=True)
 class RadialTable:
     """Monotone (s, CDF) grid for inverse-transform speed sampling."""
@@ -252,11 +261,7 @@ class RadialTable:
             raise ValueError("radial table arrays do not match node_count")
         if not np.all(np.diff(self.cdf) > 0.0):
             raise ValueError("radial table CDF must be strictly increasing")
-        if self.cdf[-1] < 1.0 - _TAIL_MASS_BUDGET:
-            raise ValueError(
-                f"radial table covers only CDF {self.cdf[-1]:.9f}; "
-                f"raise s_max so the truncated tail is below {_TAIL_MASS_BUDGET:g}"
-            )
+        require_tail_budget(self.cdf[-1])
 
     def save(self, path: str | Path) -> None:
         """Binary cache: magic, then little-endian header {d, s_max, node_count}

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
 
 from . import action_sets as geom
 from . import perturbations as pert
@@ -39,6 +39,7 @@ from .estimation import (
     estimate_loss,
     k_function_ball,
     local_norm_sq,
+    scribble_estimate,
 )
 from .rng import spawn_rngs
 
@@ -150,6 +151,8 @@ def check_ball_density(opts: VerifyOptions) -> list[CheckResult]:
 
 
 def check_radial_sampling(opts: VerifyOptions) -> list[CheckResult]:
+    from scipy import stats  # imported here: kstest is its only use, and `run` never needs it
+
     d = 3
     aset = geom.ball(d)
     sampler = pert.PerturbationSampler.for_set(aset)
@@ -260,18 +263,15 @@ def _mc_estimates_scribble(aset, x, y, n, rng):
     """Vectorized draws of (A, yhat) for uniform Dikin-pole sampling at x."""
     d = aset.dimension
     poles = np.stack([geom.dikin_pole(aset, x, i, s) for s in (1, -1) for i in range(d)])
-    idx = rng.integers(0, 2 * d, size=n)
-    actions = poles[idx]
-    scalar = actions @ y
-    ctx = geom.barrier_hessian(aset, x)
-    offsets = actions - x
-    if aset.kind == geom.HYPERCUBE:
-        hessian_offsets = ctx.diag * offsets
-    else:
-        hessian_offsets = (ctx.coeff_identity * offsets
-                           + ctx.coeff_outer * (offsets @ ctx.center)[:, None] * ctx.center)
-    estimates = d * scalar[:, None] * hessian_offsets
-    return actions, estimates
+    actions = poles[rng.integers(0, 2 * d, size=n)]
+    return actions, scribble_estimate(aset, x, actions, actions @ y)
+
+
+def _se_deviation(samples: np.ndarray, target) -> float:
+    """Largest componentwise |mean - target| in standard errors, floored at 1/n."""
+    n = samples.shape[0]
+    se = np.maximum(samples.std(axis=0) / math.sqrt(n), 1.0 / n)
+    return float((np.abs(samples.mean(axis=0) - target) / se).max())
 
 
 def check_unbiasedness(opts: VerifyOptions) -> list[CheckResult]:
@@ -287,18 +287,14 @@ def check_unbiasedness(opts: VerifyOptions) -> list[CheckResult]:
         y /= np.sum(np.abs(y)) if kind == geom.HYPERCUBE else np.linalg.norm(y)
 
         actions, estimates, x = _mc_estimates_scftpl(aset, theta, y, n, rng)
-        action_dev = np.abs(actions.mean(axis=0) - x) / np.maximum(actions.std(axis=0) / math.sqrt(n), 1.0 / n)
-        est_dev = np.abs(estimates.mean(axis=0) - y) / np.maximum(estimates.std(axis=0) / math.sqrt(n), 1.0 / n)
-        out.append(_upper(f"unbiased_sampling_scftpl_{kind}", float(action_dev.max()), 4.0))
-        out.append(_upper(f"unbiased_estimation_scftpl_{kind}", float(est_dev.max()), 4.0))
+        out.append(_upper(f"unbiased_sampling_scftpl_{kind}", _se_deviation(actions, x), 4.0))
+        out.append(_upper(f"unbiased_estimation_scftpl_{kind}", _se_deviation(estimates, y), 4.0))
 
         rng = next(rngs)
         x0 = geom.conjugate_gradient(aset, rng.standard_normal(d) * 0.8)
         actions, estimates = _mc_estimates_scribble(aset, x0, y, n, rng)
-        action_dev = np.abs(actions.mean(axis=0) - x0) / np.maximum(actions.std(axis=0) / math.sqrt(n), 1.0 / n)
-        est_dev = np.abs(estimates.mean(axis=0) - y) / np.maximum(estimates.std(axis=0) / math.sqrt(n), 1.0 / n)
-        out.append(_upper(f"unbiased_sampling_scribble_{kind}", float(action_dev.max()), 4.0))
-        out.append(_upper(f"unbiased_estimation_scribble_{kind}", float(est_dev.max()), 4.0))
+        out.append(_upper(f"unbiased_sampling_scribble_{kind}", _se_deviation(actions, x0), 4.0))
+        out.append(_upper(f"unbiased_estimation_scribble_{kind}", _se_deviation(estimates, y), 4.0))
     return out
 
 
@@ -428,40 +424,33 @@ def check_engine(opts: VerifyOptions) -> list[CheckResult]:
     losses = generate(adv, d, n)
     aset = geom.hypercube(d)
     spec = AlgorithmSpec(variant=SCFTPL, action_set=aset, learning_rate="auto")
-    records = run_scftpl(spec, losses, spawn_rngs(opts.seed + 7, 1)[0])
+    trace = run_scftpl(spec, losses, spawn_rngs(opts.seed + 7, 1)[0])
 
-    violations = sum(r.step_violation for r in records)
-    out.append(_upper("step_condition_hypercube", float(violations), 0.0,
+    out.append(_upper("step_condition_hypercube", float(trace.step_violation.sum()), 0.0,
                       f"rounds violating 2 eta ||yhat||_t <= 1 out of {n}"))
 
-    interior = min(1.0 - geom.minkowski_gauge(aset, np.zeros(d), r.x) for r in records)
+    interior = min(1.0 - geom.minkowski_gauge(aset, np.zeros(d), x) for x in trace.x)
     out.append(CheckResult("expected_action_interior", interior, 0.0, interior > 0.0, ">"))
 
     eta = resolve_learning_rate(spec, n)
-    divergences = bregman_diagnostic(aset, eta, records)
+    divergences = bregman_diagnostic(aset, eta, trace)
     out.append(CheckResult("bregman_nonnegative", float(divergences.min()), -1e-12,
                            bool(divergences.min() >= -1e-12), ">="))
-    bound_margin = 0.0
-    for rec, div in zip(records, divergences):
-        step = eta * math.sqrt(max(rec.local_norm_sq, 0.0))
-        if step <= 0.5:
-            bound_margin = max(bound_margin, div - eta * eta * rec.local_norm_sq)
+    norm_sq = trace.local_norm_sq
+    within = eta * np.sqrt(np.maximum(norm_sq, 0.0)) <= 0.5
+    bound_margin = float(np.max(divergences - eta * eta * norm_sq, where=within, initial=0.0))
     out.append(_upper("bregman_quadratic_per_round", bound_margin, 1e-12,
                       "B <= ||eta yhat||_t^2 whenever the step condition holds"))
 
     rerun = run_scftpl(spec, losses, spawn_rngs(opts.seed + 7, 1)[0])
-    identical = all(
-        np.array_equal(a.action, b.action) and a.scalar_loss == b.scalar_loss
-        for a, b in zip(records, rerun)
-    )
+    identical = bool(np.array_equal(trace.action, rerun.action)
+                     and np.array_equal(trace.scalar_loss, rerun.scalar_loss))
     out.append(CheckResult("engine_determinism", float(identical), 1.0, identical, ">="))
 
     if opts.include_regret:
         u_star = best_in_hindsight(aset, losses)
-        regrets = []
-        for child in spawn_rngs(opts.seed + 8, 8):
-            recs = run_scftpl(spec, losses, child)
-            regrets.append(regret(recs, losses, u_star))
+        regrets = [regret(run_scftpl(spec, losses, child), losses, u_star)
+                   for child in spawn_rngs(opts.seed + 8, 8)]
         bound = d * math.sqrt(2.0 * n * math.log(n)) + 2.0
         out.append(_upper("regret_under_bound_small", float(np.mean(regrets)), bound,
                           f"mean realized regret over 8 seeds, d={d}, n={n}"))

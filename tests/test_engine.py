@@ -56,17 +56,17 @@ def test_spec_validation():
 def test_first_round_expected_action_is_center(make_set, loss_fn):
     aset = make_set(3)
     spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=0.1)
-    records = engine.run(spec, loss_fn(3, 1, seed=5), make_rng(1))
-    assert np.array_equal(records[0].x, np.zeros(3))
-    assert np.array_equal(records[0].y_hat_cum, np.zeros(3))
+    trace = engine.run(spec, loss_fn(3, 1, seed=5), make_rng(1))
+    assert np.array_equal(trace.x[0], np.zeros(3))
+    assert np.array_equal(trace.y_hat_cum[0], np.zeros(3))
 
 
 def test_first_round_scribble_plays_a_center_pole():
     aset = geom.hypercube(2)
     spec = engine.AlgorithmSpec(variant=engine.SCRIBBLE, action_set=aset, learning_rate=0.1)
-    records = engine.run(spec, cube_losses(2, 1, seed=5), make_rng(3))
+    trace = engine.run(spec, cube_losses(2, 1, seed=5), make_rng(3))
     poles = [geom.dikin_pole(aset, np.zeros(2), i, s) for i in range(2) for s in (1, -1)]
-    assert any(np.allclose(records[0].action, p) for p in poles)
+    assert any(np.allclose(trace.action[0], p) for p in poles)
 
 
 # ---------------------------------------------------------------------------
@@ -81,30 +81,32 @@ def test_trace_invariants(kind, variant):
     aset = geom.ActionSetModel(dimension=d, kind=kind)
     losses = generate(AdversarySpec(kind="seeded_random", geometry=kind, seed=8), d, n)
     spec = engine.AlgorithmSpec(variant=variant, action_set=aset)
-    records = engine.run(spec, losses, make_rng(21))
-    assert len(records) == n
+    trace = engine.run(spec, losses, make_rng(21))
+    assert len(trace) == n
+    assert trace.x.shape == trace.action.shape == trace.y_hat.shape == (n, d)
+    assert trace.scalar_loss.shape == trace.local_norm_sq.shape == trace.step_violation.shape == (n,)
     center = np.zeros(d)
     y_cum = np.zeros(d)
-    for rec in records:
-        assert np.array_equal(rec.y_hat_cum, y_cum)
+    for t in range(n):
+        assert np.array_equal(trace.y_hat_cum[t], y_cum)
         # expected action strictly interior, played action in the body
-        assert geom.minkowski_gauge(aset, center, rec.x) < 1.0
-        assert geom.minkowski_gauge(aset, center, rec.action) <= 1.0 + 1e-9
-        assert abs(rec.scalar_loss) <= 1.0 + 1e-9
-        assert rec.local_norm_sq >= 0.0
-        y_cum = y_cum + rec.y_hat
-    assert any(np.any(r.y_hat) for r in records)
+        assert geom.minkowski_gauge(aset, center, trace.x[t]) < 1.0
+        assert geom.minkowski_gauge(aset, center, trace.action[t]) <= 1.0 + 1e-9
+        y_cum = y_cum + trace.y_hat[t]
+    assert np.all(np.abs(trace.scalar_loss) <= 1.0 + 1e-9)
+    assert np.all(trace.local_norm_sq >= 0.0)
+    assert np.any(trace.y_hat)
 
 
 def test_scribble_actions_are_dikin_poles_of_reached_states():
     d, n = 3, 200
     aset = geom.ball(d)
     spec = engine.AlgorithmSpec(variant=engine.SCRIBBLE, action_set=aset)
-    records = engine.run(spec, ball_losses(d, n, seed=9), make_rng(13))
-    for rec in records:
-        ctx = geom.barrier_hessian(aset, rec.x)
-        assert geom.interior_gap(aset, rec.action) > 0.0
-        assert math.isclose(est.local_norm_sq(ctx, rec.action - rec.x), 1.0, rel_tol=1e-9)
+    trace = engine.run(spec, ball_losses(d, n, seed=9), make_rng(13))
+    for x, action in zip(trace.x, trace.action):
+        ctx = geom.barrier_hessian(aset, x)
+        assert geom.interior_gap(aset, action) > 0.0
+        assert math.isclose(est.local_norm_sq(ctx, action - x), 1.0, rel_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +118,12 @@ def test_scftpl_hypercube_matches_module_replay():
     aset = geom.hypercube(d)
     losses = cube_losses(d, n, seed=10)
     spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=0.2)
-    records = engine.run(spec, losses, make_rng(55))
+    trace = engine.run(spec, losses, make_rng(55))
 
     rng = make_rng(55)  # identical stream, replayed through the public ops
     sampler = pert.PerturbationSampler.for_set(aset)
     y_cum = np.zeros(d)
-    for t, rec in enumerate(records, start=1):
+    for t in range(1, n + 1):
         theta = -0.2 * y_cum
         xi = sampler.draw(rng)
         action = geom.linear_minimizer(aset, -theta - xi)
@@ -130,13 +132,14 @@ def test_scftpl_hypercube_matches_module_replay():
         model = est.covariance_hypercube(x)
         y_hat = est.estimate_loss(model, action, scalar)
         ctx = geom.barrier_hessian(aset, x)
-        assert np.array_equal(rec.action, action)
-        assert np.array_equal(rec.x, x)
-        assert rec.scalar_loss == scalar
-        assert np.allclose(rec.y_hat, y_hat, rtol=1e-12, atol=1e-14)
-        assert math.isclose(rec.local_norm_sq, est.local_norm_sq(ctx, y_hat, inverse=True),
+        assert np.array_equal(trace.action[t - 1], action)
+        assert np.array_equal(trace.x[t - 1], x)
+        assert trace.scalar_loss[t - 1] == scalar
+        assert np.allclose(trace.y_hat[t - 1], y_hat, rtol=1e-12, atol=1e-14)
+        assert math.isclose(trace.local_norm_sq[t - 1],
+                            est.local_norm_sq(ctx, y_hat, inverse=True),
                             rel_tol=1e-9, abs_tol=1e-12)
-        y_cum = y_cum + rec.y_hat
+        y_cum = y_cum + trace.y_hat[t - 1]
 
 
 def test_scftpl_ball_matches_module_replay():
@@ -145,11 +148,11 @@ def test_scftpl_ball_matches_module_replay():
     losses = ball_losses(d, n, seed=11)
     spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=0.05)
     sampler = pert.PerturbationSampler.for_set(aset)
-    records = engine.run(spec, losses, make_rng(56), sampler=sampler)
+    trace = engine.run(spec, losses, make_rng(56), sampler=sampler)
 
     rng = make_rng(56)
     y_cum = np.zeros(d)
-    for t, rec in enumerate(records, start=1):
+    for t in range(1, n + 1):
         theta = -0.05 * y_cum
         xi = sampler.draw(rng)
         action = geom.linear_minimizer(aset, -theta - xi)
@@ -157,12 +160,12 @@ def test_scftpl_ball_matches_module_replay():
         scalar = float(losses[t - 1] @ action)
         model = est.covariance_ball(theta, d)
         y_hat = est.estimate_loss(model, action, scalar)
-        assert np.allclose(rec.action, action, rtol=1e-12, atol=1e-15)
-        assert np.allclose(rec.x, x, rtol=1e-12, atol=1e-15)
+        assert np.allclose(trace.action[t - 1], action, rtol=1e-12, atol=1e-15)
+        assert np.allclose(trace.x[t - 1], x, rtol=1e-12, atol=1e-15)
         # k comes from the interpolation cache inside the engine, so the
         # estimate matches to the cache tolerance rather than exactly
-        assert np.allclose(rec.y_hat, y_hat, rtol=1e-4, atol=1e-8)
-        y_cum = y_cum + rec.y_hat
+        assert np.allclose(trace.y_hat[t - 1], y_hat, rtol=1e-4, atol=1e-8)
+        y_cum = y_cum + trace.y_hat[t - 1]
 
 
 def test_scribble_matches_module_replay():
@@ -170,11 +173,11 @@ def test_scribble_matches_module_replay():
     aset = geom.hypercube(d)
     losses = cube_losses(d, n, seed=12)
     spec = engine.AlgorithmSpec(variant=engine.SCRIBBLE, action_set=aset, learning_rate=0.1)
-    records = engine.run(spec, losses, make_rng(57))
+    trace = engine.run(spec, losses, make_rng(57))
 
     rng = make_rng(57)
     y_cum = np.zeros(d)
-    for t, rec in enumerate(records, start=1):
+    for t in range(1, n + 1):
         theta = -0.1 * y_cum
         x = geom.conjugate_gradient(aset, theta)
         draw = int(rng.integers(0, 2 * d))
@@ -182,9 +185,9 @@ def test_scribble_matches_module_replay():
         action = geom.dikin_pole(aset, x, index, sign)
         scalar = float(losses[t - 1] @ action)
         y_hat = est.scribble_estimate(aset, x, action, scalar)
-        assert np.array_equal(rec.action, action)
-        assert np.allclose(rec.y_hat, y_hat, rtol=1e-12)
-        y_cum = y_cum + rec.y_hat
+        assert np.array_equal(trace.action[t - 1], action)
+        assert np.allclose(trace.y_hat[t - 1], y_hat, rtol=1e-12)
+        y_cum = y_cum + trace.y_hat[t - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +205,7 @@ def test_sampling_unbiased_at_fixed_state(variant):
     sampler = pert.PerturbationSampler.for_set(aset) if variant == engine.SCFTPL else None
     kwargs = {"sampler": sampler} if sampler is not None else {}
     actions = np.stack([
-        engine.run(spec, losses, make_rng(1000 + s), **kwargs)[0].action
+        engine.run(spec, losses, make_rng(1000 + s), **kwargs).action[0]
         for s in range(1000)
     ])
     se = actions.std(axis=0) / math.sqrt(actions.shape[0])
@@ -220,9 +223,9 @@ def test_hypercube_d1_drifts_against_fixed_loss():
     final_actions = []
     final_expected = []
     for s in range(seeds):
-        recs = engine.run(spec, losses, make_rng(4000 + s), sampler=sampler)
-        final_actions.append(recs[-1].action[0])
-        final_expected.append(recs[-1].x[0])
+        trace = engine.run(spec, losses, make_rng(4000 + s), sampler=sampler)
+        final_actions.append(trace.action[-1, 0])
+        final_expected.append(trace.x[-1, 0])
     mean_action = float(np.mean(final_actions))
     mean_x = float(np.mean(final_expected))
     assert mean_action < -0.3
@@ -239,8 +242,8 @@ def test_step_condition_holds_for_auto_rate_hypercube():
     d, n = 2, 2000
     losses = cube_losses(d, n, seed=15)
     spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=geom.hypercube(d))
-    records = engine.run(spec, losses, make_rng(58))
-    assert not any(r.step_violation for r in records)
+    trace = engine.run(spec, losses, make_rng(58))
+    assert not trace.step_violation.any()
 
 
 def test_violation_flag_matches_local_norm():
@@ -248,10 +251,10 @@ def test_violation_flag_matches_local_norm():
     losses = cube_losses(d, n, seed=16)
     spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=geom.hypercube(d),
                                 learning_rate=5.0)  # absurd rate forces violations
-    records = engine.run(spec, losses, make_rng(59))
+    trace = engine.run(spec, losses, make_rng(59))
     eta = 5.0
-    flags = [2.0 * eta * math.sqrt(r.local_norm_sq) > 1.0 for r in records]
-    assert flags == [r.step_violation for r in records]
+    flags = [2.0 * eta * math.sqrt(v) > 1.0 for v in trace.local_norm_sq]
+    assert flags == trace.step_violation.tolist()
     assert any(flags)
 
 
@@ -265,10 +268,9 @@ def test_runs_are_bit_reproducible():
     spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=geom.hypercube(d))
     a = engine.run(spec, losses, make_rng(60))
     b = engine.run(spec, losses, make_rng(60))
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra.action, rb.action)
-        assert np.array_equal(ra.y_hat, rb.y_hat)
-        assert ra.scalar_loss == rb.scalar_loss
+    assert np.array_equal(a.action, b.action)
+    assert np.array_equal(a.y_hat, b.y_hat)
+    assert np.array_equal(a.scalar_loss, b.scalar_loss)
 
 
 def test_pinned_cumulative_losses():
@@ -285,8 +287,8 @@ def test_pinned_cumulative_losses():
     ]
     for aset, variant, losses, pinned in cases:
         spec = engine.AlgorithmSpec(variant=variant, action_set=aset)
-        records = engine.run(spec, losses, make_rng(99))
-        assert math.isclose(sum(r.scalar_loss for r in records), pinned,
+        trace = engine.run(spec, losses, make_rng(99))
+        assert math.isclose(sum(trace.scalar_loss.tolist()), pinned,
                             rel_tol=0, abs_tol=1e-12)
 
 
@@ -299,8 +301,8 @@ def test_regret_against_played_competitor_is_zero():
     losses = cube_losses(d, 1, seed=18)
     spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=geom.hypercube(d),
                                 learning_rate=0.1)
-    records = engine.run(spec, losses, make_rng(61))
-    assert engine.regret(records, losses, records[0].action) == 0.0
+    trace = engine.run(spec, losses, make_rng(61))
+    assert engine.regret(trace, losses, trace.action[0]) == 0.0
 
 
 def test_regret_zero_losses():
@@ -308,8 +310,8 @@ def test_regret_zero_losses():
     losses = np.zeros((n, d))
     spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=geom.hypercube(d),
                                 learning_rate=0.1)
-    records = engine.run(spec, losses, make_rng(62))
-    assert engine.regret(records, losses, np.array([1.0, -1.0])) == 0.0
+    trace = engine.run(spec, losses, make_rng(62))
+    assert engine.regret(trace, losses, np.array([1.0, -1.0])) == 0.0
 
 
 def test_best_in_hindsight_matches_vertex_enumeration():
@@ -328,11 +330,16 @@ def test_cumulative_regret_consistent_with_total():
     d, n = 2, 80
     losses = cube_losses(d, n, seed=19)
     spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=geom.hypercube(d))
-    records = engine.run(spec, losses, make_rng(64))
+    trace = engine.run(spec, losses, make_rng(64))
     u = best_in_hindsight(geom.hypercube(d), losses)
-    curve = engine.cumulative_regret(records, losses, u)
+    curve = engine.cumulative_regret(trace, losses, u)
     assert curve.shape == (n,)
-    assert math.isclose(curve[-1], engine.regret(records, losses, u), rel_tol=1e-12)
+    assert math.isclose(curve[-1], engine.regret(trace, losses, u), rel_tol=1e-12)
+    # the array forms reproduce the per-round Python sums bit for bit
+    per_round = [float(losses[i] @ (trace.action[i] - u)) for i in range(n)]
+    assert np.array_equal(curve, np.cumsum(per_round))
+    played = sum(float(losses[i] @ trace.action[i]) for i in range(n))
+    assert engine.regret(trace, losses, u) == played - float(losses.sum(axis=0) @ u)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +348,10 @@ def test_cumulative_regret_consistent_with_total():
 
 def test_bregman_diagnostic_zero_estimate():
     aset = geom.hypercube(2)
-    rec = engine.RoundRecord(t=1, y_hat_cum=np.zeros(2), x=np.zeros(2),
-                             action=np.ones(2), scalar_loss=0.0, y_hat=np.zeros(2),
-                             local_norm_sq=0.0, step_violation=False)
-    out = engine.bregman_diagnostic(aset, 0.3, [rec])
+    trace = engine.Trace(x=np.zeros((1, 2)), action=np.ones((1, 2)), y_hat=np.zeros((1, 2)),
+                         scalar_loss=np.zeros(1), local_norm_sq=np.zeros(1),
+                         step_violation=np.zeros(1, dtype=bool))
+    out = engine.bregman_diagnostic(aset, 0.3, trace)
     assert out[0] == 0.0
 
 
@@ -354,13 +361,13 @@ def test_bregman_diagnostic_bounds(kind):
     aset = geom.ActionSetModel(dimension=d, kind=kind)
     losses = generate(AdversarySpec(kind="seeded_random", geometry=kind, seed=20), d, n)
     spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset)
-    records = engine.run(spec, losses, make_rng(65))
+    trace = engine.run(spec, losses, make_rng(65))
     eta = engine.resolve_learning_rate(spec, n)
-    divergences = engine.bregman_diagnostic(aset, eta, records)
+    divergences = engine.bregman_diagnostic(aset, eta, trace)
     assert np.all(divergences >= -1e-12)
-    for rec, div in zip(records, divergences):
-        if eta * math.sqrt(rec.local_norm_sq) <= 0.5:
-            assert div <= eta * eta * rec.local_norm_sq + 1e-12
+    for norm_sq, div in zip(trace.local_norm_sq, divergences):
+        if eta * math.sqrt(norm_sq) <= 0.5:
+            assert div <= eta * eta * norm_sq + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +384,14 @@ def test_aborted_run_carries_partial_trace():
                                 learning_rate=1e9)
     with pytest.raises(engine.AbortedRunError) as info:
         engine.run(spec, losses, make_rng(66))
-    assert 1 <= len(info.value.records) < 100
+    trace = info.value.trace
+    assert 1 <= len(trace) < 100
+    assert trace.x.shape == (len(trace), d)
+    # the rows kept are the rounds played before the abort, identical to a
+    # run cut to that horizon at a learning rate fixed to the same value
+    cut = engine.run(spec, losses[:len(trace)], make_rng(66))
+    assert np.array_equal(trace.action, cut.action)
+    assert np.array_equal(trace.y_hat, cut.y_hat)
 
 
 def test_loss_normalization_is_enforced():

@@ -415,6 +415,21 @@ def test_scribble_estimate_center_pole():
 
 
 @pytest.mark.parametrize("kind", [geom.HYPERCUBE, geom.BALL])
+def test_scribble_estimate_batched_equals_per_pole(kind):
+    rng = make_rng(48)
+    d = 5
+    aset = geom.ActionSetModel(dimension=d, kind=kind)
+    x = geom.conjugate_gradient(aset, rng.standard_normal(d) * 0.9)
+    poles = np.stack([geom.dikin_pole(aset, x, i, s) for s in (1, -1) for i in range(d)])
+    losses = rng.uniform(-1.0, 1.0, 2 * d)
+    batched = est.scribble_estimate(aset, x, poles, losses)
+    for pole, loss, row in zip(poles, losses, batched):
+        assert np.all(row == est.scribble_estimate(aset, x, pole, float(loss)))
+    with pytest.raises(ValueError, match="observed loss"):
+        est.scribble_estimate(aset, x, poles, np.append(losses[1:], 1.5))
+
+
+@pytest.mark.parametrize("kind", [geom.HYPERCUBE, geom.BALL])
 def test_scribble_estimator_unbiased(kind):
     rng = make_rng(49)
     d = 4

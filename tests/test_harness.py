@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scbandits import harness
+from scbandits import harness, verify
 from scbandits.cli import main as cli_main
 from scbandits.verify import VerifyOptions, run_verify_suite
 
@@ -66,6 +71,12 @@ BAD_ENTRIES = [
     ({"label": ".."}, "$.label"),
     ({"label": "runs/a"}, "$.label"),
     ({"label": "runs\\a"}, "$.label"),
+    # each of these used to fail only after loss generation or table building
+    ({"horizon": 1}, "$.horizon"),
+    ({"dimension": 1, "adversary": {"kind": "rotating_direction"}}, "$.adversary.kind"),
+    ({"adversary": {"kind": "fixed_vector", "base": [0.0, 0.0]}}, "$.adversary.base"),
+    ({"set": "ball", "radial_table": {"s_max": 2.0}}, "$.radial_table.s_max"),
+    ({"set": "ball", "dimension": 10**400}, "$.dimension"),
 ]
 
 
@@ -93,6 +104,36 @@ def test_cli_bad_label_rejected_before_any_compute(tmp_path, capsys, monkeypatch
     assert cli_main(["run", "--config", str(cfg), "--quiet"]) == 1
     assert "$.label:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                               max_size=4),
+    max_leaves=8)
+_CONFIG_KEYS = ("set", "dimension", "horizon", "algorithm", "learning_rate", "adversary",
+                "seeds", "out_dir", "label", "workers", "write_per_seed", "radial_table",
+                "adversary.kind", "adversary.base", "adversary.period", "adversary.angle",
+                "adversary.seed", "radial_table.s_max", "radial_table.nodes", "extra")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(base=st.sampled_from([base_config(), base_config(set="ball", algorithm="scribble")]),
+       key=st.sampled_from(_CONFIG_KEYS), value=_JSON_VALUES)
+def test_config_any_json_value_is_accepted_or_typed_error(base, key, value):
+    raw = json.loads(json.dumps(base))
+    outer, _, inner = key.partition(".")
+    if inner:
+        raw.setdefault(outer, {})[inner] = value
+    else:
+        raw[outer] = value
+    try:
+        cfg = harness.config_from_dict(raw)
+    except harness.ConfigError as exc:
+        assert str(exc).startswith("$")
+    else:
+        assert isinstance(cfg, harness.ExperimentConfig)
 
 
 def test_config_json_syntax_error_reports_line(tmp_path):
@@ -288,6 +329,26 @@ def test_cli_verify_config_rejects_bad_files(tmp_path, capsys, text, fragment):
     cfg.write_text(text)
     assert cli_main(["verify", "--config", str(cfg), "--quiet"]) == 1
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("quiet", [["--quiet"], []])
+def test_cli_verify_checks_selecting_nothing_exits_1(tmp_path, capsys, monkeypatch, quiet):
+    # one cheap group stands in for the suite: the filter is applied to rows
+    monkeypatch.setattr(verify, "CHECK_GROUPS", (verify.check_hypercube_inverse_cdf,))
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"checks": ["no_such_check"], "scale": 0.02,
+                               "include_regret": False}))
+    assert cli_main(["verify", "--config", str(cfg), "--out", str(tmp_path), *quiet]) == 1
+    assert "$.checks:" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, scbandits.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(harness.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_missing_config_file_exits_1(tmp_path, capsys):

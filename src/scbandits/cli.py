@@ -19,6 +19,7 @@ from .engine import AbortedRunError
 from .estimation import QuadratureError
 from .harness import (
     ConfigError,
+    check_seeds,
     cmd_bench,
     cmd_run,
     cmd_sample,
@@ -35,10 +36,13 @@ EXIT_NUMERIC = 3
 
 
 def _parse_seed_list(text: str) -> list[int]:
+    """The ``--seeds`` override, held to the config's own seed rules."""
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        seeds = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"--seeds: expected comma-separated integers, got {text!r}") from exc
+    check_seeds(seeds, "--seeds")
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:

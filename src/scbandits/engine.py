@@ -12,6 +12,10 @@ unbiased loss-vector estimate back into the accumulator.
   of the Dikin ellipsoid at the expected action, chosen uniformly, and the
   estimate is d * H(x) (A - x) times the scalar loss.
 
+The learner's randomness does not depend on its state, so each run draws
+it ahead of the rounds, in blocks whose rows follow the per-round stream
+order: a block is bit for bit the draws of its rounds taken one at a time,
+and the round loop itself is only the O(d) recurrence.
 A run is strictly sequential; independent seeds parallelize at the harness
 level. Given (seed, config, losses) a run is bit-reproducible.
 """
@@ -34,13 +38,19 @@ from .action_sets import (
     dikin_pole,
 )
 from .estimation import KFunctionCache, local_norm_sq, scribble_estimate
-from .perturbations import PerturbationSampler
-from .rng import gaussians
+from .perturbations import _U_FLOOR, PerturbationSampler, RadialTable, sample_hypercube
+from .rng import box_muller
 
 SCFTPL = "scftpl"
 SCRIBBLE = "scribble"
 
 _LOSS_SLACK = 1e-9
+
+# Uniforms drawn per block of noise rows: 256 KiB of float64 bounds a run's
+# noise memory at any horizon (blocks twice as large added about 1 MB of peak
+# RSS at d = 5), and at d = 1024 a block still spreads its per-call cost over
+# 31 or 32 rounds.
+_CHUNK_UNIFORMS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -133,6 +143,54 @@ def _record(trace: Trace, i: int, eta: float, x, action, scalar_loss: float, y_h
     trace.step_violation[i] = 2.0 * eta * math.sqrt(max(norm_sq, 0.0)) > 1.0
 
 
+def _block_rows(n: int, width: int):
+    """Row counts of the blocks that cover n rounds drawing ``width`` uniforms each."""
+    rows = max(1, _CHUNK_UNIFORMS // width)
+    for start in range(0, n, rows):
+        yield min(rows, n - start)
+
+
+def _hypercube_noise(aset: ActionSetModel, rng: np.random.Generator, n: int):
+    """The perturbations of n hypercube rounds, one (d,) row per round.
+
+    A block's (m, d) layout is the stream of m rounds drawing d uniforms each.
+    """
+    for m in _block_rows(n, aset.dimension):
+        yield from sample_hypercube(aset, rng, size=m)
+
+
+def _ball_noise(d: int, rng: np.random.Generator, radial_table: RadialTable, n: int):
+    """The direction x speed perturbations of n ball rounds, one (d,) row per round.
+
+    A round consumes 2 ceil(d/2) uniforms for Box-Muller, whose first d
+    normals give the direction, then one for the speed.
+    """
+    width = 2 * ((d + 1) // 2) + 1
+    for m in _block_rows(n, width):
+        # a block's temporaries are freed before its rows are handed out
+        yield from _ball_block(rng.random((m, width)), d, radial_table)
+
+
+def _ball_block(u: np.ndarray, d: int, radial_table: RadialTable) -> np.ndarray:
+    """The perturbations of a block of uniform rows, one round's 2 ceil(d/2) + 1 per row.
+
+    Each value is rounded as a draw on its own would round it: a row's norm
+    is the sqrt of its ``vecdot``, like ``math.sqrt(normal @ normal)``, and
+    the table inverse works element by element.
+    """
+    pairs = u.shape[1] // 2
+    normal = box_muller(u[:, :pairs], u[:, pairs:-1])[:, :d]
+    norms = np.sqrt(np.vecdot(normal, normal))
+    speeds = radial_table.inverse(np.maximum(u[:, -1], _U_FLOOR))
+    return normal / np.where(norms > 0.0, norms, 1.0)[:, None] * speeds[:, None]
+
+
+def _pole_draws(d: int, rng: np.random.Generator, n: int):
+    """The Dikin-pole indices of n scribble rounds, uniform on [0, 2d)."""
+    for m in _block_rows(n, 1):
+        yield from rng.integers(0, 2 * d, size=m).tolist()
+
+
 def _check_scalar_loss(value: float, t: int) -> float:
     if abs(value) > 1.0 + _LOSS_SLACK:
         raise ValueError(
@@ -151,10 +209,12 @@ def run_scftpl(spec: AlgorithmSpec, losses, rng: np.random.Generator,
     ``k_cache`` may be shared across runs (both are read-only here apart
     from cache extension); omitted, they are built privately.
 
-    The round body is written inline so each round costs a handful of O(d)
-    vector operations; the expressions mirror the module-level operations
-    (linear_minimizer, conjugate_gradient, covariance/apply, local norms)
-    and the test suite pins the agreement.
+    The perturbations do not depend on the learner's state, so they are
+    drawn ahead of the rounds, in blocks whose rows follow the per-round
+    stream order. The round body is written inline so each round costs a
+    handful of O(d) vector operations; the expressions mirror the
+    module-level operations (linear_minimizer, conjugate_gradient,
+    covariance/apply, local norms) and the test suite pins the agreement.
     """
     if spec.variant != SCFTPL:
         raise ValueError("run_scftpl requires a perturbed-leader spec")
@@ -185,10 +245,8 @@ def _run_scftpl_hypercube(aset, losses, eta, rng) -> Trace:
     n, d = losses.shape
     y_hat_cum = np.zeros(d)
     trace = Trace.empty(n, d)
-    for t in range(1, n + 1):
+    for t, xi in zip(range(1, n + 1), _hypercube_noise(aset, rng, n)):
         theta = -eta * y_hat_cum
-        u = np.maximum(rng.random(d), 2.0**-54)
-        xi = (1.0 - 2.0 * u) / (2.0 * u * (u - 1.0))
         # argmin_a <a, eta Yhat - xi> = sign(theta + xi) coordinatewise (+1 at ties)
         action = np.where(theta + xi >= 0.0, 1.0, -1.0)
         x = theta / (1.0 + np.sqrt(1.0 + theta * theta))
@@ -211,19 +269,12 @@ def _run_scftpl_hypercube(aset, losses, eta, rng) -> Trace:
 
 def _run_scftpl_ball(aset, losses, eta, rng, radial_table, k_cache) -> Trace:
     n, d = losses.shape
-    gauss_count = 2 * ((d + 1) // 2)
     y_hat_cum = np.zeros(d)
     trace = Trace.empty(n, d)
-    for t in range(1, n + 1):
+    for t, xi in zip(range(1, n + 1), _ball_noise(d, rng, radial_table, n)):
         theta = -eta * y_hat_cum
         theta_norm = math.sqrt(float(theta @ theta))
-        # direction x speed draw, consuming the stream exactly like sample_ball
-        normal = gaussians(rng, gauss_count)[:d]
-        normal_norm = math.sqrt(float(normal @ normal))
-        direction = normal / (normal_norm if normal_norm > 0.0 else 1.0)
-        u = rng.random()
-        speed = radial_table.inverse_scalar(u if u > 2.0**-54 else 2.0**-54)
-        drifted = theta + direction * speed
+        drifted = theta + xi
         drift_norm = math.sqrt(float(drifted @ drifted))
         if drift_norm > 0.0:
             action = drifted / drift_norm
@@ -259,7 +310,8 @@ def run_scribble(spec: AlgorithmSpec, losses, rng: np.random.Generator) -> Trace
     """Run the Dikin-pole algorithm against an oblivious loss sequence.
 
     Per round this consumes one integer draw selecting among the 2d poles
-    (index i = draw % d, sign +1 iff draw < d).
+    (index i = draw % d, sign +1 iff draw < d); the draws are taken ahead of
+    the rounds, in blocks, in the same stream order.
     """
     if spec.variant != SCRIBBLE:
         raise ValueError("run_scribble requires a Dikin-pole spec")
@@ -273,10 +325,9 @@ def run_scribble(spec: AlgorithmSpec, losses, rng: np.random.Generator) -> Trace
 
     y_hat_cum = np.zeros(d)
     trace = Trace.empty(n, d)
-    for t in range(1, n + 1):
+    for t, draw in zip(range(1, n + 1), _pole_draws(d, rng, n)):
         theta = -eta * y_hat_cum
         x = conjugate_gradient(aset, theta)
-        draw = int(rng.integers(0, 2 * d))
         index, sign = draw % d, (1 if draw < d else -1)
         try:
             action = dikin_pole(aset, x, index, sign)

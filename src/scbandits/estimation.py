@@ -372,7 +372,7 @@ class KFunctionCache:
 
     def __call__(self, x: float) -> float:
         x = float(x)
-        if x < 0.0 or not np.isfinite(x):
+        if x < 0.0 or not math.isfinite(x):
             raise ValueError(f"drift norm must be finite and nonnegative, got {x!r}")
         t = float(np.arcsinh(x))
         h = self.spacing

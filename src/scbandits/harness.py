@@ -124,6 +124,16 @@ def _expect_known_keys(raw: dict, known: set[str], base: str) -> None:
         _expect(key in known, f"{base}.{key}", f"unknown key (expected one of {sorted(known)})")
 
 
+def check_seeds(seeds, path: str) -> None:
+    """A nonempty array of distinct 64-bit unsigned integers, or a ConfigError at ``path``."""
+    _expect(isinstance(seeds, (list, tuple)) and len(seeds) >= 1, path,
+            "must be a nonempty array of integers")
+    for i, s in enumerate(seeds):
+        _expect(_is_int(s) and 0 <= s < 2**64,
+                f"{path}[{i}]", f"must be a 64-bit unsigned integer, got {s!r}")
+    _expect(len(set(seeds)) == len(seeds), path, "seeds must be distinct")
+
+
 def config_from_dict(raw: dict, base: str = "$") -> ExperimentConfig:
     """Validate a JSON-shaped dict into an ExperimentConfig.
 
@@ -188,12 +198,7 @@ def config_from_dict(raw: dict, base: str = "$") -> ExperimentConfig:
                               period=period, angle=angle, seed=adv_seed)
 
     seeds = raw.get("seeds", [1])
-    _expect(isinstance(seeds, (list, tuple)) and len(seeds) >= 1, f"{base}.seeds",
-            "must be a nonempty array of integers")
-    for i, s in enumerate(seeds):
-        _expect(_is_int(s) and 0 <= s < 2**64,
-                f"{base}.seeds[{i}]", f"must be a 64-bit unsigned integer, got {s!r}")
-    _expect(len(set(seeds)) == len(seeds), f"{base}.seeds", "seeds must be distinct")
+    check_seeds(seeds, f"{base}.seeds")
 
     out_dir = raw.get("out_dir", "results")
     _expect(isinstance(out_dir, str), f"{base}.out_dir", f"must be a string, got {out_dir!r}")

@@ -303,33 +303,6 @@ class RadialTable:
         s = s - (radial_cdf_ball(s, self.d) - u) / np.maximum(dens, 1e-300)
         return np.clip(s, lo, hi)
 
-    def inverse_scalar(self, u: float) -> float:
-        """Single-draw inverse, float arithmetic throughout (engine hot path).
-
-        Same bracket + one-Newton-step scheme as :meth:`inverse`, bit-equal
-        to it for the same input.
-        """
-        idx = int(np.searchsorted(self.cdf, u, side="right"))
-        idx = 1 if idx < 1 else (self.node_count - 1 if idx > self.node_count - 1 else idx)
-        lo = float(self.nodes[idx - 1])
-        hi = float(self.nodes[idx])
-        clo = float(self.cdf[idx - 1])
-        chi = float(self.cdf[idx])
-        frac = (u - clo) / (chi - clo)
-        frac = 0.0 if frac < 0.0 else (1.0 if frac > 1.0 else frac)
-        s = lo + frac * (hi - lo)
-        w = s * s / (1.0 + s * s)
-        half = (self.d + 1) / 2.0
-        if s > 0.0:
-            upper = float(betainc(half, self.d / 2.0, w))
-            dens = upper / (s * s)
-            cdf = float(betainc(self.d / 2.0, half, w)) - upper / s
-        else:
-            dens = _radial_density_at_zero(self.d)
-            cdf = 0.0
-        s = s - (cdf - u) / (dens if dens > 1e-300 else 1e-300)
-        return lo if s < lo else (hi if s > hi else s)
-
 
 @dataclass(frozen=True)
 class PerturbationSampler:

@@ -9,6 +9,13 @@ Gaussian variates are produced by Box-Muller from the uniform stream rather
 than through ``Generator.standard_normal`` (ziggurat), again so that pinned
 fixtures do not depend on numpy internals. Each call consumes a fixed,
 size-determined number of uniforms.
+
+An array is filled from the stream in C order, so one ``rng.random((m, k))``
+call yields the same values, in row order, as m calls of ``rng.random(k)``.
+The engine uses this to draw a run's noise in blocks ahead of its round
+loop: block rows come out in the per-round stream order, and
+:func:`box_muller` applied to a block gives each row the normals
+:func:`gaussians` would give it alone.
 """
 
 from __future__ import annotations
@@ -37,15 +44,23 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(s)) for s in children]
 
 
-def gaussians(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` i.i.d. standard normals via Box-Muller.
+def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Standard normals from uniform blocks of equal shape, along the last axis.
 
-    Consumes exactly ``2 * ceil(count / 2)`` uniforms: pairs (u1, u2) map to
-    r*cos(2*pi*u2), r*sin(2*pi*u2) with r = sqrt(-2 ln(1 - u1)); the cosine
-    block precedes the sine block and a trailing extra variate is dropped.
+    Maps (u1, u2) to r*cos(2*pi*u2) followed by r*sin(2*pi*u2), with
+    r = sqrt(-2 ln(1 - u1)): the cosine block precedes the sine block.
+    """
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    ang = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+
+
+def gaussians(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` i.i.d. standard normals via :func:`box_muller`.
+
+    Consumes exactly ``2 * ceil(count / 2)`` uniforms: the first half feed
+    u1 and the second half u2; a trailing extra variate is dropped.
     """
     pairs = (count + 1) // 2
     u = rng.random((2, pairs))
-    r = np.sqrt(-2.0 * np.log1p(-u[0]))
-    ang = 2.0 * np.pi * u[1]
-    return np.concatenate([r * np.cos(ang), r * np.sin(ang)])[:count]
+    return box_muller(u[0], u[1])[:count]

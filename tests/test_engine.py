@@ -1,14 +1,18 @@
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scbandits import action_sets as geom
 from scbandits import engine
 from scbandits import estimation as est
 from scbandits import perturbations as pert
 from scbandits.environments import AdversarySpec, best_in_hindsight, generate
-from scbandits.rng import make_rng
+from scbandits.rng import gaussians, make_rng
 
 
 def cube_losses(d, n, kind="seeded_random", **kw):
@@ -188,6 +192,83 @@ def test_scribble_matches_module_replay():
         assert np.array_equal(trace.action[t - 1], action)
         assert np.allclose(trace.y_hat[t - 1], y_hat, rtol=1e-12)
         y_cum = y_cum + trace.y_hat[t - 1]
+
+
+# ---------------------------------------------------------------------------
+# noise drawn in blocks equals noise drawn round by round
+# ---------------------------------------------------------------------------
+
+def _hypercube_noise_per_round(aset, rng, n):
+    for _ in range(n):
+        u = np.maximum(rng.random(aset.dimension), 2.0**-54)
+        yield (1.0 - 2.0 * u) / (2.0 * u * (u - 1.0))
+
+
+def _ball_noise_per_round(d, rng, radial_table, n):
+    for _ in range(n):
+        normal = gaussians(rng, 2 * ((d + 1) // 2))[:d]
+        normal_norm = math.sqrt(float(normal @ normal))
+        direction = normal / (normal_norm if normal_norm > 0.0 else 1.0)
+        u = rng.random()
+        yield direction * radial_table.inverse(np.array([max(u, 2.0**-54)]))[0]
+
+
+def _pole_draws_per_round(d, rng, n):
+    for _ in range(n):
+        yield int(rng.integers(0, 2 * d))
+
+
+@functools.cache
+def _ball_caches(d):
+    aset = geom.ball(d)
+    return {"sampler": pert.PerturbationSampler.for_set(aset),
+            "k_cache": est.KFunctionCache(d) if d >= 2 else None}
+
+
+def _assert_blocks_match_per_round(kind, variant, d, n, seed, chunk):
+    aset = geom.ActionSetModel(dimension=d, kind=kind)
+    losses = generate(AdversarySpec(kind="seeded_random", geometry=kind, seed=seed % 1000),
+                      d, n)
+    spec = engine.AlgorithmSpec(variant=variant, action_set=aset, learning_rate=0.05)
+    kwargs = _ball_caches(d) if (kind, variant) == (geom.BALL, engine.SCFTPL) else {}
+    with mock.patch.object(engine, "_CHUNK_UNIFORMS", chunk):
+        rng = make_rng(seed)
+        blocks = engine.run(spec, losses, rng, **kwargs)
+        blocks_next = rng.random()
+    with mock.patch.multiple(engine, _hypercube_noise=_hypercube_noise_per_round,
+                             _ball_noise=_ball_noise_per_round,
+                             _pole_draws=_pole_draws_per_round):
+        rng = make_rng(seed)
+        replay = engine.run(spec, losses, rng, **kwargs)
+        replay_next = rng.random()
+    assert (blocks.action == replay.action).all()
+    assert (blocks.y_hat == replay.y_hat).all()
+    assert blocks_next == replay_next  # both runs consumed exactly n rounds of the stream
+
+
+_SMALL_CHUNK = 64  # uniforms per block: several blocks within a short horizon
+
+
+@pytest.mark.parametrize("kind,variant", [
+    (geom.HYPERCUBE, engine.SCFTPL), (geom.BALL, engine.SCFTPL),
+    (geom.HYPERCUBE, engine.SCRIBBLE), (geom.BALL, engine.SCRIBBLE)])
+@pytest.mark.parametrize("d,chunk", [
+    (1, _SMALL_CHUNK), (2, _SMALL_CHUNK), (5, _SMALL_CHUNK), (5, engine._CHUNK_UNIFORMS),
+    (1024, engine._CHUNK_UNIFORMS)])
+def test_block_noise_matches_per_round_draws(kind, variant, d, chunk):
+    # n = 150 ends inside a block, and spans several wherever a block holds
+    # fewer rounds: with the small blocks, and with the module's own for
+    # scftpl at d = 1024 (31 ball or 32 hypercube rounds per block)
+    _assert_blocks_match_per_round(kind, variant, d, 150, 70 + d, chunk)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from([geom.HYPERCUBE, geom.BALL]),
+       variant=st.sampled_from([engine.SCFTPL, engine.SCRIBBLE]),
+       d=st.integers(1, 6), n=st.integers(1, 120), seed=st.integers(0, 2**64 - 1),
+       chunk=st.sampled_from([1, 7, _SMALL_CHUNK, engine._CHUNK_UNIFORMS]))
+def test_block_noise_matches_per_round_draws_random(kind, variant, d, n, seed, chunk):
+    _assert_blocks_match_per_round(kind, variant, d, n, seed, chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbandits import harness, verify
+from scbandits import cli, harness, verify
 from scbandits.cli import main as cli_main
 from scbandits.verify import VerifyOptions, run_verify_suite
 
@@ -280,6 +280,24 @@ def test_cli_seed_override(tmp_path):
     assert cli_main(["run", "--config", str(cfg_path), "--seeds", "9,10", "--quiet"]) == 0
     summary = json.loads((tmp_path / "t_summary.json").read_text())
     assert summary["seeds"] == [9, 10]
+
+
+@pytest.mark.parametrize("seeds,fragment", [
+    ("-1", "--seeds[0]: must be a 64-bit unsigned integer"),
+    ("18446744073709551616", "--seeds[0]: must be a 64-bit unsigned integer"),
+    (",", "--seeds: must be a nonempty array"),
+    ("3,3", "--seeds: seeds must be distinct"),
+])
+def test_cli_bad_seed_override_exits_1_before_any_compute(tmp_path, capsys, monkeypatch,
+                                                          seeds, fragment):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the experiment started before --seeds was validated")
+
+    monkeypatch.setattr(cli, "cmd_run", forbidden)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base_config(set="ball", out_dir=str(tmp_path))))
+    assert cli_main(["run", "--config", str(cfg), f"--seeds={seeds}", "--quiet"]) == 1
+    assert fragment in capsys.readouterr().err
 
 
 def test_cli_sample(tmp_path):

@@ -145,14 +145,6 @@ def grad_support(aset: ActionSetModel, points: np.ndarray) -> np.ndarray:
     return out.reshape(points.shape)
 
 
-def support_function(aset: ActionSetModel, theta) -> float:
-    """max over the body of <x, theta>: the l1 norm resp. l2 norm of theta."""
-    theta = _as_vector(aset, theta, "theta")
-    if aset.kind == HYPERCUBE:
-        return float(np.sum(np.abs(theta)))
-    return float(np.linalg.norm(theta))
-
-
 # ---------------------------------------------------------------------------
 # Barrier, gradient, Hessian
 # ---------------------------------------------------------------------------

@@ -36,11 +36,18 @@ EXIT_NUMERIC = 3
 
 
 def _parse_seed_list(text: str) -> list[int]:
-    """The ``--seeds`` override, held to the config's own seed rules."""
-    try:
-        seeds = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--seeds: expected comma-separated integers, got {text!r}") from exc
+    """The ``--seeds`` override, held to the config's own seed rules.
+
+    Each comma-separated entry is ASCII decimal digits, spaces around it
+    allowed; a text of nothing but commas and spaces is an empty list.
+    """
+    entries = [part.strip(" ") for part in text.split(",")]
+    if not any(entries):
+        entries = []
+    for i, entry in enumerate(entries):
+        if not (entry.isascii() and entry.isdigit()):
+            raise ConfigError(f"--seeds[{i}]: must be a 64-bit unsigned integer, got {entry!r}")
+    seeds = [int(entry) for entry in entries]
     check_seeds(seeds, "--seeds")
     return seeds
 

@@ -37,6 +37,7 @@ from .action_sets import (
     conjugate_value,
     dikin_pole,
 )
+from .environments import boundedness_violation
 from .estimation import KFunctionCache, local_norm_sq, scribble_estimate
 from .perturbations import _U_FLOOR, PerturbationSampler, RadialTable, sample_hypercube
 from .rng import box_muller
@@ -191,13 +192,21 @@ def _pole_draws(d: int, rng: np.random.Generator, n: int):
         yield from rng.integers(0, 2 * d, size=m).tolist()
 
 
-def _check_scalar_loss(value: float, t: int) -> float:
-    if abs(value) > 1.0 + _LOSS_SLACK:
+def _check_losses(aset: ActionSetModel, losses) -> np.ndarray:
+    """The losses as an (n, d) float array, checked whole before any draw.
+
+    Every row must satisfy sup_a |<y, a>| <= 1 (up to float slack), so every
+    scalar loss the learner can observe lies in [-1, 1]; a NaN row fails too.
+    """
+    losses = np.asarray(losses, dtype=float)
+    if losses.ndim != 2 or losses.shape[1] != aset.dimension:
+        raise ValueError(f"losses must have shape (n, {aset.dimension})")
+    excess = boundedness_violation(aset, losses)
+    if not excess <= _LOSS_SLACK:
         raise ValueError(
-            f"round {t}: scalar loss {value!r} exceeds the [-1, 1] normalization; "
-            f"losses must satisfy sup_a |<y, a>| <= 1"
-        )
-    return float(value)
+            f"losses break the [-1, 1] normalization: max_t sup_a |<y_t, a>| - 1 "
+            f"is {excess!r}, not <= {_LOSS_SLACK:g}")
+    return losses
 
 
 def run_scftpl(spec: AlgorithmSpec, losses, rng: np.random.Generator,
@@ -219,9 +228,7 @@ def run_scftpl(spec: AlgorithmSpec, losses, rng: np.random.Generator,
     if spec.variant != SCFTPL:
         raise ValueError("run_scftpl requires a perturbed-leader spec")
     aset = spec.action_set
-    losses = np.asarray(losses, dtype=float)
-    if losses.ndim != 2 or losses.shape[1] != aset.dimension:
-        raise ValueError(f"losses must have shape (n, {aset.dimension})")
+    losses = _check_losses(aset, losses)
     n = losses.shape[0]
     d = aset.dimension
     eta = resolve_learning_rate(spec, n)
@@ -250,7 +257,7 @@ def _run_scftpl_hypercube(aset, losses, eta, rng) -> Trace:
         # argmin_a <a, eta Yhat - xi> = sign(theta + xi) coordinatewise (+1 at ties)
         action = np.where(theta + xi >= 0.0, 1.0, -1.0)
         x = theta / (1.0 + np.sqrt(1.0 + theta * theta))
-        scalar_loss = _check_scalar_loss(float(losses[t - 1] @ action), t)
+        scalar_loss = float(losses[t - 1] @ action)
         residual = 1.0 - x * x
         if residual.min() < 1e-10:
             raise AbortedRunError(
@@ -282,7 +289,7 @@ def _run_scftpl_ball(aset, losses, eta, rng, radial_table, k_cache) -> Trace:
             action = np.zeros(d)
             action[0] = 1.0
         x = theta / (1.0 + math.sqrt(1.0 + theta_norm * theta_norm))
-        scalar_loss = _check_scalar_loss(float(losses[t - 1] @ action), t)
+        scalar_loss = float(losses[t - 1] @ action)
         if d == 1:
             y_hat = action * scalar_loss
         elif theta_norm < 1e-14:
@@ -316,9 +323,7 @@ def run_scribble(spec: AlgorithmSpec, losses, rng: np.random.Generator) -> Trace
     if spec.variant != SCRIBBLE:
         raise ValueError("run_scribble requires a Dikin-pole spec")
     aset = spec.action_set
-    losses = np.asarray(losses, dtype=float)
-    if losses.ndim != 2 or losses.shape[1] != aset.dimension:
-        raise ValueError(f"losses must have shape (n, {aset.dimension})")
+    losses = _check_losses(aset, losses)
     n = losses.shape[0]
     eta = resolve_learning_rate(spec, n)
     d = aset.dimension
@@ -334,7 +339,7 @@ def run_scribble(spec: AlgorithmSpec, losses, rng: np.random.Generator) -> Trace
             ctx = barrier_hessian(aset, x)
         except BoundaryError as exc:
             raise AbortedRunError(f"round {t}: {exc}", trace.head(t - 1)) from exc
-        scalar_loss = _check_scalar_loss(float(losses[t - 1] @ action), t)
+        scalar_loss = float(losses[t - 1] @ action)
         y_hat = scribble_estimate(aset, x, action, scalar_loss, ctx=ctx)
         norm_sq = local_norm_sq(ctx, y_hat, inverse=True)
         _record(trace, t - 1, eta, x, action, scalar_loss, y_hat, norm_sq)

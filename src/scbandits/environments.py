@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action_sets import ActionSetModel, HYPERCUBE, linear_minimizer, support_function
+from .action_sets import ActionSetModel, HYPERCUBE, linear_minimizer
 from .rng import make_rng
 
 FIXED_VECTOR = "fixed_vector"
@@ -50,11 +50,15 @@ class AdversarySpec:
             raise ValueError(f"unknown adversary kind {self.kind!r}; expected one of {_KINDS}")
 
 
-def _normalize_rows(aset: ActionSetModel, rows: np.ndarray) -> np.ndarray:
+def _support_norms(aset: ActionSetModel, rows: np.ndarray) -> np.ndarray:
+    """sup_a |<y, a>| over the body for each row y: the l1 norm on the hypercube, l2 on the ball."""
     if aset.kind == HYPERCUBE:
-        scale = np.sum(np.abs(rows), axis=1)
-    else:
-        scale = np.linalg.norm(rows, axis=1)
+        return np.sum(np.abs(rows), axis=1)
+    return np.linalg.norm(rows, axis=1)
+
+
+def _normalize_rows(aset: ActionSetModel, rows: np.ndarray) -> np.ndarray:
+    scale = _support_norms(aset, rows)
     if np.any(scale == 0.0):
         raise ValueError("adversary produced a zero loss vector; cannot normalize")
     return rows / scale[:, None]
@@ -124,7 +128,7 @@ def best_in_hindsight(aset: ActionSetModel, losses) -> np.ndarray:
 
 
 def boundedness_violation(aset: ActionSetModel, losses) -> float:
-    """max_t sup_a |<y_t, a>| - 1; nonpositive means the sequence is valid."""
+    """max_t sup_a |<y_t, a>| - 1 over an (n, d) array; nonpositive means the
+    sequence is valid, NaN that some row has a NaN. An empty sequence gives -1."""
     losses = np.asarray(losses, dtype=float)
-    worst = max(support_function(aset, y) for y in losses)
-    return float(worst - 1.0)
+    return float(np.max(_support_norms(aset, losses), initial=0.0) - 1.0)

@@ -43,7 +43,8 @@ from .perturbations import log_sphere_surface, radial_density_ball
 # aborts the run rather than emit unbounded estimates.
 SINGULARITY_FLOOR = 1e-10
 
-K_QUAD_RELTOL = 1e-6
+# Node spacing of the K interpolation grid in t = asinh(x).
+K_GRID_SPACING = 0.02
 
 
 class QuadratureError(RuntimeError):
@@ -345,29 +346,28 @@ class KFunctionCache:
 
     Nodes are uniform in t = asinh(x) (K is smooth and even in x, and decays
     like 1/x, so asinh spacing keeps the curvature resolved at both ends).
-    Queries use a Catmull-Rom cubic through four neighbouring nodes; with the
-    default spacing the interpolation error stays well under the 1e-5
+    Queries use a Catmull-Rom cubic through four neighbouring nodes; with
+    K_GRID_SPACING the interpolation error stays well under the 1e-5
     budget. A query beyond the covered range appends nodes instead of
     rebuilding.
 
     Building costs one :func:`k_function_ball` value per node: a ball run at
     d=5, n=2e4 prebuilds 264 nodes (x up to 90.8) in about 0.65 s on one
     core of a 2-core x86_64 host. Node values are bit-identical for every
-    build of the same (d, spacing) range; tests pin them.
+    build at the same d; tests pin them.
     """
 
-    def __init__(self, d: int, x_max: float = 8.0, spacing: float = 0.02):
+    def __init__(self, d: int, x_max: float = 8.0):
         if d < 2:
             raise ValueError("K cache requires d >= 2")
         self.d = int(d)
-        self.spacing = float(spacing)
         self._values: list[float] = [k_function_ball(0.0, self.d)]
         self._extend_to(np.arcsinh(float(x_max)))
 
     def _extend_to(self, t_needed: float) -> None:
-        hi = int(np.ceil(t_needed / self.spacing)) + 2
+        hi = int(np.ceil(t_needed / K_GRID_SPACING)) + 2
         while len(self._values) <= hi:
-            t = len(self._values) * self.spacing
+            t = len(self._values) * K_GRID_SPACING
             self._values.append(k_function_ball(float(np.sinh(t)), self.d))
 
     def __call__(self, x: float) -> float:
@@ -375,7 +375,7 @@ class KFunctionCache:
         if x < 0.0 or not math.isfinite(x):
             raise ValueError(f"drift norm must be finite and nonnegative, got {x!r}")
         t = float(np.arcsinh(x))
-        h = self.spacing
+        h = K_GRID_SPACING
         if t > (len(self._values) - 3) * h:
             self._extend_to(t + 1.0)
         i = int(t / h)

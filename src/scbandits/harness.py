@@ -11,8 +11,9 @@ regret against the empirical best fixed action, and writes
   counts, and wall-clock per round;
 * optionally one ``<label>_seed<seed>.csv`` per seed for re-aggregation.
 
-Seeds fan out to a process pool when ``workers > 1``; aggregation sorts by
-seed index so the output is identical however the work was scheduled.
+Seeds fan out to a process pool when ``workers > 1``; results are collected
+in seed order either way, so the output is identical however the work was
+scheduled.
 """
 
 from __future__ import annotations
@@ -46,13 +47,7 @@ from .environments import (
     generate,
 )
 from .estimation import KFunctionCache
-from .perturbations import (
-    RADIAL_TABLE_NODES,
-    RADIAL_TABLE_S_MAX,
-    PerturbationSampler,
-    radial_cdf_ball,
-    require_tail_budget,
-)
+from .perturbations import PerturbationSampler
 from .rng import make_rng
 from .verify import CheckResult, VerifyOptions, run_verify_suite
 
@@ -77,8 +72,6 @@ class ExperimentConfig:
     label: str = "experiment"
     workers: int = 1
     write_per_seed: bool = False
-    radial_table_s_max: float = RADIAL_TABLE_S_MAX
-    radial_table_nodes: int = RADIAL_TABLE_NODES
 
     def action_set(self) -> ActionSetModel:
         return ActionSetModel(dimension=self.dimension, kind=self.set_kind)
@@ -143,7 +136,7 @@ def config_from_dict(raw: dict, base: str = "$") -> ExperimentConfig:
     _expect(isinstance(raw, dict), base, "config must be a JSON object")
     _expect_known_keys(raw, {"set", "dimension", "horizon", "algorithm", "learning_rate",
                              "adversary", "seeds", "out_dir", "label", "workers",
-                             "write_per_seed", "radial_table"}, base)
+                             "write_per_seed"}, base)
 
     kind = raw.get("set")
     _expect(kind in (HYPERCUBE, BALL), f"{base}.set",
@@ -216,27 +209,10 @@ def config_from_dict(raw: dict, base: str = "$") -> ExperimentConfig:
     _expect(isinstance(write_per_seed, bool), f"{base}.write_per_seed",
             f"must be true or false, got {write_per_seed!r}")
 
-    table = raw.get("radial_table", {})
-    _expect(isinstance(table, dict), f"{base}.radial_table", "must be an object")
-    _expect_known_keys(table, {"s_max", "nodes"}, f"{base}.radial_table")
-    s_max = table.get("s_max", RADIAL_TABLE_S_MAX)
-    _expect(_is_finite_number(s_max) and s_max > 1.0, f"{base}.radial_table.s_max",
-            f"must be a number greater than 1, got {s_max!r}")
-    if kind == BALL:
-        try:
-            require_tail_budget(radial_cdf_ball(float(s_max), d))
-        except ValueError as exc:
-            raise ConfigError(f"{base}.radial_table.s_max: {exc}") from exc
-    nodes = table.get("nodes", RADIAL_TABLE_NODES)
-    _expect(_is_int(nodes) and nodes >= 16, f"{base}.radial_table.nodes",
-            f"must be an integer >= 16, got {nodes!r}")
-
     return ExperimentConfig(
         set_kind=kind, dimension=d, horizon=n, algorithm=algorithm, learning_rate=rate,
         adversary=adversary, seeds=tuple(seeds), out_dir=out_dir, label=label,
-        workers=workers, write_per_seed=write_per_seed,
-        radial_table_s_max=float(s_max), radial_table_nodes=nodes,
-    )
+        workers=workers, write_per_seed=write_per_seed)
 
 
 def verify_options_from_dict(raw: dict, scale: float = 1.0, base: str = "$") -> VerifyOptions:
@@ -336,8 +312,7 @@ def _shared_caches(config: ExperimentConfig) -> dict:
     aset = config.action_set()
     if config.algorithm != SCFTPL:
         return kwargs
-    kwargs["sampler"] = PerturbationSampler.for_set(
-        aset, s_max=config.radial_table_s_max, nodes=config.radial_table_nodes)
+    kwargs["sampler"] = PerturbationSampler.for_set(aset)
     if aset.kind == BALL and aset.dimension >= 2:
         eta = resolve_learning_rate(config.algorithm_spec(), config.horizon)
         reach = max(8.0, 1.25 * eta * config.horizon)
@@ -374,7 +349,6 @@ def cmd_run(config: ExperimentConfig, quiet: bool = False) -> RegretTrace:
             results = [f.result() for f in futures]
     else:
         results = [_run_one_seed(config, losses, competitor, s, shared) for s in config.seeds]
-    results.sort(key=lambda item: config.seeds.index(item[0]))
 
     curves = np.stack([curve for _, curve, _, _ in results])
     mean = curves.mean(axis=0)

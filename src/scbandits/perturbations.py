@@ -26,15 +26,13 @@ its CDF reduce exactly to regularized incomplete beta functions,
 (integration by parts plus w-substitution), which the tests cross-check
 against direct quadrature of f~. Speeds are drawn by inverse transform on a
 precomputed log-spaced CDF table refined by one Newton step with the exact
-CDF/density pair. The table truncates the s^-2 tail at s_max, losing at
-most 1 - F_V(s_max) <= 1e-6 of total-variation mass.
+CDF/density pair. The table truncates the s^-2 tail at s_max = 2e6, losing
+at most 1 - F_V(s_max) <= 1e-6 of total-variation mass.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import integrate
@@ -49,8 +47,9 @@ from .action_sets import (
 )
 from .rng import gaussians
 
-# Radial table defaults: 4096 log-spaced nodes reaching far enough into the
-# s^-2 tail that the truncated mass is below 1e-6 (1 - F_V(2e6) = 5e-7).
+# Radial table geometry: 4096 log-spaced nodes reaching far enough into the
+# s^-2 tail that the truncated mass is below 1e-6 (1 - F_V(2e6) = 5e-7 at
+# every d from 1 to 1e8).
 RADIAL_TABLE_NODES = 4096
 RADIAL_TABLE_S_MAX = 2.0e6
 _RADIAL_TABLE_S_MIN = 1e-6
@@ -196,15 +195,12 @@ def radial_cdf_ball(s, d: int):
 # Radial table and sampler
 # ---------------------------------------------------------------------------
 
-_TABLE_MAGIC = b"SCBRTBL1"
-
-
 def require_tail_budget(cdf_at_s_max: float) -> None:
     """Reject a radial table whose last node leaves more tail mass than the budget."""
     if cdf_at_s_max < 1.0 - _TAIL_MASS_BUDGET:
         raise ValueError(
             f"radial table covers only CDF {cdf_at_s_max:.9f}; "
-            f"raise s_max so the truncated tail is below {_TAIL_MASS_BUDGET:g}"
+            f"raise RADIAL_TABLE_S_MAX so the truncated tail is below {_TAIL_MASS_BUDGET:g}"
         )
 
 
@@ -213,15 +209,13 @@ class RadialTable:
     """Monotone (s, CDF) grid for inverse-transform speed sampling."""
 
     d: int
-    s_max: float
     node_count: int
     nodes: np.ndarray
     cdf: np.ndarray
 
     @classmethod
-    def build(cls, d: int, s_max: float = RADIAL_TABLE_S_MAX,
-              node_count: int = RADIAL_TABLE_NODES) -> "RadialTable":
-        """Log-spaced grid of up to ``node_count`` nodes on (0, s_max].
+    def build(cls, d: int) -> "RadialTable":
+        """Log-spaced grid of up to RADIAL_TABLE_NODES nodes on (0, RADIAL_TABLE_S_MAX].
 
         The CDF scales like s^d near zero, so for large d the leading grid
         nodes carry mass that underflows or sits in the subnormal range
@@ -229,63 +223,19 @@ class RadialTable:
         mass floor are trimmed (a uniform draw resolves nothing below
         2^-54, so they are unreachable anyway); node 0 is always (0, 0).
         """
-        if node_count < 16:
-            raise ValueError("radial table needs at least 16 nodes")
-        grid = np.geomspace(_RADIAL_TABLE_S_MIN, float(s_max), node_count - 1)
+        grid = np.geomspace(_RADIAL_TABLE_S_MIN, RADIAL_TABLE_S_MAX, RADIAL_TABLE_NODES - 1)
         cdf_grid = radial_cdf_ball(grid, d)
         first = int(np.argmax(cdf_grid > 1e-30))
         nodes = np.concatenate([[0.0], grid[first:]])
         cdf = np.concatenate([[0.0], cdf_grid[first:]])
-        table = cls(d=int(d), s_max=float(s_max), node_count=int(nodes.size),
-                    nodes=nodes, cdf=cdf)
+        table = cls(d=int(d), node_count=int(nodes.size), nodes=nodes, cdf=cdf)
         table.validate()
         return table
 
-    def matches_grid(self, d: int, s_max: float, requested_nodes: int) -> bool:
-        """Whether this table came from build(d, s_max, requested_nodes).
-
-        The stored node count may be smaller than requested (zero-mass nodes
-        are trimmed for large d), so the comparison checks the grid geometry:
-        endpoint and the geometric step of the requested grid.
-        """
-        if self.d != d or self.s_max != s_max or self.node_count > requested_nodes:
-            return False
-        if self.nodes[-1] != s_max or self.node_count < 3:
-            return False
-        expected_step = (s_max / _RADIAL_TABLE_S_MIN) ** (1.0 / (requested_nodes - 2))
-        actual_step = self.nodes[2] / self.nodes[1]
-        return bool(abs(actual_step - expected_step) <= 1e-9 * expected_step)
-
     def validate(self) -> None:
-        if self.nodes.shape != (self.node_count,) or self.cdf.shape != (self.node_count,):
-            raise ValueError("radial table arrays do not match node_count")
         if not np.all(np.diff(self.cdf) > 0.0):
             raise ValueError("radial table CDF must be strictly increasing")
         require_tail_budget(self.cdf[-1])
-
-    def save(self, path: str | Path) -> None:
-        """Binary cache: magic, then little-endian header {d, s_max, node_count}
-        as (int64, float64, int64), then node_count (s, cdf) float64 pairs."""
-        payload = np.empty((self.node_count, 2), dtype="<f8")
-        payload[:, 0] = self.nodes
-        payload[:, 1] = self.cdf
-        with open(path, "wb") as fh:
-            fh.write(_TABLE_MAGIC)
-            fh.write(struct.pack("<qdq", self.d, self.s_max, self.node_count))
-            fh.write(payload.tobytes())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RadialTable":
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_TABLE_MAGIC))
-            if magic != _TABLE_MAGIC:
-                raise ValueError(f"{path}: not a radial table cache")
-            d, s_max, node_count = struct.unpack("<qdq", fh.read(24))
-            payload = np.frombuffer(fh.read(int(node_count) * 16), dtype="<f8").reshape(-1, 2)
-        table = cls(d=int(d), s_max=float(s_max), node_count=int(node_count),
-                    nodes=payload[:, 0].copy(), cdf=payload[:, 1].copy())
-        table.validate()
-        return table
 
     def inverse(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF by table bracket + one Newton step with the exact law.
@@ -318,24 +268,13 @@ class PerturbationSampler:
     radial_table: RadialTable | None = None
 
     @classmethod
-    def for_set(cls, aset: ActionSetModel, s_max: float = RADIAL_TABLE_S_MAX,
-                nodes: int = RADIAL_TABLE_NODES,
-                cache_path: str | Path | None = None) -> "PerturbationSampler":
+    def for_set(cls, aset: ActionSetModel) -> "PerturbationSampler":
         if aset.kind == HYPERCUBE:
             total, _ = integrate.quad(density_hypercube_marginal, -np.inf, np.inf, limit=200)
             if abs(total - 1.0) > 1e-8:
                 raise ValueError(f"hypercube marginal integrates to {total!r}, not 1")
             return cls(action_set=aset)
-        table: RadialTable | None = None
-        if cache_path is not None and Path(cache_path).exists():
-            cached = RadialTable.load(cache_path)
-            if cached.matches_grid(aset.dimension, float(s_max), int(nodes)):
-                table = cached
-        if table is None:
-            table = RadialTable.build(aset.dimension, s_max=s_max, node_count=nodes)
-            if cache_path is not None:
-                table.save(cache_path)
-        return cls(action_set=aset, radial_table=table)
+        return cls(action_set=aset, radial_table=RadialTable.build(aset.dimension))
 
     def draw(self, rng: np.random.Generator, size: int | None = None):
         if self.action_set.kind == HYPERCUBE:

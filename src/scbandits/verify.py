@@ -43,6 +43,10 @@ from .estimation import (
 )
 from .rng import spawn_rngs
 
+# Dimensions the density, replication and K-function checks cover.
+DIMENSIONS = (1, 2, 3, 8)
+BALL_DIMENSIONS = (2, 3, 8)
+
 
 @dataclass
 class CheckResult:
@@ -70,8 +74,6 @@ class VerifyOptions:
 
     seed: int = 20240612
     scale: float = 1.0
-    dimensions: tuple[int, ...] = (1, 2, 3, 8)
-    ball_dimensions: tuple[int, ...] = (2, 3, 8)
     xi_scale: float = 1.0       # != 1 perturbs the sampled distribution (fault injection)
     include_regret: bool = True
     checks: tuple[str, ...] | None = None  # subset filter by name prefix
@@ -125,7 +127,7 @@ def check_heavy_tail(opts: VerifyOptions) -> list[CheckResult]:
 
 def check_ball_density(opts: VerifyOptions) -> list[CheckResult]:
     out = []
-    for d in opts.dimensions:
+    for d in DIMENSIONS:
         surface = math.exp(pert.log_sphere_surface(d - 1))
 
         def radial_mass(r: float) -> float:
@@ -176,13 +178,13 @@ def check_radial_sampling(opts: VerifyOptions) -> list[CheckResult]:
 def check_replication(opts: VerifyOptions) -> list[CheckResult]:
     out = []
     n_samples = opts.samples(10**6)
-    rngs = iter(spawn_rngs(opts.seed, 2 * len(opts.dimensions) * 6))
+    rngs = iter(spawn_rngs(opts.seed, 2 * len(DIMENSIONS) * 6))
     for kind in (geom.HYPERCUBE, geom.BALL):
         worst = 0.0
-        for d in opts.dimensions:
+        for d in DIMENSIONS:
             aset = geom.ActionSetModel(dimension=d, kind=kind)
             sampler = pert.PerturbationSampler.for_set(aset)
-            n_thetas = max(int(round(20 / len(opts.dimensions))), 1)
+            n_thetas = max(int(round(20 / len(DIMENSIONS))), 1)
             for _ in range(n_thetas):
                 rng = next(rngs)
                 theta = rng.standard_normal(d) * rng.uniform(0.2, 4.0)
@@ -196,7 +198,7 @@ def check_replication(opts: VerifyOptions) -> list[CheckResult]:
 
 def check_k_function(opts: VerifyOptions) -> list[CheckResult]:
     out = []
-    for d in opts.ball_dimensions:
+    for d in BALL_DIMENSIONS:
         out.append(_upper(f"k_function_at_zero_d{d}",
                           abs(k_function_ball(0.0, d) - (d - 1) / d), 1e-5))
         margin = 0.0

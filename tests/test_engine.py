@@ -482,3 +482,30 @@ def test_loss_normalization_is_enforced():
                                 learning_rate=0.1)
     with pytest.raises(ValueError, match="normalization"):
         engine.run(spec, losses, make_rng(67))
+
+
+_ALL_PAIRS = [(geom.HYPERCUBE, engine.SCFTPL), (geom.BALL, engine.SCFTPL),
+              (geom.HYPERCUBE, engine.SCRIBBLE), (geom.BALL, engine.SCRIBBLE)]
+
+
+@pytest.mark.parametrize("kind,variant", _ALL_PAIRS)
+@pytest.mark.parametrize("bad_row", [[np.nan, 0.0], [0.9, 0.9]], ids=["nan", "l1_1.8"])
+def test_bad_losses_raise_before_any_draw(kind, variant, bad_row):
+    # round 3 of 5 breaks the normalization on both bodies: a NaN, or
+    # l1 norm 1.8 (l2 norm 1.27), whatever action the learner would play
+    losses = np.full((5, 2), 0.25)
+    losses[2] = bad_row
+    spec = engine.AlgorithmSpec(variant=variant, learning_rate=0.1,
+                                action_set=geom.ActionSetModel(dimension=2, kind=kind))
+    rng = make_rng(68)
+    with pytest.raises(ValueError, match="normalization"):
+        engine.run(spec, losses, rng)
+    assert rng.random() == make_rng(68).random()
+
+
+@pytest.mark.parametrize("kind,variant", _ALL_PAIRS)
+def test_empty_losses_give_an_empty_trace(kind, variant):
+    spec = engine.AlgorithmSpec(variant=variant, learning_rate=0.1,
+                                action_set=geom.ActionSetModel(dimension=2, kind=kind))
+    trace = engine.run(spec, np.empty((0, 2)), make_rng(69))
+    assert len(trace) == 0 and trace.action.shape == (0, 2)

@@ -40,6 +40,14 @@ def test_config_roundtrip():
     assert cfg.adversary.kind == "seeded_random"
 
 
+def test_readme_experiment_config_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Experiment config", 1)[1]
+    block = section.split("```json", 1)[1].split("```", 1)[0]
+    cfg = harness.config_from_dict(json.loads(block))
+    assert cfg.label == "cube_d5" and cfg.seeds == tuple(range(1, 9))
+
+
 BAD_ENTRIES = [
     ({"set": "simplex"}, "$.set"),
     ({"dimension": 0}, "$.dimension"),
@@ -54,12 +62,13 @@ BAD_ENTRIES = [
     ({"adversary": {"kind": "mean"}}, "$.adversary.kind"),
     ({"adversary": {"kind": "fixed_vector", "base": [1.0]}}, "$.adversary.base"),
     ({"workers": 0}, "$.workers"),
-    ({"radial_table": {"nodes": 4}}, "$.radial_table.nodes"),
+    # a config from before the radial table's geometry was fixed
+    ({"radial_table": {}}, "$.radial_table"),
     ({"bogus_key": 1}, "$.bogus_key"),
+    ({"write_per_seed": 1}, "$.write_per_seed"),
+    ({"adversary": "fixed_vector"}, "$.adversary"),
+    ({"learning_rate": float("nan")}, "$.learning_rate"),
     # typed errors for values that used to crash or slip through as ints
-    ({"radial_table": {"s_max": None}}, "$.radial_table.s_max"),
-    ({"radial_table": {"s_max": "big"}}, "$.radial_table.s_max"),
-    ({"radial_table": {"nodes": True}}, "$.radial_table.nodes"),
     ({"adversary": {"kind": "piecewise_switching", "period": True}}, "$.adversary.period"),
     ({"adversary": {"kind": "seeded_random", "seed": True}}, "$.adversary.seed"),
     ({"adversary": {"kind": "rotating_direction", "angle": True}}, "$.adversary.angle"),
@@ -71,11 +80,11 @@ BAD_ENTRIES = [
     ({"label": ".."}, "$.label"),
     ({"label": "runs/a"}, "$.label"),
     ({"label": "runs\\a"}, "$.label"),
-    # each of these used to fail only after loss generation or table building
+    # each of these used to fail only once loss generation or table building had started
     ({"horizon": 1}, "$.horizon"),
     ({"dimension": 1, "adversary": {"kind": "rotating_direction"}}, "$.adversary.kind"),
     ({"adversary": {"kind": "fixed_vector", "base": [0.0, 0.0]}}, "$.adversary.base"),
-    ({"set": "ball", "radial_table": {"s_max": 2.0}}, "$.radial_table.s_max"),
+    ({"adversary": {"kind": "seeded_random", "seed": 2**64}}, "$.adversary.seed"),
     ({"set": "ball", "dimension": 10**400}, "$.dimension"),
 ]
 
@@ -115,7 +124,7 @@ _JSON_VALUES = st.recursive(
 _CONFIG_KEYS = ("set", "dimension", "horizon", "algorithm", "learning_rate", "adversary",
                 "seeds", "out_dir", "label", "workers", "write_per_seed", "radial_table",
                 "adversary.kind", "adversary.base", "adversary.period", "adversary.angle",
-                "adversary.seed", "radial_table.s_max", "radial_table.nodes", "extra")
+                "adversary.seed", "extra")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -287,6 +296,9 @@ def test_cli_seed_override(tmp_path):
     ("18446744073709551616", "--seeds[0]: must be a 64-bit unsigned integer"),
     (",", "--seeds: must be a nonempty array"),
     ("3,3", "--seeds: seeds must be distinct"),
+    ("3,,4", "--seeds[1]: must be a 64-bit unsigned integer"),
+    ("1_0", "--seeds[0]: must be a 64-bit unsigned integer"),
+    ("+5", "--seeds[0]: must be a 64-bit unsigned integer"),
 ])
 def test_cli_bad_seed_override_exits_1_before_any_compute(tmp_path, capsys, monkeypatch,
                                                           seeds, fragment):

@@ -162,8 +162,8 @@ def test_radial_table_invariants():
 
 
 def test_radial_table_coverage_guard():
-    with pytest.raises(ValueError):
-        pert.RadialTable.build(3, s_max=100.0)  # tail mass ~1e-2, far above budget
+    with pytest.raises(ValueError):  # tail mass ~1e-2 at s = 100, far above budget
+        pert.require_tail_budget(pert.radial_cdf_ball(100.0, 3))
 
 
 def test_radial_table_inverse_accuracy():
@@ -184,41 +184,6 @@ def test_radial_table_inverse_alone_matches_batch():
     batch = table.inverse(us)
     for u, s in zip(us, batch):
         assert table.inverse(np.array([u]))[0] == s
-
-
-def test_radial_table_save_load_roundtrip(tmp_path):
-    table = pert.RadialTable.build(2, s_max=4.0e6, node_count=512)
-    path = tmp_path / "radial.bin"
-    table.save(path)
-    loaded = pert.RadialTable.load(path)
-    assert loaded.d == 2 and loaded.s_max == 4.0e6 and loaded.node_count == 512
-    assert np.array_equal(loaded.nodes, table.nodes)
-    assert np.array_equal(loaded.cdf, table.cdf)
-    with pytest.raises(ValueError):
-        pert.RadialTable.load(__file__)  # not a cache file
-
-
-def test_sampler_uses_table_cache(tmp_path):
-    path = tmp_path / "cache.bin"
-    first = pert.PerturbationSampler.for_set(geom.ball(2), cache_path=path)
-    assert path.exists()
-    second = pert.PerturbationSampler.for_set(geom.ball(2), cache_path=path)
-    assert np.array_equal(first.radial_table.cdf, second.radial_table.cdf)
-    # wrong dimension in the cache triggers a rebuild rather than misuse
-    third = pert.PerturbationSampler.for_set(geom.ball(3), cache_path=path)
-    assert third.radial_table.d == 3
-
-
-def test_table_cache_hits_with_trimmed_grid(tmp_path):
-    # at large d the stored table is shorter than the requested node count;
-    # the cache key must still recognize it
-    path = tmp_path / "big.bin"
-    first = pert.PerturbationSampler.for_set(geom.ball(64), cache_path=path)
-    assert first.radial_table.node_count < pert.RADIAL_TABLE_NODES
-    mtime = path.stat().st_mtime_ns
-    second = pert.PerturbationSampler.for_set(geom.ball(64), cache_path=path)
-    assert path.stat().st_mtime_ns == mtime  # not rewritten: the cache hit
-    assert np.array_equal(first.radial_table.nodes, second.radial_table.nodes)
 
 
 # ---------------------------------------------------------------------------

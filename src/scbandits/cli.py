@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
+from .action_sets import BALL, HYPERCUBE
 from .engine import AbortedRunError
 from .estimation import QuadratureError
 from .harness import (
@@ -27,7 +29,6 @@ from .harness import (
     load_config,
     load_verify_options,
 )
-from .verify import VerifyOptions
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -35,21 +36,43 @@ EXIT_CHECK_FAILED = 2
 EXIT_NUMERIC = 3
 
 
-def _parse_seed_list(text: str) -> list[int]:
-    """The ``--seeds`` override, held to the config's own seed rules.
-
-    Each comma-separated entry is ASCII decimal digits, spaces around it
-    allowed; a text of nothing but commas and spaces is an empty list.
-    """
+def _entries(text: str) -> list[str]:
+    """A list flag's comma-separated entries, spaces stripped; only commas and spaces is none."""
     entries = [part.strip(" ") for part in text.split(",")]
-    if not any(entries):
-        entries = []
-    for i, entry in enumerate(entries):
-        if not (entry.isascii() and entry.isdigit()):
-            raise ConfigError(f"--seeds[{i}]: must be a 64-bit unsigned integer, got {entry!r}")
-    seeds = [int(entry) for entry in entries]
+    return entries if any(entries) else []
+
+
+def _digits(entry: str, path: str, what: str, minimum: int = 0) -> int:
+    """An entry of ASCII decimal digits worth at least ``minimum``, or a ConfigError at ``path``."""
+    if not (entry.isascii() and entry.isdigit() and int(entry) >= minimum):
+        raise ConfigError(f"{path}: must be {what}, got {entry!r}")
+    return int(entry)
+
+
+def _parse_seed_list(text: str) -> list[int]:
+    """The ``--seeds`` override, held to the config's own seed rules."""
+    seeds = [_digits(entry, f"--seeds[{i}]", "a 64-bit unsigned integer")
+             for i, entry in enumerate(_entries(text))]
     check_seeds(seeds, "--seeds")
     return seeds
+
+
+def _bench_arguments(args) -> dict:
+    """The ``bench`` flags under the ``--seeds`` rules, all checked before any timing."""
+    dims = tuple(_digits(entry, f"--dims[{i}]", "a positive integer", minimum=1)
+                 for i, entry in enumerate(_entries(args.dims)))
+    kinds = tuple(_entries(args.sets))
+    for i, kind in enumerate(kinds):
+        if kind not in (HYPERCUBE, BALL):
+            raise ConfigError(f"--sets[{i}]: must be '{HYPERCUBE}' or '{BALL}', got {kind!r}")
+    for flag, values in (("--dims", dims), ("--sets", kinds)):
+        if not values or len(set(values)) != len(values):
+            raise ConfigError(f"{flag}: must be a nonempty list of distinct entries")
+    # the auto learning rate needs a horizon of at least 2
+    return {"dims": dims, "kinds": kinds,
+            "rounds": _digits(args.rounds.strip(" "), "--rounds", "an integer >= 2", minimum=2),
+            "repeats": _digits(args.repeats.strip(" "), "--repeats", "a positive integer",
+                               minimum=1)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="per-round timing across dimensions")
     p_bench.add_argument("--dims", default="16,64,256,1024,4096",
                          help="comma-separated dimensions")
-    p_bench.add_argument("--rounds", type=int, default=256)
-    p_bench.add_argument("--repeats", type=int, default=3)
+    p_bench.add_argument("--rounds", default="256")
+    p_bench.add_argument("--repeats", default="3")
     p_bench.add_argument("--sets", default="hypercube,ball")
     p_bench.add_argument("--quiet", action="store_true")
 
@@ -87,36 +110,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _verify_options_from(args) -> VerifyOptions:
-    if args.config is not None:
-        return load_verify_options(args.config, scale=args.scale)
-    return VerifyOptions(scale=args.scale)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
             config = load_config(args.config)
-            overrides = {}
             if args.out is not None:
-                overrides["out_dir"] = args.out
+                config = replace(config, out_dir=args.out)
             if args.seeds is not None:
-                overrides["seeds"] = tuple(_parse_seed_list(args.seeds))
-            if overrides:
-                from dataclasses import replace
-
-                config = replace(config, **overrides)
+                config = replace(config, seeds=tuple(_parse_seed_list(args.seeds)))
             cmd_run(config, quiet=args.quiet)
             return EXIT_OK
         if args.command == "verify":
-            ok, _ = cmd_verify(_verify_options_from(args), out_dir=args.out, quiet=args.quiet)
+            options = load_verify_options(args.config, scale=args.scale)
+            ok, _ = cmd_verify(options, out_dir=args.out, quiet=args.quiet)
             return EXIT_OK if ok else EXIT_CHECK_FAILED
         if args.command == "bench":
-            dims = tuple(int(v) for v in args.dims.split(",") if v.strip())
-            kinds = tuple(k.strip() for k in args.sets.split(",") if k.strip())
-            cmd_bench(dims=dims, rounds=args.rounds, repeats=args.repeats,
-                      kinds=kinds, quiet=args.quiet)
+            cmd_bench(**_bench_arguments(args), quiet=args.quiet)
             return EXIT_OK
         if args.command == "sample":
             cmd_sample(args.set, args.dimension, args.count, args.seed, args.out)

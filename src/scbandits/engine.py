@@ -38,14 +38,13 @@ from .action_sets import (
     dikin_pole,
 )
 from .environments import boundedness_violation
-from .estimation import KFunctionCache, local_norm_sq, scribble_estimate
-from .perturbations import _U_FLOOR, PerturbationSampler, RadialTable, sample_hypercube
+from .estimation import (LOSS_SLACK, SINGULARITY_FLOOR, KFunctionCache, local_norm_sq,
+                         scribble_estimate)
+from .perturbations import _U_FLOOR, RadialTable, sample_hypercube
 from .rng import box_muller
 
 SCFTPL = "scftpl"
 SCRIBBLE = "scribble"
-
-_LOSS_SLACK = 1e-9
 
 # Uniforms drawn per block of noise rows: 256 KiB of float64 bounds a run's
 # noise memory at any horizon (blocks twice as large added about 1 MB of peak
@@ -93,6 +92,32 @@ def resolve_learning_rate(spec: AlgorithmSpec, horizon: int) -> float:
         return math.sqrt(2.0 * log_n / (3.0 * n)) / spec.action_set.dimension
     theta = spec.action_set.barrier_parameter
     return math.sqrt(theta * log_n / n) / spec.action_set.dimension
+
+
+def k_cache_for(spec: AlgorithmSpec, horizon: int) -> KFunctionCache | None:
+    """The K grid a perturbed-leader ball run over ``horizon`` rounds reads, or None.
+
+    It is prebuilt past the drift norm an aligned adversary can reach
+    (eta * n), so a run rarely extends it; other runs read no K.
+    """
+    aset = spec.action_set
+    if spec.variant != SCFTPL or aset.kind != BALL or aset.dimension < 2:
+        return None
+    reach = max(8.0, 1.25 * resolve_learning_rate(spec, horizon) * horizon)
+    return KFunctionCache(aset.dimension, x_max=reach)
+
+
+def theoretical_bound(set_kind: str, d: int, horizon: int) -> np.ndarray:
+    """Worst-case regret bound evaluated per round t = 1..n.
+
+    Hypercube: d sqrt(2 t ln n) + 2. Ball: d sqrt(6 t ln n) + 2
+    + (64 e / d^2) ln^3 n.
+    """
+    t = np.arange(1, horizon + 1, dtype=float)
+    log_n = math.log(horizon) if horizon >= 2 else 0.0
+    if set_kind == HYPERCUBE:
+        return d * np.sqrt(2.0 * t * log_n) + 2.0
+    return d * np.sqrt(6.0 * t * log_n) + 2.0 + (64.0 * math.e / d**2) * log_n**3
 
 
 @dataclass(frozen=True, eq=False)  # == on array fields has no single truth value
@@ -202,21 +227,21 @@ def _check_losses(aset: ActionSetModel, losses) -> np.ndarray:
     if losses.ndim != 2 or losses.shape[1] != aset.dimension:
         raise ValueError(f"losses must have shape (n, {aset.dimension})")
     excess = boundedness_violation(aset, losses)
-    if not excess <= _LOSS_SLACK:
+    if not excess <= LOSS_SLACK:
         raise ValueError(
             f"losses break the [-1, 1] normalization: max_t sup_a |<y_t, a>| - 1 "
-            f"is {excess!r}, not <= {_LOSS_SLACK:g}")
+            f"is {excess!r}, not <= {LOSS_SLACK:g}")
     return losses
 
 
 def run_scftpl(spec: AlgorithmSpec, losses, rng: np.random.Generator,
-               sampler: PerturbationSampler | None = None,
                k_cache: KFunctionCache | None = None) -> Trace:
     """Run the perturbed-leader algorithm against an oblivious loss sequence.
 
-    ``losses`` is an (n, d) array fixed before the run. ``sampler`` and
-    ``k_cache`` may be shared across runs (both are read-only here apart
-    from cache extension); omitted, they are built privately.
+    ``losses`` is an (n, d) array fixed before the run. The perturbation
+    law is fixed by the body, so a ball run builds its radial table from d.
+    ``k_cache`` may be shared across runs (read-only here apart from
+    extension); omitted, a ball run builds ``k_cache_for(spec, n)``.
 
     The perturbations do not depend on the learner's state, so they are
     drawn ahead of the rounds, in blocks whose rows follow the per-round
@@ -232,19 +257,12 @@ def run_scftpl(spec: AlgorithmSpec, losses, rng: np.random.Generator,
     n = losses.shape[0]
     d = aset.dimension
     eta = resolve_learning_rate(spec, n)
-    if sampler is None:
-        sampler = PerturbationSampler.for_set(aset)
-    if sampler.action_set != aset:
-        raise ValueError(
-            f"sampler was built for {sampler.action_set}, run targets {aset}")
     if aset.kind == BALL:
-        if sampler.radial_table is None:
-            raise ValueError("ball runs need a sampler with a radial table")
-        if d >= 2 and k_cache is None:
-            k_cache = KFunctionCache(d)
-        if k_cache is not None and k_cache.d != d:
+        if k_cache is None:
+            k_cache = k_cache_for(spec, n)
+        elif k_cache.d != d:
             raise ValueError(f"K cache was built for d={k_cache.d}, run targets d={d}")
-        return _run_scftpl_ball(aset, losses, eta, rng, sampler.radial_table, k_cache)
+        return _run_scftpl_ball(aset, losses, eta, rng, RadialTable.build(d), k_cache)
     return _run_scftpl_hypercube(aset, losses, eta, rng)
 
 
@@ -259,9 +277,9 @@ def _run_scftpl_hypercube(aset, losses, eta, rng) -> Trace:
         x = theta / (1.0 + np.sqrt(1.0 + theta * theta))
         scalar_loss = float(losses[t - 1] @ action)
         residual = 1.0 - x * x
-        if residual.min() < 1e-10:
+        if residual.min() < SINGULARITY_FLOOR:
             raise AbortedRunError(
-                f"round {t}: expected action within 1e-10 of a vertex; "
+                f"round {t}: expected action within {SINGULARITY_FLOOR:g} of a vertex; "
                 f"covariance numerically singular", trace.head(t - 1))
         weighted = x / residual
         alpha = float(x @ weighted)
@@ -300,9 +318,9 @@ def _run_scftpl_ball(aset, losses, eta, rng, radial_table, k_cache) -> Trace:
             proj = float(action @ theta) / (theta_norm * theta_norm)
             y_hat = ((d - 1.0) / k * action + (coeff * proj) * theta) * scalar_loss
         x_sq = float(x @ x)
-        if 1.0 - x_sq < 1e-10:
+        if 1.0 - x_sq < SINGULARITY_FLOOR:
             raise AbortedRunError(
-                f"round {t}: expected action within 1e-10 of the sphere; "
+                f"round {t}: expected action within {SINGULARITY_FLOOR:g} of the sphere; "
                 f"local geometry numerically singular", trace.head(t - 1))
         hess_a = 2.0 / (1.0 - x_sq)
         hess_b = 4.0 / ((1.0 - x_sq) * (1.0 - x_sq))
@@ -347,10 +365,11 @@ def run_scribble(spec: AlgorithmSpec, losses, rng: np.random.Generator) -> Trace
     return trace
 
 
-def run(spec: AlgorithmSpec, losses, rng: np.random.Generator, **kwargs) -> Trace:
-    """Dispatch on the spec's variant."""
+def run(spec: AlgorithmSpec, losses, rng: np.random.Generator,
+        k_cache: KFunctionCache | None = None) -> Trace:
+    """Dispatch on the spec's variant; only a perturbed-leader ball run reads ``k_cache``."""
     if spec.variant == SCFTPL:
-        return run_scftpl(spec, losses, rng, **kwargs)
+        return run_scftpl(spec, losses, rng, k_cache)
     return run_scribble(spec, losses, rng)
 
 

@@ -43,6 +43,9 @@ from .perturbations import log_sphere_surface, radial_density_ball
 # aborts the run rather than emit unbounded estimates.
 SINGULARITY_FLOOR = 1e-10
 
+# Float slack on the [-1, 1] bound of an observed scalar loss.
+LOSS_SLACK = 1e-9
+
 # Node spacing of the K interpolation grid in t = asinh(x).
 K_GRID_SPACING = 0.02
 
@@ -88,12 +91,12 @@ def covariance_hypercube(x) -> CovarianceModel:
     return CovarianceModel(kind=HYPERCUBE, dimension=x.size, x=x, residual=residual, alpha=alpha)
 
 
-def covariance_ball(theta, dimension: int, k: float | None = None) -> CovarianceModel:
+def covariance_ball(theta, dimension: int) -> CovarianceModel:
     """Model Q = (k/(d-1)) P_perp + (1-k) P_par for drift theta.
 
-    ``k`` may be supplied by a cache; otherwise it is computed by
-    :func:`k_function_ball`. theta = 0 (and the d = 1 line, where the
-    transverse space is empty) short-circuit to the exact degenerate forms.
+    k = :func:`k_function_ball` at ||theta||. theta = 0 (and the d = 1
+    line, where the transverse space is empty) short-circuit to the exact
+    degenerate forms.
     """
     theta = np.asarray(theta, dtype=float)
     d = int(dimension)
@@ -101,9 +104,7 @@ def covariance_ball(theta, dimension: int, k: float | None = None) -> Covariance
     if d == 1 or norm < 1e-14:
         return CovarianceModel(kind=BALL, dimension=d, theta=theta, theta_norm=norm,
                                k=(d - 1.0) / d)
-    if k is None:
-        k = k_function_ball(norm, d)
-    k = float(k)
+    k = k_function_ball(norm, d)
     if not 0.0 < k < 1.0:
         raise RuntimeError(f"covariance factor k={k!r} outside (0, 1): invariant violation")
     return CovarianceModel(kind=BALL, dimension=d, theta=theta, theta_norm=norm, k=k)
@@ -144,7 +145,7 @@ def apply_qinv_ball(model: CovarianceModel, action) -> np.ndarray:
 def estimate_loss(model: CovarianceModel, action, observed_loss) -> np.ndarray:
     """One-point loss estimate yhat = Q^{-1} A * observed scalar loss."""
     loss = np.asarray(observed_loss, dtype=float)
-    if np.any(np.abs(loss) > 1.0 + 1e-9):
+    if np.any(np.abs(loss) > 1.0 + LOSS_SLACK):
         raise ValueError(f"observed loss must lie in [-1, 1], got {observed_loss!r}")
     if model.kind == HYPERCUBE:
         qinv = apply_qinv_hypercube(model, action)
@@ -403,7 +404,7 @@ def scribble_estimate(aset: ActionSetModel, x, action, observed_loss,
     """Pole-sampling estimator d * H(x) (A - x) * observed scalar loss,
     vectorized over leading axes of ``action`` and ``observed_loss``."""
     loss = np.asarray(observed_loss, dtype=float)
-    if np.any(np.abs(loss) > 1.0 + 1e-9):
+    if np.any(np.abs(loss) > 1.0 + LOSS_SLACK):
         raise ValueError(f"observed loss must lie in [-1, 1], got {observed_loss!r}")
     if ctx is None:
         ctx = barrier_hessian(aset, x)

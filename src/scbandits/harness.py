@@ -23,7 +23,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +34,10 @@ from .engine import (
     SCRIBBLE,
     AlgorithmSpec,
     cumulative_regret,
+    k_cache_for,
     resolve_learning_rate,
     run,
+    theoretical_bound,
 )
 from .environments import (
     FIXED_VECTOR,
@@ -64,14 +66,14 @@ class ExperimentConfig:
     set_kind: str
     dimension: int
     horizon: int
-    algorithm: str = SCFTPL
-    learning_rate: float | str = "auto"
-    adversary: AdversarySpec | None = None
-    seeds: tuple[int, ...] = (1,)
-    out_dir: str = "results"
-    label: str = "experiment"
-    workers: int = 1
-    write_per_seed: bool = False
+    algorithm: str
+    learning_rate: float | str
+    adversary: AdversarySpec
+    seeds: tuple[int, ...]
+    out_dir: str
+    label: str
+    workers: int
+    write_per_seed: bool
 
     def action_set(self) -> ActionSetModel:
         return ActionSetModel(dimension=self.dimension, kind=self.set_kind)
@@ -127,86 +129,86 @@ def check_seeds(seeds, path: str) -> None:
     _expect(len(set(seeds)) == len(seeds), path, "seeds must be distinct")
 
 
-def config_from_dict(raw: dict, base: str = "$") -> ExperimentConfig:
+def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a JSON-shaped dict into an ExperimentConfig.
 
     Error messages carry the JSON path of the offending entry. Every field,
     the output file name included, is checked here, before any compute.
     """
-    _expect(isinstance(raw, dict), base, "config must be a JSON object")
+    _expect(isinstance(raw, dict), "$", "config must be a JSON object")
     _expect_known_keys(raw, {"set", "dimension", "horizon", "algorithm", "learning_rate",
                              "adversary", "seeds", "out_dir", "label", "workers",
-                             "write_per_seed"}, base)
+                             "write_per_seed"}, "$")
 
     kind = raw.get("set")
-    _expect(kind in (HYPERCUBE, BALL), f"{base}.set",
+    _expect(kind in (HYPERCUBE, BALL), "$.set",
             f"must be '{HYPERCUBE}' or '{BALL}', got {kind!r}")
     d = raw.get("dimension")
     # an array axis is at most sys.maxsize long; larger ints also overflow a float
-    _expect(_is_int(d) and 1 <= d <= sys.maxsize, f"{base}.dimension",
+    _expect(_is_int(d) and 1 <= d <= sys.maxsize, "$.dimension",
             f"must be an integer in [1, {sys.maxsize}], got {d!r}")
     rate = raw.get("learning_rate", "auto")
     if isinstance(rate, str):
-        _expect(rate == "auto", f"{base}.learning_rate", f"must be positive or 'auto', got {rate!r}")
+        _expect(rate == "auto", "$.learning_rate", f"must be positive or 'auto', got {rate!r}")
     else:
-        _expect(_is_finite_number(rate) and rate > 0, f"{base}.learning_rate",
+        _expect(_is_finite_number(rate) and rate > 0, "$.learning_rate",
                 f"must be positive or 'auto', got {rate!r}")
         rate = float(rate)
     n = raw.get("horizon")
-    _expect(_is_int(n) and n >= (2 if rate == "auto" else 1), f"{base}.horizon",
+    _expect(_is_int(n) and n >= (2 if rate == "auto" else 1), "$.horizon",
             f"must be a positive integer, at least 2 with the 'auto' learning rate, got {n!r}")
 
     algorithm = raw.get("algorithm", SCFTPL)
-    _expect(algorithm in (SCFTPL, SCRIBBLE), f"{base}.algorithm",
+    _expect(algorithm in (SCFTPL, SCRIBBLE), "$.algorithm",
             f"must be '{SCFTPL}' or '{SCRIBBLE}', got {algorithm!r}")
 
     adv_raw = raw.get("adversary", {"kind": FIXED_VECTOR})
-    _expect(isinstance(adv_raw, dict), f"{base}.adversary", "must be an object")
-    _expect_known_keys(adv_raw, {"kind", "base", "period", "angle", "seed"}, f"{base}.adversary")
+    _expect(isinstance(adv_raw, dict), "$.adversary", "must be an object")
+    _expect_known_keys(adv_raw, {"kind", "base", "period", "angle", "seed"}, "$.adversary")
     adv_kind = adv_raw.get("kind", FIXED_VECTOR)
-    _expect(adv_kind in _ADVERSARY_KINDS, f"{base}.adversary.kind",
+    _expect(adv_kind in _ADVERSARY_KINDS, "$.adversary.kind",
             f"must be one of {_ADVERSARY_KINDS}, got {adv_kind!r}")
-    _expect(adv_kind != ROTATING_DIRECTION or d >= 2, f"{base}.adversary.kind",
+    _expect(adv_kind != ROTATING_DIRECTION or d >= 2, "$.adversary.kind",
             f"'{ROTATING_DIRECTION}' needs a dimension of at least 2, got {d}")
     base_vec = adv_raw.get("base")
     if base_vec is not None:
         _expect(isinstance(base_vec, (list, tuple)) and len(base_vec) == d
                 and all(_is_finite_number(v) for v in base_vec) and any(base_vec),
-                f"{base}.adversary.base", f"must be a length-{d} array of numbers, not all 0")
+                "$.adversary.base", f"must be a length-{d} array of numbers, not all 0")
         base_vec = tuple(float(v) for v in base_vec)
     period = adv_raw.get("period")
     if period is not None:
-        _expect(_is_int(period) and period >= 1, f"{base}.adversary.period",
+        _expect(_is_int(period) and period >= 1, "$.adversary.period",
                 f"must be a positive integer, got {period!r}")
     angle = adv_raw.get("angle")
     if angle is not None:
-        _expect(_is_finite_number(angle), f"{base}.adversary.angle",
+        _expect(_is_finite_number(angle), "$.adversary.angle",
                 f"must be a finite number, got {angle!r}")
         angle = float(angle)
     adv_seed = adv_raw.get("seed")
     if adv_seed is not None:
-        _expect(_is_int(adv_seed) and 0 <= adv_seed < 2**64, f"{base}.adversary.seed",
+        _expect(_is_int(adv_seed) and 0 <= adv_seed < 2**64, "$.adversary.seed",
                 f"must be a 64-bit unsigned integer, got {adv_seed!r}")
     adversary = AdversarySpec(kind=adv_kind, geometry=kind, base=base_vec,
                               period=period, angle=angle, seed=adv_seed)
 
     seeds = raw.get("seeds", [1])
-    check_seeds(seeds, f"{base}.seeds")
+    check_seeds(seeds, "$.seeds")
 
     out_dir = raw.get("out_dir", "results")
-    _expect(isinstance(out_dir, str), f"{base}.out_dir", f"must be a string, got {out_dir!r}")
+    _expect(isinstance(out_dir, str), "$.out_dir", f"must be a string, got {out_dir!r}")
     # the label names the output files inside out_dir, so it must be a plain
     # file name: a bad one would otherwise fail only when the outputs are written
     label = raw.get("label", "experiment")
     _expect(isinstance(label, str) and label not in ("", ".", "..")
-            and not any(c in label for c in "/\\\0"), f"{base}.label",
+            and not any(c in label for c in "/\\\0"), "$.label",
             f"must be a file name without '/', '\\' or NUL, not '.' or '..', got {label!r}")
 
     workers = raw.get("workers", 1)
-    _expect(_is_int(workers) and workers >= 1, f"{base}.workers",
+    _expect(_is_int(workers) and workers >= 1, "$.workers",
             f"must be a positive integer, got {workers!r}")
     write_per_seed = raw.get("write_per_seed", False)
-    _expect(isinstance(write_per_seed, bool), f"{base}.write_per_seed",
+    _expect(isinstance(write_per_seed, bool), "$.write_per_seed",
             f"must be true or false, got {write_per_seed!r}")
 
     return ExperimentConfig(
@@ -215,34 +217,27 @@ def config_from_dict(raw: dict, base: str = "$") -> ExperimentConfig:
         workers=workers, write_per_seed=write_per_seed)
 
 
-def verify_options_from_dict(raw: dict, scale: float = 1.0, base: str = "$") -> VerifyOptions:
+def verify_options_from_dict(raw: dict, scale: float) -> VerifyOptions:
     """Validate the JSON options of ``verify --config`` into VerifyOptions.
 
     ``scale`` is the default for a file that sets none. Error messages carry
     the JSON path of the offending entry.
     """
-    _expect(isinstance(raw, dict), base, "verify options must be a JSON object")
-    _expect_known_keys(raw, {"seed", "scale", "xi_scale", "include_regret", "checks"}, base)
+    _expect(isinstance(raw, dict), "$", "verify options must be a JSON object")
+    _expect_known_keys(raw, {"seed", "scale", "checks"}, "$")
     seed = raw.get("seed", VerifyOptions.seed)
-    _expect(_is_int(seed) and 0 <= seed < 2**64, f"{base}.seed",
+    _expect(_is_int(seed) and 0 <= seed < 2**64, "$.seed",
             f"must be a 64-bit unsigned integer, got {seed!r}")
     scale = raw.get("scale", scale)
-    _expect(_is_finite_number(scale) and scale > 0, f"{base}.scale",
+    _expect(_is_finite_number(scale) and scale > 0, "$.scale",
             f"must be a positive finite number, got {scale!r}")
-    xi_scale = raw.get("xi_scale", 1.0)
-    _expect(_is_finite_number(xi_scale) and xi_scale > 0, f"{base}.xi_scale",
-            f"must be a positive finite number, got {xi_scale!r}")
-    include_regret = raw.get("include_regret", True)
-    _expect(isinstance(include_regret, bool), f"{base}.include_regret",
-            f"must be true or false, got {include_regret!r}")
     checks = raw.get("checks")
     if checks is not None:
         _expect(isinstance(checks, list) and len(checks) >= 1
-                and all(isinstance(c, str) for c in checks), f"{base}.checks",
+                and all(isinstance(c, str) for c in checks), "$.checks",
                 f"must be a nonempty array of check-name prefixes, got {checks!r}")
         checks = tuple(checks)
-    return VerifyOptions(seed=seed, scale=float(scale), xi_scale=float(xi_scale),
-                         include_regret=include_regret, checks=checks)
+    return VerifyOptions(seed=seed, scale=float(scale), checks=checks)
 
 
 def _read_json(path: str | Path):
@@ -260,26 +255,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(_read_json(path))
 
 
-def load_verify_options(path: str | Path, scale: float = 1.0) -> VerifyOptions:
-    return verify_options_from_dict(_read_json(path), scale=scale)
+def load_verify_options(path: str | Path | None, scale: float) -> VerifyOptions:
+    """Options from a ``verify --config`` file; with no file, the defaults at ``scale``."""
+    return verify_options_from_dict({} if path is None else _read_json(path), scale=scale)
 
 
 # ---------------------------------------------------------------------------
 # Regret curves
 # ---------------------------------------------------------------------------
-
-def theoretical_bound(set_kind: str, d: int, horizon: int) -> np.ndarray:
-    """Worst-case regret bound evaluated per round t = 1..n.
-
-    Hypercube: d sqrt(2 t ln n) + 2. Ball: d sqrt(6 t ln n) + 2
-    + (64 e / d^2) ln^3 n.
-    """
-    t = np.arange(1, horizon + 1, dtype=float)
-    log_n = math.log(horizon) if horizon >= 2 else 0.0
-    if set_kind == HYPERCUBE:
-        return d * np.sqrt(2.0 * t * log_n) + 2.0
-    return d * np.sqrt(6.0 * t * log_n) + 2.0 + (64.0 * math.e / d**2) * log_n**3
-
 
 @dataclass
 class RegretTrace:
@@ -291,7 +274,7 @@ class RegretTrace:
     violation_count: int
     per_seed_final: dict[int, float]
     wall_time_per_round: float
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
     @property
     def final_mean(self) -> float:
@@ -302,31 +285,12 @@ class RegretTrace:
         return float(self.bound[-1])
 
 
-def _shared_caches(config: ExperimentConfig) -> dict:
-    """Sampler and K cache reused by every seed of an experiment.
-
-    The K grid is prebuilt past the drift norm an aligned adversary can
-    reach (eta * n), so workers rarely extend it.
-    """
-    kwargs: dict = {}
-    aset = config.action_set()
-    if config.algorithm != SCFTPL:
-        return kwargs
-    kwargs["sampler"] = PerturbationSampler.for_set(aset)
-    if aset.kind == BALL and aset.dimension >= 2:
-        eta = resolve_learning_rate(config.algorithm_spec(), config.horizon)
-        reach = max(8.0, 1.25 * eta * config.horizon)
-        kwargs["k_cache"] = KFunctionCache(aset.dimension, x_max=reach)
-    return kwargs
-
-
 def _run_one_seed(config: ExperimentConfig, losses: np.ndarray, competitor: np.ndarray,
-                  seed: int, shared: dict | None = None) -> tuple[int, np.ndarray, int, float]:
+                  seed: int, k_cache: KFunctionCache | None) -> tuple[int, np.ndarray, int, float]:
     """Worker body: one seeded run; returns (seed, regret curve, violations, secs)."""
     spec = config.algorithm_spec()
-    kwargs = shared if shared is not None else _shared_caches(config)
     start = time.perf_counter()
-    trace = run(spec, losses, make_rng(seed), **kwargs)
+    trace = run(spec, losses, make_rng(seed), k_cache)
     elapsed = time.perf_counter() - start
     curve = cumulative_regret(trace, losses, competitor)
     violations = int(trace.step_violation.sum())
@@ -335,20 +299,18 @@ def _run_one_seed(config: ExperimentConfig, losses: np.ndarray, competitor: np.n
 
 def cmd_run(config: ExperimentConfig, quiet: bool = False) -> RegretTrace:
     """Execute the experiment and write CSV + JSON outputs."""
-    losses = generate(config.adversary or AdversarySpec(kind=FIXED_VECTOR, geometry=config.set_kind),
-                      config.dimension, config.horizon)
+    losses = generate(config.adversary, config.dimension, config.horizon)
     aset = config.action_set()
     competitor = best_in_hindsight(aset, losses)
-    shared = _shared_caches(config)
+    k_cache = k_cache_for(config.algorithm_spec(), config.horizon)  # shared by every seed
 
-    results = []
     if config.workers > 1 and len(config.seeds) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_run_one_seed, config, losses, competitor, s, shared)
+            futures = [pool.submit(_run_one_seed, config, losses, competitor, s, k_cache)
                        for s in config.seeds]
             results = [f.result() for f in futures]
     else:
-        results = [_run_one_seed(config, losses, competitor, s, shared) for s in config.seeds]
+        results = [_run_one_seed(config, losses, competitor, s, k_cache) for s in config.seeds]
 
     curves = np.stack([curve for _, curve, _, _ in results])
     mean = curves.mean(axis=0)
@@ -406,7 +368,7 @@ def _write_outputs(config: ExperimentConfig, trace: RegretTrace, results) -> Non
         "algorithm": config.algorithm,
         "learning_rate": resolve_learning_rate(config.algorithm_spec(), config.horizon),
         "seeds": list(config.seeds),
-        "adversary": config.adversary.kind if config.adversary else FIXED_VECTOR,
+        "adversary": config.adversary.kind,
         "final_mean_regret": trace.final_mean,
         "final_se": float(trace.se[-1]),
         "final_bound": trace.final_bound,
@@ -424,7 +386,7 @@ def _write_outputs(config: ExperimentConfig, trace: RegretTrace, results) -> Non
 # Verify command
 # ---------------------------------------------------------------------------
 
-def cmd_verify(options: VerifyOptions | None = None, out_dir: str | Path | None = None,
+def cmd_verify(options: VerifyOptions, out_dir: str | Path | None = None,
                quiet: bool = False) -> tuple[bool, list[CheckResult]]:
     """Run the verification suite; optionally write a JSON report."""
     results = run_verify_suite(options)
@@ -460,21 +422,19 @@ def _bench_one(set_kind: str, d: int, rounds: int, repeats: int, seed: int) -> f
     spec = AlgorithmSpec(variant=SCFTPL, action_set=aset, learning_rate="auto")
     adv = AdversarySpec(kind=FIXED_VECTOR, geometry=set_kind)
     losses = generate(adv, d, rounds)
-    sampler = PerturbationSampler.for_set(aset)
-    k_cache = KFunctionCache(d) if set_kind == BALL and d >= 2 else None
-    run(spec, losses, make_rng(seed), sampler=sampler, k_cache=k_cache)
+    k_cache = k_cache_for(spec, rounds)
+    run(spec, losses, make_rng(seed), k_cache)
     timings = []
     for rep in range(repeats):
         rng = make_rng(seed + rep)
         start = time.perf_counter()
-        run(spec, losses, rng, sampler=sampler, k_cache=k_cache)
+        run(spec, losses, rng, k_cache)
         timings.append((time.perf_counter() - start) / rounds)
     return float(np.median(timings))
 
 
-def cmd_bench(dims: tuple[int, ...] = (16, 64, 256, 1024, 4096), rounds: int = 256,
-              repeats: int = 3, seed: int = 7, kinds: tuple[str, ...] = (HYPERCUBE, BALL),
-              quiet: bool = False) -> list[dict]:
+def cmd_bench(dims: tuple[int, ...], rounds: int, repeats: int, kinds: tuple[str, ...],
+              seed: int = 7, quiet: bool = False) -> list[dict]:
     """Per-round timing across dimensions; the scaling table for the O(d) claim."""
     rows = []
     for kind in kinds:

@@ -32,6 +32,7 @@ at most 1 - F_V(s_max) <= 1e-6 of total-variation mass.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,6 +215,7 @@ class RadialTable:
     cdf: np.ndarray
 
     @classmethod
+    @functools.lru_cache(maxsize=64)
     def build(cls, d: int) -> "RadialTable":
         """Log-spaced grid of up to RADIAL_TABLE_NODES nodes on (0, RADIAL_TABLE_S_MAX].
 
@@ -222,6 +224,8 @@ class RadialTable:
         where float cancellation breaks monotonicity. Nodes below a 1e-30
         mass floor are trimmed (a uniform draw resolves nothing below
         2^-54, so they are unreachable anyway); node 0 is always (0, 0).
+        A table depends on d alone and a build costs as much as dozens of
+        ball rounds, so a process builds one per d and every run shares it.
         """
         grid = np.geomspace(_RADIAL_TABLE_S_MIN, RADIAL_TABLE_S_MAX, RADIAL_TABLE_NODES - 1)
         cdf_grid = radial_cdf_ball(grid, d)
@@ -327,14 +331,8 @@ class ReplicationReport:
 
 
 def verify_replication(aset: ActionSetModel, sampler: PerturbationSampler, theta,
-                       n_samples: int, rng: np.random.Generator,
-                       xi_scale: float = 1.0) -> ReplicationReport:
-    """Compare the MC mean of grad support(theta + xi) to grad R*(theta).
-
-    ``xi_scale`` rescales the draws and exists for fault-injection tests: any
-    value other than 1 samples from a perturbed distribution and must make
-    the check fail.
-    """
+                       n_samples: int, rng: np.random.Generator) -> ReplicationReport:
+    """Compare the MC mean of grad support(theta + xi) to grad R*(theta)."""
     n_samples = int(n_samples)
     if n_samples < 1000:
         raise ValueError("replication check needs at least 1e3 samples")
@@ -346,8 +344,6 @@ def verify_replication(aset: ActionSetModel, sampler: PerturbationSampler, theta
     while remaining > 0:
         m = min(batch, remaining)
         xi = sampler.draw(rng, size=m)
-        if xi_scale != 1.0:
-            xi = xi * xi_scale
         grads = grad_support(aset, theta + xi)
         total += grads.sum(axis=0)
         total_sq += (grads * grads).sum(axis=0)

@@ -29,6 +29,7 @@ from .engine import (
     regret,
     resolve_learning_rate,
     run_scftpl,
+    theoretical_bound,
 )
 from .environments import FIXED_VECTOR, AdversarySpec, best_in_hindsight, generate
 from .estimation import (
@@ -70,12 +71,10 @@ class CheckResult:
 
 @dataclass
 class VerifyOptions:
-    """Knobs for the suite: random seed, MC scale, fault injection."""
+    """Knobs for the suite: random seed, MC scale, and a row-name prefix filter."""
 
     seed: int = 20240612
     scale: float = 1.0
-    xi_scale: float = 1.0       # != 1 perturbs the sampled distribution (fault injection)
-    include_regret: bool = True
     checks: tuple[str, ...] | None = None  # subset filter by name prefix
 
     def samples(self, base: int, floor: int = 2000) -> int:
@@ -188,8 +187,7 @@ def check_replication(opts: VerifyOptions) -> list[CheckResult]:
             for _ in range(n_thetas):
                 rng = next(rngs)
                 theta = rng.standard_normal(d) * rng.uniform(0.2, 4.0)
-                report = pert.verify_replication(aset, sampler, theta, n_samples, rng,
-                                                 xi_scale=opts.xi_scale)
+                report = pert.verify_replication(aset, sampler, theta, n_samples, rng)
                 worst = max(worst, report.max_sigma)
         out.append(_upper(f"replication_identity_{kind}", worst, 4.0,
                           f"max componentwise deviation in SE units, {n_samples} draws"))
@@ -449,38 +447,51 @@ def check_engine(opts: VerifyOptions) -> list[CheckResult]:
                      and np.array_equal(trace.scalar_loss, rerun.scalar_loss))
     out.append(CheckResult("engine_determinism", float(identical), 1.0, identical, ">="))
 
-    if opts.include_regret:
-        u_star = best_in_hindsight(aset, losses)
-        regrets = [regret(run_scftpl(spec, losses, child), losses, u_star)
-                   for child in spawn_rngs(opts.seed + 8, 8)]
-        bound = d * math.sqrt(2.0 * n * math.log(n)) + 2.0
-        out.append(_upper("regret_under_bound_small", float(np.mean(regrets)), bound,
-                          f"mean realized regret over 8 seeds, d={d}, n={n}"))
+    u_star = best_in_hindsight(aset, losses)
+    regrets = [regret(run_scftpl(spec, losses, child), losses, u_star)
+               for child in spawn_rngs(opts.seed + 8, 8)]
+    bound = theoretical_bound(geom.HYPERCUBE, d, n)[-1]
+    out.append(_upper("regret_under_bound_small", float(np.mean(regrets)), bound,
+                      f"mean realized regret over 8 seeds, d={d}, n={n}"))
     return out
 
 
-CHECK_GROUPS = (
-    check_hypercube_normalization,
-    check_hypercube_inverse_cdf,
-    check_heavy_tail,
-    check_ball_density,
-    check_radial_sampling,
-    check_replication,
-    check_k_function,
-    check_qinv_dense,
-    check_unbiasedness,
-    check_variance_bounds,
-    check_geometry,
-    check_conjugate_value,
-    check_engine,
+# Each check group in suite order, with the prefixes its row names start with.
+_GROUPS_AND_ROW_PREFIXES = (
+    (check_hypercube_normalization, ("hypercube_marginal_normalization",)),
+    (check_hypercube_inverse_cdf, ("hypercube_inverse_cdf_",)),
+    (check_heavy_tail, ("heavy_tail_",)),
+    (check_ball_density, ("ball_density_normalization_d", "ball_radial_density_agreement_d",
+                          "ball_radial_cdf_agreement_d")),
+    (check_radial_sampling, ("ball_radial_ks", "ball_direction_symmetry")),
+    (check_replication, ("replication_identity_",)),
+    (check_k_function, ("k_function_at_zero_d", "k_function_bounds_d", "k_cache_interpolation")),
+    (check_qinv_dense, ("qinv_closed_form_",)),
+    (check_unbiasedness, ("unbiased_",)),
+    (check_variance_bounds, ("variance_",)),
+    (check_geometry, ("dikin_containment", "bregman_local_smoothness", "bregman_quadratic_bound",
+                      "barrier_growth", "conjugacy_roundtrip")),
+    (check_conjugate_value, ("conjugate_value_grid_oracle",)),
+    (check_engine, ("step_condition_hypercube", "expected_action_interior", "bregman_nonnegative",
+                    "bregman_quadratic_per_round", "engine_determinism",
+                    "regret_under_bound_small")),
 )
+CHECK_GROUPS = tuple(group for group, _ in _GROUPS_AND_ROW_PREFIXES)
+# keyed by __name__, which functools.wraps carries to a wrapped group
+ROW_PREFIXES = {group.__name__: prefixes for group, prefixes in _GROUPS_AND_ROW_PREFIXES}
 
 
-def run_verify_suite(opts: VerifyOptions | None = None) -> list[CheckResult]:
-    """Run every check (or the configured subset) and return the result rows."""
-    opts = opts or VerifyOptions()
+def select_groups(checks: tuple[str, ...] | None) -> tuple:
+    """The check groups, in suite order, that can emit a row starting with a ``checks`` prefix."""
+    return tuple(group for group in CHECK_GROUPS
+                 if checks is None or any(p.startswith(c) or c.startswith(p)
+                                          for p in ROW_PREFIXES[group.__name__] for c in checks))
+
+
+def run_verify_suite(opts: VerifyOptions) -> list[CheckResult]:
+    """Run every check group the filter can select and return the rows it selects."""
     results: list[CheckResult] = []
-    for group in CHECK_GROUPS:
+    for group in select_groups(opts.checks):
         rows = group(opts)
         if opts.checks is not None:
             rows = [r for r in rows if any(r.name.startswith(p) for p in opts.checks)]

@@ -16,8 +16,6 @@ import pytest
 
 from scbandits import action_sets as geom
 from scbandits import engine
-from scbandits import estimation as est
-from scbandits import perturbations as pert
 from scbandits import environments as env
 from scbandits import harness
 from scbandits import verify
@@ -118,22 +116,18 @@ ADVERSARIES = (env.FIXED_VECTOR, env.PIECEWISE_SWITCHING, env.ROTATING_DIRECTION
                env.SEEDED_RANDOM)
 
 
-def _mean_regret(kind, d, n, variant, adversary_kind, seeds, sampler=None, k_cache=None):
+def _mean_regret(kind, d, n, variant, adversary_kind, seeds):
     aset = geom.ActionSetModel(dimension=d, kind=kind)
     spec = engine.AlgorithmSpec(variant=variant, action_set=aset, learning_rate="auto")
     adv = env.AdversarySpec(kind=adversary_kind, geometry=kind, seed=42,
                             period=max(n // 4, 1))
     losses = env.generate(adv, d, n)
     competitor = env.best_in_hindsight(aset, losses)
-    kwargs = {}
-    if variant == engine.SCFTPL:
-        kwargs["sampler"] = sampler or pert.PerturbationSampler.for_set(aset)
-        if kind == geom.BALL and d >= 2:
-            kwargs["k_cache"] = k_cache
+    k_cache = engine.k_cache_for(spec, n)
     totals = []
     violations = 0
     for seed in seeds:
-        trace = engine.run(spec, losses, make_rng(seed), **kwargs)
+        trace = engine.run(spec, losses, make_rng(seed), k_cache)
         totals.append(engine.regret(trace, losses, competitor))
         violations += int(trace.step_violation.sum())
     return float(np.mean(totals)), float(np.std(totals, ddof=1) / math.sqrt(len(totals))), violations
@@ -147,28 +141,19 @@ def test_criterion_7_regret_bounds():
 
     n = 10_000
     for d in (2, 5):
-        aset = geom.hypercube(d)
-        sampler = pert.PerturbationSampler.for_set(aset)
-        bound = d * math.sqrt(2.0 * n * math.log(n)) + 2.0
+        bound = engine.theoretical_bound(geom.HYPERCUBE, d, n)[-1]
         for adv_kind in ADVERSARIES:
-            mean, se, _ = _mean_regret(geom.HYPERCUBE, d, n, engine.SCFTPL, adv_kind,
-                                       seeds, sampler=sampler)
+            mean, se, _ = _mean_regret(geom.HYPERCUBE, d, n, engine.SCFTPL, adv_kind, seeds)
             ok = mean <= bound
             all_ok &= ok
             lines.append(f"cube d={d} {adv_kind}: {mean:.1f} <= {bound:.1f} ({'ok' if ok else 'VIOLATION'})")
 
     n = 20_000
     for d in (2, 5):
-        aset = geom.ball(d)
-        sampler = pert.PerturbationSampler.for_set(aset)
-        spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset)
-        eta = engine.resolve_learning_rate(spec, n)
-        k_cache = est.KFunctionCache(d, x_max=max(8.0, 1.25 * eta * n))
-        bound = (d * math.sqrt(6.0 * n * math.log(n)) + 2.0
-                 + 64.0 * math.e / d**2 * math.log(n) ** 3)
+        bound = engine.theoretical_bound(geom.BALL, d, n)[-1]
         for adv_kind in ADVERSARIES:
             mean, se, violations = _mean_regret(geom.BALL, d, n, engine.SCFTPL, adv_kind,
-                                                seeds, sampler=sampler, k_cache=k_cache)
+                                                seeds)
             ok = mean <= bound
             all_ok &= ok
             lines.append(f"ball d={d} {adv_kind}: {mean:.1f} <= {bound:.1f} "
@@ -188,10 +173,8 @@ def test_criterion_7_regret_bounds():
 def test_criterion_8_baseline_comparison_soft():
     d, n = 5, 10_000
     seeds = tuple(range(201, 233))
-    aset = geom.hypercube(d)
-    sampler = pert.PerturbationSampler.for_set(aset)
     mean_ftpl, se_ftpl, _ = _mean_regret(geom.HYPERCUBE, d, n, engine.SCFTPL,
-                                         env.FIXED_VECTOR, seeds, sampler=sampler)
+                                         env.FIXED_VECTOR, seeds)
     mean_pole, se_pole, _ = _mean_regret(geom.HYPERCUBE, d, n, engine.SCRIBBLE,
                                          env.FIXED_VECTOR, seeds)
     pooled = math.sqrt(se_ftpl**2 + se_pole**2)

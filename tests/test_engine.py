@@ -151,10 +151,10 @@ def test_scftpl_ball_matches_module_replay():
     aset = geom.ball(d)
     losses = ball_losses(d, n, seed=11)
     spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=0.05)
-    sampler = pert.PerturbationSampler.for_set(aset)
-    trace = engine.run(spec, losses, make_rng(56), sampler=sampler)
+    trace = engine.run(spec, losses, make_rng(56))
 
     rng = make_rng(56)
+    sampler = pert.PerturbationSampler.for_set(aset)
     y_cum = np.zeros(d)
     for t in range(1, n + 1):
         theta = -0.05 * y_cum
@@ -219,10 +219,8 @@ def _pole_draws_per_round(d, rng, n):
 
 
 @functools.cache
-def _ball_caches(d):
-    aset = geom.ball(d)
-    return {"sampler": pert.PerturbationSampler.for_set(aset),
-            "k_cache": est.KFunctionCache(d) if d >= 2 else None}
+def _ball_k_cache(d):
+    return est.KFunctionCache(d) if d >= 2 else None
 
 
 def _assert_blocks_match_per_round(kind, variant, d, n, seed, chunk):
@@ -230,16 +228,16 @@ def _assert_blocks_match_per_round(kind, variant, d, n, seed, chunk):
     losses = generate(AdversarySpec(kind="seeded_random", geometry=kind, seed=seed % 1000),
                       d, n)
     spec = engine.AlgorithmSpec(variant=variant, action_set=aset, learning_rate=0.05)
-    kwargs = _ball_caches(d) if (kind, variant) == (geom.BALL, engine.SCFTPL) else {}
+    k_cache = _ball_k_cache(d) if (kind, variant) == (geom.BALL, engine.SCFTPL) else None
     with mock.patch.object(engine, "_CHUNK_UNIFORMS", chunk):
         rng = make_rng(seed)
-        blocks = engine.run(spec, losses, rng, **kwargs)
+        blocks = engine.run(spec, losses, rng, k_cache)
         blocks_next = rng.random()
     with mock.patch.multiple(engine, _hypercube_noise=_hypercube_noise_per_round,
                              _ball_noise=_ball_noise_per_round,
                              _pole_draws=_pole_draws_per_round):
         rng = make_rng(seed)
-        replay = engine.run(spec, losses, rng, **kwargs)
+        replay = engine.run(spec, losses, rng, k_cache)
         replay_next = rng.random()
     assert (blocks.action == replay.action).all()
     assert (blocks.y_hat == replay.y_hat).all()
@@ -283,10 +281,8 @@ def test_sampling_unbiased_at_fixed_state(variant):
     aset = geom.hypercube(d)
     losses = cube_losses(d, 1, seed=14)
     spec = engine.AlgorithmSpec(variant=variant, action_set=aset, learning_rate=0.1)
-    sampler = pert.PerturbationSampler.for_set(aset) if variant == engine.SCFTPL else None
-    kwargs = {"sampler": sampler} if sampler is not None else {}
     actions = np.stack([
-        engine.run(spec, losses, make_rng(1000 + s), **kwargs).action[0]
+        engine.run(spec, losses, make_rng(1000 + s)).action[0]
         for s in range(1000)
     ])
     se = actions.std(axis=0) / math.sqrt(actions.shape[0])
@@ -300,11 +296,10 @@ def test_hypercube_d1_drifts_against_fixed_loss():
     aset = geom.hypercube(d)
     losses = cube_losses(d, n, kind="fixed_vector", base=(1.0,))
     spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate="auto")
-    sampler = pert.PerturbationSampler.for_set(aset)
     final_actions = []
     final_expected = []
     for s in range(seeds):
-        trace = engine.run(spec, losses, make_rng(4000 + s), sampler=sampler)
+        trace = engine.run(spec, losses, make_rng(4000 + s))
         final_actions.append(trace.action[-1, 0])
         final_expected.append(trace.x[-1, 0])
     mean_action = float(np.mean(final_actions))
@@ -509,3 +504,18 @@ def test_empty_losses_give_an_empty_trace(kind, variant):
                                 action_set=geom.ActionSetModel(dimension=2, kind=kind))
     trace = engine.run(spec, np.empty((0, 2)), make_rng(69))
     assert len(trace) == 0 and trace.action.shape == (0, 2)
+
+
+def test_k_cache_for_prebuilds_the_reach_of_a_ball_run():
+    # one grid per perturbed-leader ball run; the others read no K
+    ball5 = geom.ball(5)
+    spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=ball5)
+    cache = engine.k_cache_for(spec, 20_000)
+    assert cache.d == 5 and len(cache._values) == 264  # x up to 90.8, past 1.25 eta n
+    assert engine.k_cache_for(spec, 2)._values == est.KFunctionCache(5, x_max=8.0)._values
+    for variant, aset in ((engine.SCRIBBLE, ball5), (engine.SCFTPL, geom.hypercube(5)),
+                          (engine.SCFTPL, geom.ball(1))):
+        assert engine.k_cache_for(engine.AlgorithmSpec(variant=variant, action_set=aset),
+                                  20_000) is None
+    with pytest.raises(ValueError, match="K cache was built for d=3"):
+        engine.run(spec, ball_losses(5, 10), make_rng(70), est.KFunctionCache(3))

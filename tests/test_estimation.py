@@ -162,10 +162,10 @@ def test_k_cache_matches_direct_and_extends():
 
 
 # K grid and speed density pinned bit for bit. float.hex of every 8th node of
-# the grid a ball run builds, KFunctionCache(d, x_max=max(8, 1.25 eta n)) with
-# the auto eta, at the n of acceptance criterion 7 (d <= 33) and of the d=1024
-# benchmark runs; and p_V on a decimal log grid of speeds. Recorded before the
-# quadrature integrand gained its scalar route and tabled angular windows.
+# the grid a ball run builds, engine.k_cache_for with the auto eta, at the n
+# of acceptance criterion 7 (d <= 33) and of the d=1024 benchmark runs; and
+# p_V on a decimal log grid of speeds. Recorded before the quadrature
+# integrand gained its scalar route and tabled angular windows.
 
 _KGRID_EVERY_8TH_HEX = {
     2: ("0x1.0000000000007p-1", "0x1.fcbcb49530b3ap-2", "0x1.f31d00d3ac40ep-2",
@@ -251,15 +251,14 @@ _KGRID_HORIZONS = {2: 20_000, 5: 20_000, 33: 20_000, 1024: 2048}
 _DENSITY_SPEEDS = [0.0] + [float(f"{m}e{k}") for k in range(-6, 6) for m in (1, 3)] + [1e6]
 
 
-def _ball_grid_reach(d, n):
-    aset = geom.ball(d)
-    spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset)
-    return max(8.0, 1.25 * engine.resolve_learning_rate(spec, n) * n)
+def _ball_grid(d, n):
+    spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=geom.ball(d))
+    return engine.k_cache_for(spec, n)
 
 
 @pytest.mark.parametrize("d", sorted(_KGRID_EVERY_8TH_HEX))
 def test_k_grid_bit_identical_to_pinned_values(d):
-    cache = est.KFunctionCache(d, x_max=_ball_grid_reach(d, _KGRID_HORIZONS[d]))
+    cache = _ball_grid(d, _KGRID_HORIZONS[d])
     assert [v.hex() for v in cache._values[::8]] == list(_KGRID_EVERY_8TH_HEX[d])
 
 
@@ -278,8 +277,8 @@ def test_radial_density_bit_identical_to_pinned_values(d):
 def test_k_cache_budget_and_bounds_across_reach(d):
     # every branch of the angular evaluator (recursion, small-u rule, the
     # d > 32 window) over the drift range an n = 2e4 run prebuilds
-    reach = _ball_grid_reach(d, 20_000)
-    cache = est.KFunctionCache(d, x_max=reach)
+    cache = _ball_grid(d, 20_000)
+    reach = math.sinh((len(cache._values) - 3) * est.K_GRID_SPACING)  # the range the grid covers
     xs = np.concatenate([make_rng(53 + d).uniform(0.0, reach, 16), [1e-3, 0.5, reach]])
     for x in xs:
         k = est.k_function_ball(float(x), d)
@@ -333,9 +332,10 @@ def test_qinv_ball_unit_norm_check():
         est.apply_qinv_ball(model, np.array([0.5, 0.0]))
 
 
-def test_covariance_ball_k_range_guard():
+def test_covariance_ball_k_range_guard(monkeypatch):
+    monkeypatch.setattr(est, "k_function_ball", lambda x, d: 1.5)
     with pytest.raises(RuntimeError):
-        est.covariance_ball(np.array([1.0, 0.0]), 2, k=1.5)
+        est.covariance_ball(np.array([1.0, 0.0]), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 import math
 import os
@@ -10,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbandits import cli, harness, verify
+from scbandits import cli, engine, harness, verify
+from scbandits import perturbations as pert
 from scbandits.cli import main as cli_main
+from scbandits.estimation import KFunctionCache
 from scbandits.verify import VerifyOptions, run_verify_suite
 
 
@@ -217,6 +221,21 @@ def test_bound_column_is_analytic(tmp_path):
     assert np.max(np.abs(bound_col - expected)) <= 1e-9
 
 
+def test_cmd_run_builds_one_k_grid_before_the_first_run(tmp_path, monkeypatch):
+    # the grid is set-up: built once in the harness, then shared by every seed
+    grids = []
+    real_run = harness.run
+
+    def spy(spec, losses, rng, k_cache=None):
+        grids.append(k_cache)
+        return real_run(spec, losses, rng, k_cache)
+
+    monkeypatch.setattr(harness, "run", spy)
+    raw = base_config(set="ball", out_dir=str(tmp_path), seeds=[1, 2])
+    harness.cmd_run(harness.config_from_dict(raw), quiet=True)
+    assert isinstance(grids[0], KFunctionCache) and grids == [grids[0]] * 2
+
+
 def test_cmd_run_parallel_workers_match_serial(tmp_path):
     serial = base_config(out_dir=str(tmp_path / "s"), seeds=[1, 2, 3, 4], workers=1)
     parallel = base_config(out_dir=str(tmp_path / "p"), seeds=[1, 2, 3, 4], workers=2)
@@ -229,21 +248,86 @@ def test_cmd_run_parallel_workers_match_serial(tmp_path):
 # verify command
 # ---------------------------------------------------------------------------
 
-def test_verify_suite_passes_at_reduced_scale(tmp_path):
-    ok, results = harness.cmd_verify(VerifyOptions(scale=0.02, include_regret=False),
-                                     out_dir=tmp_path, quiet=True)
+def _recording(group, emitted):
+    @functools.wraps(group)
+    def wrapper(opts):
+        rows = group(opts)
+        emitted[group.__name__] = [r.name for r in rows]
+        return rows
+    return wrapper
+
+
+def test_verify_suite_passes_at_reduced_scale(tmp_path, monkeypatch):
+    emitted = {}
+    monkeypatch.setattr(verify, "CHECK_GROUPS",
+                        tuple(_recording(g, emitted) for g in verify.CHECK_GROUPS))
+    ok, results = harness.cmd_verify(VerifyOptions(scale=0.02), out_dir=tmp_path, quiet=True)
     assert ok, [r.name for r in results if not r.passed]
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert report["passed"] is True
     assert {"name", "measured", "threshold", "passed"} <= set(report["checks"][0])
+    # every row starts with a prefix its group declares, through a wrapper as
+    # the benchmark probe installs, so selecting groups first drops no row
+    for group in verify.CHECK_GROUPS:
+        names = emitted[group.__name__]
+        assert names and all(n.startswith(verify.ROW_PREFIXES[group.__name__]) for n in names)
 
 
-def test_verify_replication_fault_injection():
+def _scaled_draws(monkeypatch, factor):
+    """A draw-scale fault: every sampler draw comes out ``factor`` times too large."""
+    draw = pert.PerturbationSampler.draw
+    monkeypatch.setattr(pert.PerturbationSampler, "draw",
+                        lambda self, rng, size=None: factor * draw(self, rng, size))
+
+
+def test_verify_replication_fault_injection(monkeypatch):
     # a 10% draw-scale fault must trip the replication checks
-    opts = VerifyOptions(scale=0.1, xi_scale=1.10, checks=("replication",))
-    results = run_verify_suite(opts)
+    _scaled_draws(monkeypatch, 1.10)
+    results = run_verify_suite(VerifyOptions(scale=0.1, checks=("replication",)))
     assert results, "replication checks must run"
     assert not all(r.passed for r in results)
+
+
+def _raising(group):
+    @functools.wraps(group)
+    def stand_in(opts):
+        raise AssertionError(f"{group.__name__} ran, but the filter cannot select it")
+    return stand_in
+
+
+def test_verify_runs_only_the_groups_a_filter_selects(monkeypatch):
+    opts = VerifyOptions(scale=0.15, checks=("k_function",))
+    expected = [r for r in verify.check_k_function(opts) if r.name.startswith("k_function")]
+    monkeypatch.setattr(verify, "CHECK_GROUPS", tuple(
+        g if g is verify.check_k_function else _raising(g) for g in verify.CHECK_GROUPS))
+    results = run_verify_suite(opts)
+    assert results == expected and len(results) == 2 * len(verify.BALL_DIMENSIONS)
+
+
+def test_select_groups_by_row_prefix():
+    assert verify.select_groups(None) == verify.CHECK_GROUPS
+    assert verify.select_groups(("ball_radial",)) == (verify.check_ball_density,
+                                                      verify.check_radial_sampling)
+    assert verify.select_groups(("k_function_bounds_d3", "unbiased_")) == (
+        verify.check_k_function, verify.check_unbiasedness)
+    assert verify.select_groups(("",)) == verify.CHECK_GROUPS
+    assert verify.select_groups(("no_such_check",)) == ()
+
+
+def test_probe_entry_points():
+    # the benchmark probe wraps every engine function named run* as the end
+    # of set-up, reading losses as its second positional argument, and every
+    # entry of verify.CHECK_GROUPS as a one-argument check group
+    runs = {name: fn for name, fn in vars(engine).items()
+            if name.startswith("run") and inspect.isfunction(fn)
+            and fn.__module__ == engine.__name__}
+    assert set(runs) == {"run", "run_scftpl", "run_scribble"}
+    for fn in runs.values():
+        second = list(inspect.signature(fn).parameters.values())[1]
+        assert second.name == "losses" and second.kind is second.POSITIONAL_OR_KEYWORD
+    assert isinstance(verify.CHECK_GROUPS, tuple)
+    for group in verify.CHECK_GROUPS:
+        assert inspect.isfunction(group) and len(inspect.signature(group).parameters) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +396,33 @@ def test_cli_bad_seed_override_exits_1_before_any_compute(tmp_path, capsys, monk
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("arg,fragment", [
+    ("--dims=2,,1_0", "--dims[1]: must be a positive integer, got ''"),
+    ("--dims=16,0", "--dims[1]: must be a positive integer, got '0'"),
+    ("--dims=4,4", "--dims: must be a nonempty list of distinct entries"),
+    ("--rounds=1", "--rounds: must be an integer >= 2, got '1'"),
+    ("--repeats=0", "--repeats: must be a positive integer, got '0'"),
+    ("--repeats=+3", "--repeats: must be a positive integer, got '+3'"),
+    ("--sets=hypercube,cube", "--sets[1]: must be 'hypercube' or 'ball', got 'cube'"),
+])
+def test_cli_bad_bench_argument_exits_1_before_any_timing(capsys, monkeypatch, arg, fragment):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"timing started before {arg} was validated")
+
+    monkeypatch.setattr(cli, "cmd_bench", forbidden)
+    assert cli_main(["bench", arg, "--quiet"]) == 1
+    assert fragment in capsys.readouterr().err
+
+
+def test_cli_bench_arguments(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "cmd_bench", lambda **kwargs: calls.append(kwargs))
+    assert cli_main(["bench", "--dims", " 4, 16", "--rounds", "64", "--repeats", "2",
+                     "--sets", "ball", "--quiet"]) == 0
+    assert calls == [{"dims": (4, 16), "kinds": ("ball",), "rounds": 64, "repeats": 2,
+                      "quiet": True}]
+
+
 def test_cli_sample(tmp_path):
     out = tmp_path / "xi.csv"
     assert cli_main(["sample", "--set", "ball", "--dimension", "2", "--count", "5",
@@ -328,17 +439,14 @@ def test_cli_numeric_error_exit_code(tmp_path):
     assert cli_main(["run", "--config", str(cfg), "--quiet"]) == 3
 
 
-def test_cli_verify_failure_exit_code(tmp_path):
-    cfg = tmp_path / "verify.json"
-    cfg.write_text(json.dumps({
-        "scale": 0.1, "xi_scale": 1.10, "checks": ["replication"],
-    }))
-    assert cli_main(["verify", "--config", str(cfg), "--quiet"]) == 2
+def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
     good = tmp_path / "ok.json"
-    good.write_text(json.dumps({
-        "scale": 0.05, "checks": ["hypercube_", "k_function"], "include_regret": False,
-    }))
+    good.write_text(json.dumps({"scale": 0.05, "checks": ["hypercube_", "k_function"]}))
     assert cli_main(["verify", "--config", str(good), "--quiet"]) == 0
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"scale": 0.1, "checks": ["replication"]}))
+    _scaled_draws(monkeypatch, 1.10)
+    assert cli_main(["verify", "--config", str(cfg), "--quiet"]) == 2
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -361,13 +469,20 @@ def test_cli_verify_config_rejects_bad_files(tmp_path, capsys, text, fragment):
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("removed", [{"xi_scale": 1.1}, {"include_regret": False}])
+def test_cli_verify_config_rejects_removed_options(tmp_path, capsys, removed):
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"scale": 0.02, **removed}))
+    assert cli_main(["verify", "--config", str(cfg), "--quiet"]) == 1
+    assert f"$.{next(iter(removed))}: unknown key" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("quiet", [["--quiet"], []])
 def test_cli_verify_checks_selecting_nothing_exits_1(tmp_path, capsys, monkeypatch, quiet):
-    # one cheap group stands in for the suite: the filter is applied to rows
-    monkeypatch.setattr(verify, "CHECK_GROUPS", (verify.check_hypercube_inverse_cdf,))
+    # the filter is matched against the groups' row prefixes before any group runs
+    monkeypatch.setattr(verify, "CHECK_GROUPS", tuple(map(_raising, verify.CHECK_GROUPS)))
     cfg = tmp_path / "verify.json"
-    cfg.write_text(json.dumps({"checks": ["no_such_check"], "scale": 0.02,
-                               "include_regret": False}))
+    cfg.write_text(json.dumps({"checks": ["no_such_check"], "scale": 0.02}))
     assert cli_main(["verify", "--config", str(cfg), "--out", str(tmp_path), *quiet]) == 1
     assert "$.checks:" in capsys.readouterr().err
     assert not (tmp_path / "verify_report.json").exists()
@@ -390,8 +505,6 @@ def test_cli_missing_config_file_exits_1(tmp_path, capsys):
 
 def test_verify_options_from_dict_defaults_and_values():
     assert harness.verify_options_from_dict({}, scale=0.3) == VerifyOptions(scale=0.3)
-    opts = harness.verify_options_from_dict(
-        {"seed": 5, "scale": 2, "xi_scale": 1.1, "include_regret": False,
-         "checks": ["k_function"]})
-    assert opts == VerifyOptions(seed=5, scale=2.0, xi_scale=1.1, include_regret=False,
-                                 checks=("k_function",))
+    opts = harness.verify_options_from_dict({"seed": 5, "scale": 2, "checks": ["k_function"]},
+                                            scale=1.0)
+    assert opts == VerifyOptions(seed=5, scale=2.0, checks=("k_function",))

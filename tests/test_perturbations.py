@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -271,8 +272,8 @@ def test_replication_detects_perturbed_distribution():
     # scaling the draws by 1% is a different distribution; the check must fail
     aset = geom.hypercube(1)
     sampler = pert.PerturbationSampler.for_set(aset)
-    report = pert.verify_replication(aset, sampler, np.array([1.3]), 6 * 10**6,
-                                     make_rng(39), xi_scale=1.01)
+    scaled = SimpleNamespace(draw=lambda rng, size: 1.01 * sampler.draw(rng, size=size))
+    report = pert.verify_replication(aset, scaled, np.array([1.3]), 6 * 10**6, make_rng(39))
     assert report.max_sigma > 4.0
 
 

@@ -9,7 +9,6 @@ harness with a CLI.
 from .action_sets import ActionSetModel, BALL, HYPERCUBE, ball, hypercube
 from .engine import SCFTPL, SCRIBBLE, AlgorithmSpec, Trace, run, run_scftpl, run_scribble
 from .environments import AdversarySpec, best_in_hindsight, generate
-from .perturbations import PerturbationSampler
 from .rng import make_rng
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "AlgorithmSpec",
     "BALL",
     "HYPERCUBE",
-    "PerturbationSampler",
     "SCFTPL",
     "SCRIBBLE",
     "Trace",

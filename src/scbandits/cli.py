@@ -13,6 +13,7 @@ check failure, 3 numeric failure (quadrature non-convergence, aborted run).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -42,9 +43,12 @@ def _entries(text: str) -> list[str]:
     return entries if any(entries) else []
 
 
-def _digits(entry: str, path: str, what: str, minimum: int = 0) -> int:
-    """An entry of ASCII decimal digits worth at least ``minimum``, or a ConfigError at ``path``."""
-    if not (entry.isascii() and entry.isdigit() and int(entry) >= minimum):
+def _digits(entry: str, path: str, what: str, minimum: int = 0,
+            below: int | None = None) -> int:
+    """An entry of ASCII decimal digits worth at least ``minimum`` (and less than
+    ``below``, if given), or a ConfigError at ``path``."""
+    if not (entry.isascii() and entry.isdigit() and int(entry) >= minimum
+            and (below is None or int(entry) < below)):
         raise ConfigError(f"{path}: must be {what}, got {entry!r}")
     return int(entry)
 
@@ -75,6 +79,28 @@ def _bench_arguments(args) -> dict:
                                minimum=1)}
 
 
+def _sample_arguments(args) -> dict:
+    """The ``sample`` flags under the ``--seeds`` digit rule, all checked before any draw."""
+    return {"set_kind": args.set,
+            "dimension": _digits(args.dimension.strip(" "), "--dimension",
+                                 "a positive integer", minimum=1),
+            "count": _digits(args.count.strip(" "), "--count", "a positive integer", minimum=1),
+            "seed": _digits(args.seed.strip(" "), "--seed", "a 64-bit unsigned integer",
+                            below=2**64),
+            "out_path": args.out}
+
+
+def _scale(text: str) -> float:
+    """The ``verify --scale`` flag: a positive finite number, or a ConfigError naming it."""
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = math.nan
+    if not (0.0 < scale < math.inf):
+        raise ConfigError(f"--scale: must be a positive finite number, got {text!r}")
+    return scale
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scbandits",
                                      description="Adversarial linear bandit simulator and verifier")
@@ -89,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--config", default=None, help="optional JSON with suite options")
     p_verify.add_argument("--out", default=None, help="directory for verify_report.json")
-    p_verify.add_argument("--scale", type=float, default=1.0,
+    p_verify.add_argument("--scale", default="1.0",
                           help="Monte-Carlo sample-count multiplier (thresholds unchanged)")
     p_verify.add_argument("--quiet", action="store_true")
 
@@ -103,9 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="dump perturbation draws as CSV")
     p_sample.add_argument("--set", required=True, choices=["hypercube", "ball"])
-    p_sample.add_argument("--dimension", type=int, required=True)
-    p_sample.add_argument("--count", type=int, default=1000)
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--dimension", required=True)
+    p_sample.add_argument("--count", default="1000")
+    p_sample.add_argument("--seed", default="0")
     p_sample.add_argument("--out", required=True, help="output CSV path")
     return parser
 
@@ -122,14 +148,14 @@ def main(argv: list[str] | None = None) -> int:
             cmd_run(config, quiet=args.quiet)
             return EXIT_OK
         if args.command == "verify":
-            options = load_verify_options(args.config, scale=args.scale)
+            options = load_verify_options(args.config, scale=_scale(args.scale))
             ok, _ = cmd_verify(options, out_dir=args.out, quiet=args.quiet)
             return EXIT_OK if ok else EXIT_CHECK_FAILED
         if args.command == "bench":
             cmd_bench(**_bench_arguments(args), quiet=args.quiet)
             return EXIT_OK
         if args.command == "sample":
-            cmd_sample(args.set, args.dimension, args.count, args.seed, args.out)
+            cmd_sample(**_sample_arguments(args))
             return EXIT_OK
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ValueError) as exc:

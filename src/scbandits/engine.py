@@ -40,17 +40,11 @@ from .action_sets import (
 from .environments import boundedness_violation
 from .estimation import (LOSS_SLACK, SINGULARITY_FLOOR, KFunctionCache, local_norm_sq,
                          scribble_estimate)
-from .perturbations import _U_FLOOR, RadialTable, sample_hypercube
-from .rng import box_muller
+from .perturbations import round_noise
+from .rng import block_rows
 
 SCFTPL = "scftpl"
 SCRIBBLE = "scribble"
-
-# Uniforms drawn per block of noise rows: 256 KiB of float64 bounds a run's
-# noise memory at any horizon (blocks twice as large added about 1 MB of peak
-# RSS at d = 5), and at d = 1024 a block still spreads its per-call cost over
-# 31 or 32 rounds.
-_CHUNK_UNIFORMS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -169,51 +163,9 @@ def _record(trace: Trace, i: int, eta: float, x, action, scalar_loss: float, y_h
     trace.step_violation[i] = 2.0 * eta * math.sqrt(max(norm_sq, 0.0)) > 1.0
 
 
-def _block_rows(n: int, width: int):
-    """Row counts of the blocks that cover n rounds drawing ``width`` uniforms each."""
-    rows = max(1, _CHUNK_UNIFORMS // width)
-    for start in range(0, n, rows):
-        yield min(rows, n - start)
-
-
-def _hypercube_noise(aset: ActionSetModel, rng: np.random.Generator, n: int):
-    """The perturbations of n hypercube rounds, one (d,) row per round.
-
-    A block's (m, d) layout is the stream of m rounds drawing d uniforms each.
-    """
-    for m in _block_rows(n, aset.dimension):
-        yield from sample_hypercube(aset, rng, size=m)
-
-
-def _ball_noise(d: int, rng: np.random.Generator, radial_table: RadialTable, n: int):
-    """The direction x speed perturbations of n ball rounds, one (d,) row per round.
-
-    A round consumes 2 ceil(d/2) uniforms for Box-Muller, whose first d
-    normals give the direction, then one for the speed.
-    """
-    width = 2 * ((d + 1) // 2) + 1
-    for m in _block_rows(n, width):
-        # a block's temporaries are freed before its rows are handed out
-        yield from _ball_block(rng.random((m, width)), d, radial_table)
-
-
-def _ball_block(u: np.ndarray, d: int, radial_table: RadialTable) -> np.ndarray:
-    """The perturbations of a block of uniform rows, one round's 2 ceil(d/2) + 1 per row.
-
-    Each value is rounded as a draw on its own would round it: a row's norm
-    is the sqrt of its ``vecdot``, like ``math.sqrt(normal @ normal)``, and
-    the table inverse works element by element.
-    """
-    pairs = u.shape[1] // 2
-    normal = box_muller(u[:, :pairs], u[:, pairs:-1])[:, :d]
-    norms = np.sqrt(np.vecdot(normal, normal))
-    speeds = radial_table.inverse(np.maximum(u[:, -1], _U_FLOOR))
-    return normal / np.where(norms > 0.0, norms, 1.0)[:, None] * speeds[:, None]
-
-
 def _pole_draws(d: int, rng: np.random.Generator, n: int):
     """The Dikin-pole indices of n scribble rounds, uniform on [0, 2d)."""
-    for m in _block_rows(n, 1):
+    for m in block_rows(n, 1):
         yield from rng.integers(0, 2 * d, size=m).tolist()
 
 
@@ -238,17 +190,17 @@ def run_scftpl(spec: AlgorithmSpec, losses, rng: np.random.Generator,
                k_cache: KFunctionCache | None = None) -> Trace:
     """Run the perturbed-leader algorithm against an oblivious loss sequence.
 
-    ``losses`` is an (n, d) array fixed before the run. The perturbation
-    law is fixed by the body, so a ball run builds its radial table from d.
-    ``k_cache`` may be shared across runs (read-only here apart from
-    extension); omitted, a ball run builds ``k_cache_for(spec, n)``.
+    ``losses`` is an (n, d) array fixed before the run. ``k_cache`` may be
+    shared across runs (read-only here apart from extension); omitted, a
+    ball run builds ``k_cache_for(spec, n)``.
 
-    The perturbations do not depend on the learner's state, so they are
-    drawn ahead of the rounds, in blocks whose rows follow the per-round
-    stream order. The round body is written inline so each round costs a
-    handful of O(d) vector operations; the expressions mirror the
-    module-level operations (linear_minimizer, conjugate_gradient,
-    covariance/apply, local norms) and the test suite pins the agreement.
+    The perturbations do not depend on the learner's state, so
+    :func:`perturbations.round_noise` draws them ahead of the rounds, in
+    blocks whose rows follow the per-round stream order. The round body is
+    written inline so each round costs a handful of O(d) vector operations;
+    the expressions mirror the module-level operations (linear_minimizer,
+    conjugate_gradient, covariance/apply, local norms) and the test suite
+    pins the agreement.
     """
     if spec.variant != SCFTPL:
         raise ValueError("run_scftpl requires a perturbed-leader spec")
@@ -262,7 +214,7 @@ def run_scftpl(spec: AlgorithmSpec, losses, rng: np.random.Generator,
             k_cache = k_cache_for(spec, n)
         elif k_cache.d != d:
             raise ValueError(f"K cache was built for d={k_cache.d}, run targets d={d}")
-        return _run_scftpl_ball(aset, losses, eta, rng, RadialTable.build(d), k_cache)
+        return _run_scftpl_ball(aset, losses, eta, rng, k_cache)
     return _run_scftpl_hypercube(aset, losses, eta, rng)
 
 
@@ -270,7 +222,7 @@ def _run_scftpl_hypercube(aset, losses, eta, rng) -> Trace:
     n, d = losses.shape
     y_hat_cum = np.zeros(d)
     trace = Trace.empty(n, d)
-    for t, xi in zip(range(1, n + 1), _hypercube_noise(aset, rng, n)):
+    for t, xi in zip(range(1, n + 1), round_noise(aset, rng, n)):
         theta = -eta * y_hat_cum
         # argmin_a <a, eta Yhat - xi> = sign(theta + xi) coordinatewise (+1 at ties)
         action = np.where(theta + xi >= 0.0, 1.0, -1.0)
@@ -292,11 +244,11 @@ def _run_scftpl_hypercube(aset, losses, eta, rng) -> Trace:
     return trace
 
 
-def _run_scftpl_ball(aset, losses, eta, rng, radial_table, k_cache) -> Trace:
+def _run_scftpl_ball(aset, losses, eta, rng, k_cache) -> Trace:
     n, d = losses.shape
     y_hat_cum = np.zeros(d)
     trace = Trace.empty(n, d)
-    for t, xi in zip(range(1, n + 1), _ball_noise(d, rng, radial_table, n)):
+    for t, xi in zip(range(1, n + 1), round_noise(aset, rng, n)):
         theta = -eta * y_hat_cum
         theta_norm = math.sqrt(float(theta @ theta))
         drifted = theta + xi

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
-from scipy.special import betaln
+from scipy.special import betainc, betaln
 
 from .action_sets import (
     ActionSetModel,
@@ -309,6 +309,17 @@ def k_function_ball(x: float, d: int) -> float:
     (d-1)/(d(x+2)) <= K(x) <= (d-1)/d. Memoized per (x, d); raises
     QuadratureError on non-convergence.
 
+    Up to x = 240 (16 for d > 32) the radial integral is split once, at
+    max(4, 4x). Further out that head stops early with a tiny error
+    estimate (it samples too few nodes in the narrow bulk of p_V near
+    r = 1), so far drifts split at 4, x/2 and 2x, around the bulk and the
+    kink of J(x/r) at r = x, and map the tail [2x, inf) onto (0, 1/(2x)] by
+    r = 1/v, where p_V(r) dr = I_{1/(1+v^2)}((d+1)/2, d/2) dv. The switch
+    lies above every node a prebuilt grid, verify or a benchmark run
+    evaluates (236.7 at d=2, 8.4 at d=1024), so those values keep their
+    pinned rounding, and below every drift where the two-piece route was
+    seen to fail (601 at d=32, 236 at d=65536).
+
     Cost: about 400 integrand evaluations per value, each one scalar
     incomplete beta for p_V plus one 64-node dot product or a short
     recursion for J; roughly 2.5 ms per value at d=5 on one core of a
@@ -328,11 +339,20 @@ def k_function_ball(x: float, d: int) -> float:
             return 0.0
         return _angular_integral(x / r, d) * radial_density_ball(r, d)
 
-    split = max(4.0, 4.0 * x)
+    if x > (16.0 if d > 32 else 240.0):
+        def inverted(v: float) -> float:
+            return _angular_integral(x * v, d) * float(betainc((d + 1) / 2.0, d / 2.0,
+                                                               1.0 / (1.0 + v * v)))
+
+        pieces = ((integrand, 0.0, 4.0), (integrand, 4.0, 0.5 * x),
+                  (integrand, 0.5 * x, 2.0 * x), (inverted, 0.0, 0.5 / x))
+    else:
+        split = max(4.0, 4.0 * x)
+        pieces = ((integrand, 0.0, split), (integrand, split, np.inf))
     total = 0.0
-    for lo, hi in ((0.0, split), (split, np.inf)):
+    for f, lo, hi in pieces:
         val, abserr, info, *rest = integrate.quad(
-            integrand, lo, hi, epsabs=0.0, epsrel=1e-9, limit=300, full_output=1)
+            f, lo, hi, epsabs=0.0, epsrel=1e-9, limit=300, full_output=1)
         if rest:
             raise QuadratureError(f"radial integral failed for K({x}, d={d}): {rest[0]}")
         total += val

@@ -49,7 +49,7 @@ from .environments import (
     generate,
 )
 from .estimation import KFunctionCache
-from .perturbations import PerturbationSampler
+from . import perturbations
 from .rng import make_rng
 from .verify import CheckResult, VerifyOptions, run_verify_suite
 
@@ -412,35 +412,36 @@ def cmd_verify(options: VerifyOptions, out_dir: str | Path | None = None,
 # Bench command
 # ---------------------------------------------------------------------------
 
-def _bench_one(set_kind: str, d: int, rounds: int, repeats: int, seed: int) -> float:
-    """Median per-round seconds for the perturbed-leader loop at dimension d.
-
-    One untimed warmup run precedes the timed repeats so that lazily
-    extended caches (the K grid) are paid for outside the measurement.
-    """
-    aset = ActionSetModel(dimension=d, kind=set_kind)
-    spec = AlgorithmSpec(variant=SCFTPL, action_set=aset, learning_rate="auto")
-    adv = AdversarySpec(kind=FIXED_VECTOR, geometry=set_kind)
-    losses = generate(adv, d, rounds)
-    k_cache = k_cache_for(spec, rounds)
-    run(spec, losses, make_rng(seed), k_cache)
-    timings = []
-    for rep in range(repeats):
-        rng = make_rng(seed + rep)
-        start = time.perf_counter()
-        run(spec, losses, rng, k_cache)
-        timings.append((time.perf_counter() - start) / rounds)
-    return float(np.median(timings))
+def _bench_case(set_kind: str, d: int, rounds: int) -> tuple:
+    """The perturbed-leader spec, losses and K grid that ``bench`` times at dimension d."""
+    spec = AlgorithmSpec(variant=SCFTPL, action_set=ActionSetModel(dimension=d, kind=set_kind),
+                         learning_rate="auto")
+    losses = generate(AdversarySpec(kind=FIXED_VECTOR, geometry=set_kind), d, rounds)
+    return spec, losses, k_cache_for(spec, rounds)
 
 
 def cmd_bench(dims: tuple[int, ...], rounds: int, repeats: int, kinds: tuple[str, ...],
               seed: int = 7, quiet: bool = False) -> list[dict]:
-    """Per-round timing across dimensions; the scaling table for the O(d) claim."""
+    """Per-round timing across dimensions; the scaling table for the O(d) claim.
+
+    Each dimension gets one untimed warm-up run, so that lazily built state
+    (the radial table, the K grid) is paid for outside the measurement. Each
+    repeat then times every dimension in turn, so a change in host speed
+    lands on d and 4d alike; a dimension's time is its median over repeats.
+    """
     rows = []
     for kind in kinds:
-        per_round = {}
-        for d in dims:
-            per_round[d] = _bench_one(kind, d, rounds, repeats, seed)
+        cases = {d: _bench_case(kind, d, rounds) for d in dims}
+        for spec, losses, k_cache in cases.values():
+            run(spec, losses, make_rng(seed), k_cache)
+        timings = {d: [] for d in dims}
+        for rep in range(repeats):
+            for d, (spec, losses, k_cache) in cases.items():
+                rng = make_rng(seed + rep)
+                start = time.perf_counter()
+                run(spec, losses, rng, k_cache)
+                timings[d].append((time.perf_counter() - start) / rounds)
+        per_round = {d: float(np.median(t)) for d, t in timings.items()}
         for d in dims:
             ratio = None
             if d * 4 in per_round:
@@ -470,8 +471,7 @@ def cmd_sample(set_kind: str, dimension: int, count: int, seed: int,
                out_path: str | Path) -> Path:
     """Dump ``count`` perturbation draws to CSV for external analysis."""
     aset = ActionSetModel(dimension=dimension, kind=set_kind)
-    sampler = PerturbationSampler.for_set(aset)
-    draws = sampler.draw(make_rng(seed), size=count)
+    draws = perturbations.draw(aset, make_rng(seed), size=count)
     path = Path(out_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = ",".join(f"xi_{i + 1}" for i in range(dimension))

@@ -28,6 +28,11 @@ against direct quadrature of f~. Speeds are drawn by inverse transform on a
 precomputed log-spaced CDF table refined by one Newton step with the exact
 CDF/density pair. The table truncates the s^-2 tail at s_max = 2e6, losing
 at most 1 - F_V(s_max) <= 1e-6 of total-variation mass.
+
+The law is fixed by the body and d, so drawing needs no sampler object.
+Two stream layouts exist, both written here: :func:`draw` (bulk draws for
+verification and ``scbandits sample``) and :func:`round_noise` (a run's
+per-round noise); they read the uniform stream in different orders.
 """
 
 from __future__ import annotations
@@ -39,14 +44,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import betainc, gammaln
 
-from .action_sets import (
-    ActionSetModel,
-    BALL,
-    HYPERCUBE,
-    conjugate_gradient,
-    grad_support,
-)
-from .rng import gaussians
+from .action_sets import ActionSetModel, HYPERCUBE, conjugate_gradient, grad_support
+from .rng import block_rows, box_muller, gaussians
 
 # Radial table geometry: 4096 log-spaced nodes reaching far enough into the
 # s^-2 tail that the truncated mass is below 1e-6 (1 - F_V(2e6) = 5e-7 at
@@ -83,19 +82,6 @@ def inverse_cdf_hypercube(u):
         raise ValueError("inverse CDF argument must lie strictly in (0, 1)")
     out = (1.0 - 2.0 * u) / (2.0 * u * (u - 1.0))
     return float(out) if out.ndim == 0 else out
-
-
-def sample_hypercube(aset: ActionSetModel, rng: np.random.Generator, size: int | None = None):
-    """Draw from the hypercube perturbation: d i.i.d. inverse-CDF coordinates.
-
-    Returns shape (d,) for ``size=None`` and (size, d) otherwise. Consumes
-    exactly d (resp. size*d) uniforms from ``rng``.
-    """
-    if aset.kind != HYPERCUBE:
-        raise ValueError("sample_hypercube needs a hypercube action set")
-    shape = (aset.dimension,) if size is None else (int(size), aset.dimension)
-    u = np.maximum(rng.random(shape), _U_FLOOR)
-    return inverse_cdf_hypercube(u)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +179,7 @@ def radial_cdf_ball(s, d: int):
 
 
 # ---------------------------------------------------------------------------
-# Radial table and sampler
+# Radial table
 # ---------------------------------------------------------------------------
 
 def require_tail_budget(cdf_at_s_max: float) -> None:
@@ -225,7 +211,7 @@ class RadialTable:
         mass floor are trimmed (a uniform draw resolves nothing below
         2^-54, so they are unreachable anyway); node 0 is always (0, 0).
         A table depends on d alone and a build costs as much as dozens of
-        ball rounds, so a process builds one per d and every run shares it.
+        ball rounds, so a process builds one per d and every draw shares it.
         """
         grid = np.geomspace(_RADIAL_TABLE_S_MIN, RADIAL_TABLE_S_MAX, RADIAL_TABLE_NODES - 1)
         cdf_grid = radial_cdf_ball(grid, d)
@@ -258,55 +244,70 @@ class RadialTable:
         return np.clip(s, lo, hi)
 
 
-@dataclass(frozen=True)
-class PerturbationSampler:
-    """A body's perturbation distribution plus its sampling state.
+# ---------------------------------------------------------------------------
+# Drawing perturbations: the only place that knows how the stream is laid out
+# ---------------------------------------------------------------------------
 
-    The hypercube needs no auxiliary state. The ball carries the radial CDF
-    table. Construction verifies the distribution-level invariants: the
-    hypercube marginal integrates to one (adaptive quadrature, 1e-8) and the
-    radial table is strictly monotone with tail coverage >= 1 - 1e-6.
+def sample_hypercube(d: int, rng: np.random.Generator, size: int | None = None):
+    """Draw from the hypercube perturbation: d i.i.d. inverse-CDF coordinates.
+
+    Returns shape (d,) for ``size=None`` and (size, d) otherwise. Consumes
+    exactly d (resp. size*d) uniforms from ``rng``.
     """
-
-    action_set: ActionSetModel
-    radial_table: RadialTable | None = None
-
-    @classmethod
-    def for_set(cls, aset: ActionSetModel) -> "PerturbationSampler":
-        if aset.kind == HYPERCUBE:
-            total, _ = integrate.quad(density_hypercube_marginal, -np.inf, np.inf, limit=200)
-            if abs(total - 1.0) > 1e-8:
-                raise ValueError(f"hypercube marginal integrates to {total!r}, not 1")
-            return cls(action_set=aset)
-        return cls(action_set=aset, radial_table=RadialTable.build(aset.dimension))
-
-    def draw(self, rng: np.random.Generator, size: int | None = None):
-        if self.action_set.kind == HYPERCUBE:
-            return sample_hypercube(self.action_set, rng, size)
-        return sample_ball(self, rng, size)
+    shape = (d,) if size is None else (int(size), d)
+    u = np.maximum(rng.random(shape), _U_FLOOR)
+    return inverse_cdf_hypercube(u)
 
 
-def sample_ball(sampler: PerturbationSampler, rng: np.random.Generator, size: int | None = None):
+def sample_ball(d: int, rng: np.random.Generator, size: int | None = None):
     """Draw from the ball perturbation as direction x speed.
 
     Direction: d Box-Muller gaussians normalized to the sphere. Speed: one
-    uniform pushed through the radial table inverse. Per draw this consumes
-    exactly 2*ceil(d/2) + 1 uniforms, in that order.
+    uniform pushed through the radial table inverse. All draws' gaussians
+    come first, 2*ceil(d/2) uniforms per draw, then one speed uniform per
+    draw.
     """
-    aset = sampler.action_set
-    if aset.kind != BALL:
-        raise ValueError("sample_ball needs a ball action set")
-    if sampler.radial_table is None:
-        raise ValueError("sampler has no radial table; construct via PerturbationSampler.for_set")
-    d = aset.dimension
     n = 1 if size is None else int(size)
-    normal = gaussians(rng, n * 2 * ((d + 1) // 2)).reshape(n, -1)[:, :d]
+    pairs = (d + 1) // 2
+    normal = gaussians(rng, n * 2 * pairs).reshape(n, 2 * pairs)[:, :d]
     norms = np.linalg.norm(normal, axis=1, keepdims=True)
     directions = normal / np.where(norms > 0.0, norms, 1.0)
     u = np.maximum(rng.random(n), _U_FLOOR)
-    speeds = sampler.radial_table.inverse(u)
+    speeds = RadialTable.build(d).inverse(u)
     out = directions * speeds[:, None]
     return out[0] if size is None else out
+
+
+def draw(aset: ActionSetModel, rng: np.random.Generator, size: int | None = None):
+    """One draw, shape (d,), or ``size`` draws, shape (size, d), from the body's perturbation."""
+    sample = sample_hypercube if aset.kind == HYPERCUBE else sample_ball
+    return sample(aset.dimension, rng, size)
+
+
+def round_noise(aset: ActionSetModel, rng: np.random.Generator, n: int):
+    """The perturbations of n rounds of a run, one (d,) row per round.
+
+    They are drawn ahead of the rounds, in blocks whose rows follow the
+    per-round stream order, so each row is bit for bit the draw its round
+    would take alone. A hypercube round consumes d uniforms. A ball round
+    consumes 2 ceil(d/2) uniforms for Box-Muller, whose first d normals give
+    the direction, then one for the speed; its norm is the sqrt of a
+    ``vecdot``, like ``math.sqrt(normal @ normal)``, and the table inverse
+    works element by element.
+    """
+    d = aset.dimension
+    if aset.kind == HYPERCUBE:
+        for m in block_rows(n, d):
+            yield from sample_hypercube(d, rng, size=m)
+        return
+    table = RadialTable.build(d)
+    pairs = (d + 1) // 2
+    for m in block_rows(n, 2 * pairs + 1):
+        u = rng.random((m, 2 * pairs + 1))
+        normal = box_muller(u[:, :pairs], u[:, pairs:-1])[:, :d]
+        norms = np.sqrt(np.vecdot(normal, normal))
+        speeds = table.inverse(np.maximum(u[:, -1], _U_FLOOR))
+        yield from normal / np.where(norms > 0.0, norms, 1.0)[:, None] * speeds[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +331,8 @@ class ReplicationReport:
         return float(np.max(np.abs(self.mc_mean - self.target) / self.stderr))
 
 
-def verify_replication(aset: ActionSetModel, sampler: PerturbationSampler, theta,
-                       n_samples: int, rng: np.random.Generator) -> ReplicationReport:
+def verify_replication(aset: ActionSetModel, theta, n_samples: int,
+                       rng: np.random.Generator) -> ReplicationReport:
     """Compare the MC mean of grad support(theta + xi) to grad R*(theta)."""
     n_samples = int(n_samples)
     if n_samples < 1000:
@@ -343,7 +344,7 @@ def verify_replication(aset: ActionSetModel, sampler: PerturbationSampler, theta
     remaining = n_samples
     while remaining > 0:
         m = min(batch, remaining)
-        xi = sampler.draw(rng, size=m)
+        xi = draw(aset, rng, size=m)
         grads = grad_support(aset, theta + xi)
         total += grads.sum(axis=0)
         total_sq += (grads * grads).sum(axis=0)

@@ -155,13 +155,11 @@ def check_radial_sampling(opts: VerifyOptions) -> list[CheckResult]:
     from scipy import stats  # imported here: kstest is its only use, and `run` never needs it
 
     d = 3
-    aset = geom.ball(d)
-    sampler = pert.PerturbationSampler.for_set(aset)
     rng = spawn_rngs(opts.seed + 9, 1)[0]
     # The 0.01 KS threshold presumes 1e5 draws (null KS ~ 0.87/sqrt(n)), so
     # this check does not scale down.
     n = opts.samples(10**5, floor=10**5)
-    draws = sampler.draw(rng, size=n)
+    draws = pert.draw(geom.ball(d), rng, size=n)
     speeds = np.linalg.norm(draws, axis=1)
     ks = stats.kstest(speeds, lambda s: pert.radial_cdf_ball(s, d)).statistic
     directions = draws / speeds[:, None]
@@ -182,12 +180,11 @@ def check_replication(opts: VerifyOptions) -> list[CheckResult]:
         worst = 0.0
         for d in DIMENSIONS:
             aset = geom.ActionSetModel(dimension=d, kind=kind)
-            sampler = pert.PerturbationSampler.for_set(aset)
             n_thetas = max(int(round(20 / len(DIMENSIONS))), 1)
             for _ in range(n_thetas):
                 rng = next(rngs)
                 theta = rng.standard_normal(d) * rng.uniform(0.2, 4.0)
-                report = pert.verify_replication(aset, sampler, theta, n_samples, rng)
+                report = pert.verify_replication(aset, theta, n_samples, rng)
                 worst = max(worst, report.max_sigma)
         out.append(_upper(f"replication_identity_{kind}", worst, 4.0,
                           f"max componentwise deviation in SE units, {n_samples} draws"))
@@ -246,8 +243,7 @@ def check_qinv_dense(opts: VerifyOptions) -> list[CheckResult]:
 
 def _mc_estimates_scftpl(aset, theta, y, n, rng):
     """Vectorized draws of (A, yhat) for the perturbed-leader scheme at drift theta."""
-    sampler = pert.PerturbationSampler.for_set(aset)
-    xi = sampler.draw(rng, size=n)
+    xi = pert.draw(aset, rng, size=n)
     actions = geom.grad_support(aset, theta + xi)
     x = geom.conjugate_gradient(aset, theta)
     if aset.kind == geom.HYPERCUBE:

@@ -11,6 +11,7 @@ from scbandits import action_sets as geom
 from scbandits import engine
 from scbandits import estimation as est
 from scbandits import perturbations as pert
+from scbandits import rng as streams
 from scbandits.environments import AdversarySpec, best_in_hindsight, generate
 from scbandits.rng import gaussians, make_rng
 
@@ -125,11 +126,10 @@ def test_scftpl_hypercube_matches_module_replay():
     trace = engine.run(spec, losses, make_rng(55))
 
     rng = make_rng(55)  # identical stream, replayed through the public ops
-    sampler = pert.PerturbationSampler.for_set(aset)
     y_cum = np.zeros(d)
     for t in range(1, n + 1):
         theta = -0.2 * y_cum
-        xi = sampler.draw(rng)
+        xi = pert.draw(aset, rng)
         action = geom.linear_minimizer(aset, -theta - xi)
         x = geom.conjugate_gradient(aset, theta)
         scalar = float(losses[t - 1] @ action)
@@ -154,11 +154,10 @@ def test_scftpl_ball_matches_module_replay():
     trace = engine.run(spec, losses, make_rng(56))
 
     rng = make_rng(56)
-    sampler = pert.PerturbationSampler.for_set(aset)
     y_cum = np.zeros(d)
     for t in range(1, n + 1):
         theta = -0.05 * y_cum
-        xi = sampler.draw(rng)
+        xi = pert.draw(aset, rng)
         action = geom.linear_minimizer(aset, -theta - xi)
         x = geom.conjugate_gradient(aset, theta)
         scalar = float(losses[t - 1] @ action)
@@ -204,13 +203,20 @@ def _hypercube_noise_per_round(aset, rng, n):
         yield (1.0 - 2.0 * u) / (2.0 * u * (u - 1.0))
 
 
-def _ball_noise_per_round(d, rng, radial_table, n):
+def _ball_noise_per_round(d, rng, n):
+    radial_table = pert.RadialTable.build(d)
     for _ in range(n):
         normal = gaussians(rng, 2 * ((d + 1) // 2))[:d]
         normal_norm = math.sqrt(float(normal @ normal))
         direction = normal / (normal_norm if normal_norm > 0.0 else 1.0)
         u = rng.random()
         yield direction * radial_table.inverse(np.array([max(u, 2.0**-54)]))[0]
+
+
+def _round_noise_per_round(aset, rng, n):
+    if aset.kind == geom.HYPERCUBE:
+        return _hypercube_noise_per_round(aset, rng, n)
+    return _ball_noise_per_round(aset.dimension, rng, n)
 
 
 def _pole_draws_per_round(d, rng, n):
@@ -229,12 +235,11 @@ def _assert_blocks_match_per_round(kind, variant, d, n, seed, chunk):
                       d, n)
     spec = engine.AlgorithmSpec(variant=variant, action_set=aset, learning_rate=0.05)
     k_cache = _ball_k_cache(d) if (kind, variant) == (geom.BALL, engine.SCFTPL) else None
-    with mock.patch.object(engine, "_CHUNK_UNIFORMS", chunk):
+    with mock.patch.object(streams, "CHUNK_UNIFORMS", chunk):
         rng = make_rng(seed)
         blocks = engine.run(spec, losses, rng, k_cache)
         blocks_next = rng.random()
-    with mock.patch.multiple(engine, _hypercube_noise=_hypercube_noise_per_round,
-                             _ball_noise=_ball_noise_per_round,
+    with mock.patch.multiple(engine, round_noise=_round_noise_per_round,
                              _pole_draws=_pole_draws_per_round):
         rng = make_rng(seed)
         replay = engine.run(spec, losses, rng, k_cache)
@@ -251,8 +256,8 @@ _SMALL_CHUNK = 64  # uniforms per block: several blocks within a short horizon
     (geom.HYPERCUBE, engine.SCFTPL), (geom.BALL, engine.SCFTPL),
     (geom.HYPERCUBE, engine.SCRIBBLE), (geom.BALL, engine.SCRIBBLE)])
 @pytest.mark.parametrize("d,chunk", [
-    (1, _SMALL_CHUNK), (2, _SMALL_CHUNK), (5, _SMALL_CHUNK), (5, engine._CHUNK_UNIFORMS),
-    (1024, engine._CHUNK_UNIFORMS)])
+    (1, _SMALL_CHUNK), (2, _SMALL_CHUNK), (5, _SMALL_CHUNK), (5, streams.CHUNK_UNIFORMS),
+    (1024, streams.CHUNK_UNIFORMS)])
 def test_block_noise_matches_per_round_draws(kind, variant, d, chunk):
     # n = 150 ends inside a block, and spans several wherever a block holds
     # fewer rounds: with the small blocks, and with the module's own for
@@ -264,7 +269,7 @@ def test_block_noise_matches_per_round_draws(kind, variant, d, chunk):
 @given(kind=st.sampled_from([geom.HYPERCUBE, geom.BALL]),
        variant=st.sampled_from([engine.SCFTPL, engine.SCRIBBLE]),
        d=st.integers(1, 6), n=st.integers(1, 120), seed=st.integers(0, 2**64 - 1),
-       chunk=st.sampled_from([1, 7, _SMALL_CHUNK, engine._CHUNK_UNIFORMS]))
+       chunk=st.sampled_from([1, 7, _SMALL_CHUNK, streams.CHUNK_UNIFORMS]))
 def test_block_noise_matches_per_round_draws_random(kind, variant, d, n, seed, chunk):
     _assert_blocks_match_per_round(kind, variant, d, n, seed, chunk)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scbandits import action_sets as geom
 from scbandits import engine
@@ -60,7 +62,7 @@ def test_covariance_hypercube_monte_carlo():
     d = 2
     aset = geom.hypercube(d)
     theta = np.array([0.8, -0.4])
-    xi = pert.sample_hypercube(aset, rng, size=10**6)
+    xi = pert.draw(aset, rng, size=10**6)
     actions = geom.grad_support(aset, theta + xi)
     empirical = actions.T @ actions / actions.shape[0]
     model = est.covariance_hypercube(geom.conjugate_gradient(aset, theta))
@@ -139,9 +141,8 @@ def test_k_monte_carlo_transverse_mass():
     rng = make_rng(44)
     d = 3
     aset = geom.ball(d)
-    sampler = pert.PerturbationSampler.for_set(aset)
     theta = np.array([0.5, -1.0, 0.25])
-    xi = sampler.draw(rng, size=10**6)
+    xi = pert.draw(aset, rng, size=10**6)
     actions = geom.grad_support(aset, theta + xi)
     unit = theta / np.linalg.norm(theta)
     transverse = actions - np.outer(actions @ unit, unit)
@@ -286,6 +287,39 @@ def test_k_cache_budget_and_bounds_across_reach(d):
         assert (d - 1) / (d * (x + 2.0)) - 1e-9 <= k <= (d - 1) / d + 1e-9
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(2, 4096), log_x=st.floats(3.0, 11.0))
+def test_k_bounds_at_extreme_drift(d, log_x):
+    # far beyond any prebuilt grid, up to where a ball run aborts (||theta||
+    # about 2e10); the lower bound decays like 1/x, so its slack is relative
+    x = 10.0**log_x
+    k = est.k_function_ball(x, d)
+    assert (d - 1) / (d * (x + 2.0)) * (1.0 - 1e-9) <= k <= (d - 1) / d + 1e-9
+
+
+def test_k_far_drift_against_adaptive_reference():
+    # at d = 1024, x = 300 the two-piece radial split used to stop early and
+    # return 0.0052334, 1.1e-5 off; the reference integrates J by the
+    # adaptive angular rule over fine radial pieces, the tail r > 64x by r = 1/v
+    from scipy import integrate
+    from scipy.special import betainc
+
+    d, x = 1024, 300.0
+    ratio = math.exp(pert.log_sphere_surface(d - 2) - pert.log_sphere_surface(d - 1))
+
+    def integrand(r):
+        return est.angular_integral_quadrature(x / r, d) * pert.radial_density_ball(r, d)
+
+    edges = np.concatenate([np.linspace(1e-3, 4.0, 40)[:-1], np.geomspace(4.0, 64.0 * x, 200)])
+    head = sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+    tail, _ = integrate.quad(
+        lambda v: est.angular_integral_quadrature(x * v, d) * betainc((d + 1) / 2, d / 2,
+                                                                      1.0 / (1.0 + v * v)),
+        0.0, 1.0 / (64.0 * x), epsabs=0.0, epsrel=1e-11)
+    assert abs(est.k_function_ball(x, d) - ratio * (head + tail)) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # ball covariance
 # ---------------------------------------------------------------------------
@@ -366,7 +400,7 @@ def test_estimator_unbiased_hypercube():
     theta = rng.standard_normal(d)
     y = rng.standard_normal(d)
     y /= np.sum(np.abs(y))
-    xi = pert.sample_hypercube(aset, rng, size=4 * 10**5)
+    xi = pert.draw(aset, rng, size=4 * 10**5)
     actions = geom.grad_support(aset, theta + xi)
     model = est.covariance_hypercube(geom.conjugate_gradient(aset, theta))
     estimates = est.estimate_loss(model, actions, actions @ y)
@@ -378,11 +412,10 @@ def test_estimator_unbiased_ball():
     rng = make_rng(48)
     d = 3
     aset = geom.ball(d)
-    sampler = pert.PerturbationSampler.for_set(aset)
     theta = rng.standard_normal(d)
     y = rng.standard_normal(d)
     y /= np.linalg.norm(y)
-    xi = sampler.draw(rng, size=4 * 10**5)
+    xi = pert.draw(aset, rng, size=4 * 10**5)
     actions = geom.grad_support(aset, theta + xi)
     model = est.covariance_ball(theta, d)
     estimates = est.estimate_loss(model, actions, actions @ y)
@@ -498,7 +531,7 @@ def test_variance_bounds_hypercube():
     for scale in (0.0, 1.0, 3.0):
         theta = rng.standard_normal(d) * scale
         x = geom.conjugate_gradient(aset, theta)
-        xi = pert.sample_hypercube(aset, rng, size=10**5)
+        xi = pert.draw(aset, rng, size=10**5)
         actions = geom.grad_support(aset, theta + xi)
         model = est.covariance_hypercube(x)
         estimates = est.estimate_loss(model, actions, actions @ y)
@@ -513,14 +546,13 @@ def test_variance_bounds_ball():
     rng = make_rng(52)
     d = 3
     aset = geom.ball(d)
-    sampler = pert.PerturbationSampler.for_set(aset)
     y = rng.standard_normal(d)
     y /= np.linalg.norm(y)
     for scale in (0.0, 1.0, 4.0):
         theta = rng.standard_normal(d) * scale
         theta_norm = float(np.linalg.norm(theta))
         x = geom.conjugate_gradient(aset, theta)
-        xi = sampler.draw(rng, size=10**5)
+        xi = pert.draw(aset, rng, size=10**5)
         actions = geom.grad_support(aset, theta + xi)
         model = est.covariance_ball(theta, d)
         estimates = est.estimate_loss(model, actions, actions @ y)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import inspect
 import json
 import math
@@ -274,10 +275,9 @@ def test_verify_suite_passes_at_reduced_scale(tmp_path, monkeypatch):
 
 
 def _scaled_draws(monkeypatch, factor):
-    """A draw-scale fault: every sampler draw comes out ``factor`` times too large."""
-    draw = pert.PerturbationSampler.draw
-    monkeypatch.setattr(pert.PerturbationSampler, "draw",
-                        lambda self, rng, size=None: factor * draw(self, rng, size))
+    """A draw-scale fault: every perturbation draw comes out ``factor`` times too large."""
+    draw = pert.draw
+    monkeypatch.setattr(pert, "draw", lambda aset, rng, size=None: factor * draw(aset, rng, size))
 
 
 def test_verify_replication_fault_injection(monkeypatch):
@@ -430,6 +430,49 @@ def test_cli_sample(tmp_path):
     assert len(out.read_text().splitlines()) == 6
 
 
+@pytest.mark.parametrize("kind,d,digest", [
+    ("ball", 3, "b44d6e329b337a7ce58a88545fea0139cf4b9d3c9556b8868db9d0d90b732e4e"),
+    ("hypercube", 4, "3a02ee585304ebb8f2f54c8de96122d3489dfcd9418ffb1f7f64ba961a5f2f2c"),
+])
+def test_cli_sample_bytes_pinned(tmp_path, kind, d, digest):
+    # the bulk stream layout of perturbations.draw, frozen until it is changed on purpose
+    out = tmp_path / "xi.csv"
+    assert cli_main(["sample", "--set", kind, "--dimension", str(d), "--count", "2000",
+                     "--seed", "5", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("arg,fragment", [
+    ("--count=0", "--count: must be a positive integer, got '0'"),
+    ("--count=-5", "--count: must be a positive integer, got '-5'"),
+    ("--count=1_0", "--count: must be a positive integer, got '1_0'"),
+    ("--dimension=0", "--dimension: must be a positive integer, got '0'"),
+    ("--dimension=2.0", "--dimension: must be a positive integer, got '2.0'"),
+    ("--seed=-1", "--seed: must be a 64-bit unsigned integer, got '-1'"),
+    ("--seed=18446744073709551616", "--seed: must be a 64-bit unsigned integer"),
+])
+def test_cli_bad_sample_argument_exits_1_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                         arg, fragment):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"draws started before {arg} was validated")
+
+    monkeypatch.setattr(cli, "cmd_sample", forbidden)
+    out = tmp_path / "xi.csv"
+    assert cli_main(["sample", "--set", "ball", "--dimension", "2", arg,
+                     "--out", str(out)]) == 1
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "x"])
+def test_cli_bad_verify_scale_exits_1_before_any_check(capsys, monkeypatch, scale):
+    monkeypatch.setattr(verify, "CHECK_GROUPS", tuple(map(_raising, verify.CHECK_GROUPS)))
+    assert cli_main(["verify", f"--scale={scale}", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"--scale: must be a positive finite number, got '{scale}'" in err
+    assert "$.scale" not in err
+
+
 def test_cli_numeric_error_exit_code(tmp_path):
     # an aborted run (covariance driven singular) maps to exit code 3
     cfg = tmp_path / "abort.json"
@@ -437,6 +480,19 @@ def test_cli_numeric_error_exit_code(tmp_path):
         dimension=1, horizon=100, learning_rate=1e9, out_dir=str(tmp_path),
         adversary={"kind": "fixed_vector", "base": [1.0]}, seeds=[1])))
     assert cli_main(["run", "--config", str(cfg), "--quiet"]) == 3
+
+
+@pytest.mark.parametrize("rate", [1e5, 1e3])
+def test_cli_ball_run_at_extreme_drift_never_fails_quadrature(tmp_path, capsys, rate):
+    # a fixed direction drives ||theta|| far past any prebuilt K grid; the run
+    # finishes or aborts at the singularity floor, never on a K quadrature
+    cfg = tmp_path / "drift.json"
+    cfg.write_text(json.dumps(base_config(
+        set="ball", dimension=3, horizon=200, learning_rate=rate, seeds=[1],
+        adversary={"kind": "fixed_vector"}, out_dir=str(tmp_path))))
+    code = cli_main(["run", "--config", str(cfg), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 0 or (code == 3 and err.startswith("numeric error: round ")), err
 
 
 def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,13 +81,13 @@ def test_heavy_tail_truncated_moment_growth():
 # ---------------------------------------------------------------------------
 
 def test_sample_hypercube_pinned_fixture():
-    draw = pert.sample_hypercube(geom.hypercube(2), make_rng(2024))
+    draw = pert.sample_hypercube(2, make_rng(2024))
     assert np.allclose(draw, [1.3689629576361675, 0.678707262094362], rtol=0, atol=1e-15)
 
 
 def test_sample_hypercube_statistics():
     rng = make_rng(31)
-    draws = pert.sample_hypercube(geom.hypercube(2), rng, size=10**5)
+    draws = pert.sample_hypercube(2, rng, size=10**5)
     assert draws.shape == (10**5, 2)
     # symmetric median
     med = np.median(draws, axis=0)
@@ -97,11 +96,6 @@ def test_sample_hypercube_statistics():
     tail_oracle, _ = integrate.quad(pert.density_hypercube_marginal, 10.0, np.inf, limit=200)
     emp = np.mean(np.abs(draws) > 10.0)
     assert abs(emp - 2.0 * tail_oracle) < 0.002
-
-
-def test_sample_hypercube_kind_check():
-    with pytest.raises(ValueError):
-        pert.sample_hypercube(geom.ball(2), make_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -192,25 +186,14 @@ def test_radial_table_inverse_alone_matches_batch():
 # ---------------------------------------------------------------------------
 
 def test_sample_ball_pinned_fixture():
-    sampler = pert.PerturbationSampler.for_set(geom.ball(3))
-    draw = pert.sample_ball(sampler, make_rng(2024))
+    draw = pert.sample_ball(3, make_rng(2024))
     assert np.allclose(draw, [0.8692093440869205, 0.7354293450870318, -1.5691266782732827],
                        rtol=0, atol=1e-15)
 
 
-def test_sample_ball_requires_table():
-    bare = pert.PerturbationSampler(action_set=geom.ball(2))
-    with pytest.raises(ValueError):
-        pert.sample_ball(bare, make_rng(0))
-    cube_sampler = pert.PerturbationSampler.for_set(geom.hypercube(2))
-    with pytest.raises(ValueError):
-        pert.sample_ball(cube_sampler, make_rng(0))
-
-
 def test_sample_ball_radial_ks():
     d = 3
-    sampler = pert.PerturbationSampler.for_set(geom.ball(d))
-    draws = sampler.draw(make_rng(34), size=10**5)
+    draws = pert.draw(geom.ball(d), make_rng(34), size=10**5)
     speeds = np.linalg.norm(draws, axis=1)
     # reference CDF from quadrature of the radial profile (independent of the
     # incomplete-beta route used by the sampler)
@@ -230,8 +213,7 @@ def test_sample_ball_radial_ks():
 
 
 def test_sample_ball_direction_symmetry():
-    sampler = pert.PerturbationSampler.for_set(geom.ball(3))
-    draws = sampler.draw(make_rng(35), size=10**5)
+    draws = pert.draw(geom.ball(3), make_rng(35), size=10**5)
     directions = draws / np.linalg.norm(draws, axis=1, keepdims=True)
     se = directions.std(axis=0) / math.sqrt(draws.shape[0])
     assert np.all(np.abs(directions.mean(axis=0)) <= 3.0 * se)
@@ -243,17 +225,15 @@ def test_sample_ball_direction_symmetry():
 
 def test_replication_hypercube_symmetric():
     aset = geom.hypercube(3)
-    sampler = pert.PerturbationSampler.for_set(aset)
-    report = pert.verify_replication(aset, sampler, np.zeros(3), 10**5, make_rng(36))
+    report = pert.verify_replication(aset, np.zeros(3), 10**5, make_rng(36))
     assert np.all(np.abs(report.mc_mean) <= 3.0 * report.stderr)
     assert np.array_equal(report.target, np.zeros(3))
 
 
 def test_replication_hypercube_closed_form():
     aset = geom.hypercube(2)
-    sampler = pert.PerturbationSampler.for_set(aset)
     theta = np.array([1.0, -2.0])
-    report = pert.verify_replication(aset, sampler, theta, 4 * 10**5, make_rng(37))
+    report = pert.verify_replication(aset, theta, 4 * 10**5, make_rng(37))
     expected = np.array([math.sqrt(2.0) - 1.0, -(math.sqrt(5.0) - 1.0) / 2.0])
     assert np.allclose(report.target, expected, atol=1e-12)
     assert report.max_sigma <= 4.0
@@ -261,27 +241,24 @@ def test_replication_hypercube_closed_form():
 
 def test_replication_ball_closed_form():
     aset = geom.ball(3)
-    sampler = pert.PerturbationSampler.for_set(aset)
     theta = np.array([1.0, 0.0, 0.0])
-    report = pert.verify_replication(aset, sampler, theta, 4 * 10**5, make_rng(38))
+    report = pert.verify_replication(aset, theta, 4 * 10**5, make_rng(38))
     assert np.allclose(report.target, [math.sqrt(2.0) - 1.0, 0.0, 0.0], atol=1e-12)
     assert report.max_sigma <= 4.0
 
 
-def test_replication_detects_perturbed_distribution():
+def test_replication_detects_perturbed_distribution(monkeypatch):
     # scaling the draws by 1% is a different distribution; the check must fail
     aset = geom.hypercube(1)
-    sampler = pert.PerturbationSampler.for_set(aset)
-    scaled = SimpleNamespace(draw=lambda rng, size: 1.01 * sampler.draw(rng, size=size))
-    report = pert.verify_replication(aset, scaled, np.array([1.3]), 6 * 10**6, make_rng(39))
+    draw = pert.draw
+    monkeypatch.setattr(pert, "draw", lambda aset, rng, size=None: 1.01 * draw(aset, rng, size))
+    report = pert.verify_replication(aset, np.array([1.3]), 6 * 10**6, make_rng(39))
     assert report.max_sigma > 4.0
 
 
 def test_replication_sample_floor():
-    aset = geom.hypercube(1)
-    sampler = pert.PerturbationSampler.for_set(aset)
     with pytest.raises(ValueError):
-        pert.verify_replication(aset, sampler, np.zeros(1), 10, make_rng(0))
+        pert.verify_replication(geom.hypercube(1), np.zeros(1), 10, make_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +266,7 @@ def test_replication_sample_floor():
 # ---------------------------------------------------------------------------
 
 def test_draws_are_reproducible():
-    aset = geom.ball(4)
-    sampler = pert.PerturbationSampler.for_set(aset)
-    a = sampler.draw(make_rng(77), size=50)
-    b = sampler.draw(make_rng(77), size=50)
-    assert np.array_equal(a, b)
-    cube = geom.hypercube(4)
-    a = pert.sample_hypercube(cube, make_rng(78), size=50)
-    b = pert.sample_hypercube(cube, make_rng(78), size=50)
-    assert np.array_equal(a, b)
+    for aset, seed in ((geom.ball(4), 77), (geom.hypercube(4), 78)):
+        a = pert.draw(aset, make_rng(seed), size=50)
+        b = pert.draw(aset, make_rng(seed), size=50)
+        assert np.array_equal(a, b)

@@ -6,8 +6,9 @@ Subcommands:
   bench   per-round timing table across dimensions
   sample  dump perturbation draws as CSV
 
-Exit codes: 0 success, 1 invalid configuration or arguments, 2 verification
-check failure, 3 numeric failure (quadrature non-convergence, aborted run).
+Exit codes: 0 success (``--help`` included), 1 invalid configuration or
+arguments (argparse usage errors included), 2 verification check failure,
+3 numeric failure (quadrature non-convergence, aborted run).
 """
 
 from __future__ import annotations
@@ -101,9 +102,16 @@ def _scale(text: str) -> float:
     return scale
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError (exit 1), not exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="scbandits",
-                                     description="Adversarial linear bandit simulator and verifier")
+    parser = _Parser(prog="scbandits",
+                     description="Adversarial linear bandit simulator and verifier")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a regret experiment from a JSON config")
@@ -137,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             config = load_config(args.config)
             if args.out is not None:

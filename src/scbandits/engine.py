@@ -16,12 +16,15 @@ The learner's randomness does not depend on its state, so each run draws
 it ahead of the rounds, in blocks whose rows follow the per-round stream
 order: a block is bit for bit the draws of its rounds taken one at a time,
 and the round loop itself is only the O(d) recurrence.
-A run is strictly sequential; independent seeds parallelize at the harness
-level. Given (seed, config, losses) a run is bit-reproducible.
+The rounds of one seed are strictly sequential, but seeds are independent:
+:func:`run_seeds` runs the perturbed-leader recurrence for many seeds at
+once on (S, d) arrays and keeps only what the regret outputs read. Given
+(seed, config, losses) a run is bit-reproducible, however seeds are batched.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields
 
@@ -40,7 +43,7 @@ from .action_sets import (
 from .environments import boundedness_violation
 from .estimation import (LOSS_SLACK, SINGULARITY_FLOOR, KFunctionCache, local_norm_sq,
                          scribble_estimate)
-from .perturbations import round_noise
+from .perturbations import round_noise, round_noise_blocks
 from .rng import block_rows
 
 SCFTPL = "scftpl"
@@ -210,12 +213,18 @@ def run_scftpl(spec: AlgorithmSpec, losses, rng: np.random.Generator,
     d = aset.dimension
     eta = resolve_learning_rate(spec, n)
     if aset.kind == BALL:
-        if k_cache is None:
-            k_cache = k_cache_for(spec, n)
-        elif k_cache.d != d:
-            raise ValueError(f"K cache was built for d={k_cache.d}, run targets d={d}")
-        return _run_scftpl_ball(aset, losses, eta, rng, k_cache)
+        return _run_scftpl_ball(aset, losses, eta, rng, _ball_k_cache(spec, n, k_cache))
     return _run_scftpl_hypercube(aset, losses, eta, rng)
+
+
+def _ball_k_cache(spec: AlgorithmSpec, n: int, k_cache: KFunctionCache | None):
+    """The K grid a perturbed-leader ball run reads: the one given, checked, or a new one."""
+    if k_cache is None:
+        return k_cache_for(spec, n)
+    if k_cache.d != spec.action_set.dimension:
+        raise ValueError(f"K cache was built for d={k_cache.d}, "
+                         f"run targets d={spec.action_set.dimension}")
+    return k_cache
 
 
 def _run_scftpl_hypercube(aset, losses, eta, rng) -> Trace:
@@ -323,6 +332,162 @@ def run(spec: AlgorithmSpec, losses, rng: np.random.Generator,
     if spec.variant == SCFTPL:
         return run_scftpl(spec, losses, rng, k_cache)
     return run_scribble(spec, losses, rng)
+
+
+def run_seeds(spec: AlgorithmSpec, losses, rngs, competitor,
+              k_cache: KFunctionCache | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Run one seed per generator in ``rngs``, keeping only what regret outputs read.
+
+    Returns the (n, S) per-round regret increments <y_t, A_t - u> of the S
+    seeds against ``competitor`` u, whose ``cumsum`` along rounds is each
+    seed's :func:`cumulative_regret`, and the (S,) step-violation counts;
+    both equal the per-seed runs' values bit for bit. Two or more
+    perturbed-leader seeds run their recurrences together on (S, d) arrays
+    and keep no (n, d) array. One seed, which runs faster alone, and the
+    Dikin-pole variant run seed by seed, each trace reduced as it finishes.
+    An abort raises the per-seed run's ``AbortedRunError`` of the first
+    aborting seed in the order of ``rngs``.
+    """
+    aset = spec.action_set
+    losses = _check_losses(aset, losses)
+    competitor = np.asarray(competitor, dtype=float)
+    rngs = list(rngs)
+    n = losses.shape[0]
+    if spec.variant == SCFTPL and len(rngs) > 1:
+        snapshots = copy.deepcopy(rngs)  # to replay an aborting seed alone
+        eta = resolve_learning_rate(spec, n)
+        if aset.kind == BALL:
+            batch = _seeds_scftpl_ball(aset, losses, eta, rngs, competitor,
+                                       _ball_k_cache(spec, n, k_cache))
+        else:
+            batch = _seeds_scftpl_hypercube(aset, losses, eta, rngs, competitor)
+        if isinstance(batch, int):
+            _raise_first_abort(spec, losses, snapshots, competitor, k_cache, batch)
+        return batch
+    increments = np.empty((n, len(rngs)))
+    violations = np.empty(len(rngs), dtype=np.int64)
+    for s, rng in enumerate(rngs):
+        trace = run(spec, losses, rng, k_cache)
+        increments[:, s] = np.vecdot(losses, trace.action - competitor)
+        violations[s] = trace.step_violation.sum()
+    return increments, violations
+
+
+def _raise_first_abort(spec, losses, snapshots, competitor, k_cache, first: int) -> None:
+    """Raise the abort of the first seed in order that aborts; seed ``first`` does.
+
+    Seeds before it may abort in a later round than it did, so they run
+    again first; then seed ``first`` replays alone and raises its own error.
+    """
+    run_seeds(spec, losses, snapshots[:first], competitor, k_cache)
+    run_scftpl(spec, losses, snapshots[first], k_cache)
+    raise RuntimeError(f"seed {first} aborted in a batch but not alone")
+
+
+def _block_outputs(eta, losses_block, competitor, actions, norm_sq):
+    """Regret increments (m, S) and step violations (S,) of a block of batched rounds."""
+    increments = np.vecdot(losses_block[:, None, :], actions - competitor)
+    violated = 2.0 * eta * np.sqrt(np.maximum(norm_sq, 0.0)) > 1.0
+    return increments, violated.sum(axis=0)
+
+
+def _seeds_scftpl_hypercube(aset, losses, eta, rngs, competitor):
+    """:func:`_run_scftpl_hypercube` over S seeds; the index of the first aborting
+    seed, or the (n, S) increments and (S,) violations."""
+    n, d = losses.shape
+    increments = np.empty((n, len(rngs)))
+    violations = np.zeros(len(rngs), dtype=np.int64)
+    y_hat_cum = np.zeros((len(rngs), d))
+    t0 = 0
+    for xi_block in round_noise_blocks(aset, rngs, n):
+        xs, actions, y_hats = (np.empty_like(xi_block) for _ in range(3))
+        for i, xi in enumerate(xi_block):
+            theta = -eta * y_hat_cum
+            action = np.where(theta + xi >= 0.0, 1.0, -1.0)
+            x = theta / (1.0 + np.sqrt(1.0 + theta * theta))
+            scalar_loss = np.vecdot(losses[t0 + i], action)
+            residual = 1.0 - x * x
+            aborted = residual.min(axis=1) < SINGULARITY_FLOOR
+            if aborted.any():
+                return int(np.argmax(aborted))
+            weighted = x / residual
+            alpha = np.vecdot(x, weighted)
+            cross = np.vecdot(action, weighted)
+            y_hat = ((action / residual - weighted * (cross / (1.0 + alpha))[:, None])
+                     * scalar_loss[:, None])
+            xs[i], actions[i], y_hats[i] = x, action, y_hat
+            y_hat_cum = y_hat_cum + y_hat
+        m = len(xi_block)
+        residual = 1.0 - xs * xs
+        hess_diag = 2.0 * (1.0 + xs * xs) / (residual * residual)
+        increments[t0:t0 + m], counts = _block_outputs(
+            eta, losses[t0:t0 + m], competitor, actions, np.vecdot(y_hats, y_hats / hess_diag))
+        violations += counts
+        t0 += m
+    return increments, violations
+
+
+def _seeds_scftpl_ball(aset, losses, eta, rngs, competitor, k_cache):
+    """:func:`_run_scftpl_ball` over S seeds; the index of the first aborting
+    seed, or the (n, S) increments and (S,) violations.
+
+    K is looked up seed by seed, as a float, so the grid extends as it does
+    in a single run.
+    """
+    n, d = losses.shape
+    increments = np.empty((n, len(rngs)))
+    violations = np.zeros(len(rngs), dtype=np.int64)
+    y_hat_cum = np.zeros((len(rngs), d))
+    t0 = 0
+    for xi_block in round_noise_blocks(aset, rngs, n):
+        xs, actions, y_hats = (np.empty_like(xi_block) for _ in range(3))
+        for i, xi in enumerate(xi_block):
+            theta = -eta * y_hat_cum
+            theta_norm = np.sqrt(np.vecdot(theta, theta))
+            drifted = theta + xi
+            drift_norm = np.sqrt(np.vecdot(drifted, drifted))
+            still = ~(drift_norm > 0.0)
+            action = drifted / np.where(still, 1.0, drift_norm)[:, None]
+            if still.any():
+                action[still] = np.eye(1, d)
+            x = theta / (1.0 + np.sqrt(1.0 + theta_norm * theta_norm))[:, None]
+            scalar_loss = np.vecdot(losses[t0 + i], action)
+            if d == 1:
+                y_hat = action * scalar_loss[:, None]
+            else:
+                y_hat = _ball_estimates(d, k_cache, theta, theta_norm, action, scalar_loss)
+            x_sq = np.vecdot(x, x)
+            aborted = 1.0 - x_sq < SINGULARITY_FLOOR
+            if aborted.any():
+                return int(np.argmax(aborted))
+            xs[i], actions[i], y_hats[i] = x, action, y_hat
+            y_hat_cum = y_hat_cum + y_hat
+        m = len(xi_block)
+        x_sq = np.vecdot(xs, xs)
+        hess_a = 2.0 / (1.0 - x_sq)
+        hess_b = 4.0 / ((1.0 - x_sq) * (1.0 - x_sq))
+        correction = hess_b / (hess_a * (hess_a + hess_b * x_sq))
+        norm_sq = np.vecdot(y_hats, y_hats) / hess_a - correction * np.vecdot(xs, y_hats) ** 2
+        increments[t0:t0 + m], counts = _block_outputs(
+            eta, losses[t0:t0 + m], competitor, actions, norm_sq)
+        violations += counts
+        t0 += m
+    return increments, violations
+
+
+def _ball_estimates(d, k_cache, theta, theta_norm, action, scalar_loss):
+    """The ball's loss estimates of one batched round, d >= 2, rounded as a single run's."""
+    flat = theta_norm < 1e-14
+    if flat.all():
+        return (d * scalar_loss)[:, None] * action
+    k = np.array([0.5 if f else k_cache(v) for f, v in zip(flat.tolist(), theta_norm.tolist())])
+    coeff = 1.0 / (1.0 - k) - (d - 1.0) / k
+    proj = np.vecdot(action, theta) / np.where(flat, 1.0, theta_norm * theta_norm)
+    y_hat = ((d - 1.0) / k)[:, None] * action + (coeff * proj)[:, None] * theta
+    y_hat *= scalar_loss[:, None]
+    if flat.any():
+        y_hat[flat] = (d * scalar_loss[flat])[:, None] * action[flat]
+    return y_hat
 
 
 def regret(trace: Trace, losses, competitor) -> float:

@@ -11,9 +11,11 @@ regret against the empirical best fixed action, and writes
   counts, and wall-clock per round;
 * optionally one ``<label>_seed<seed>.csv`` per seed for re-aggregation.
 
-Seeds fan out to a process pool when ``workers > 1``; results are collected
-in seed order either way, so the output is identical however the work was
-scheduled.
+The seeds run in contiguous chunks, one :func:`engine.run_seeds` call each,
+which batches a chunk's perturbed-leader seeds into one recurrence; with
+``workers > 1`` the seeds split into that many chunks on a process pool.
+Results are collected in seed order either way, and a seed's numbers do not
+depend on its chunk, so the output is identical however the work was split.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from .engine import (
     SCFTPL,
     SCRIBBLE,
     AlgorithmSpec,
-    cumulative_regret,
     k_cache_for,
     resolve_learning_rate,
     run,
+    run_seeds,
     theoretical_bound,
 )
 from .environments import (
@@ -285,16 +287,21 @@ class RegretTrace:
         return float(self.bound[-1])
 
 
-def _run_one_seed(config: ExperimentConfig, losses: np.ndarray, competitor: np.ndarray,
-                  seed: int, k_cache: KFunctionCache | None) -> tuple[int, np.ndarray, int, float]:
-    """Worker body: one seeded run; returns (seed, regret curve, violations, secs)."""
-    spec = config.algorithm_spec()
+def _chunks(seeds: tuple[int, ...], workers: int) -> list[tuple[int, ...]]:
+    """The seeds cut into min(workers, len(seeds)) contiguous chunks of near-equal size."""
+    count = min(workers, len(seeds))
+    size, extra = divmod(len(seeds), count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _run_chunk(config: ExperimentConfig, losses: np.ndarray, competitor: np.ndarray,
+               seeds: tuple[int, ...], k_cache: KFunctionCache | None):
+    """Worker body: one chunk of seeds; returns ((n, S) regret increments, violations, secs)."""
     start = time.perf_counter()
-    trace = run(spec, losses, make_rng(seed), k_cache)
-    elapsed = time.perf_counter() - start
-    curve = cumulative_regret(trace, losses, competitor)
-    violations = int(trace.step_violation.sum())
-    return seed, curve, violations, elapsed
+    increments, violations = run_seeds(config.algorithm_spec(), losses,
+                                       [make_rng(s) for s in seeds], competitor, k_cache)
+    return increments, violations, time.perf_counter() - start
 
 
 def cmd_run(config: ExperimentConfig, quiet: bool = False) -> RegretTrace:
@@ -304,30 +311,33 @@ def cmd_run(config: ExperimentConfig, quiet: bool = False) -> RegretTrace:
     competitor = best_in_hindsight(aset, losses)
     k_cache = k_cache_for(config.algorithm_spec(), config.horizon)  # shared by every seed
 
-    if config.workers > 1 and len(config.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_run_one_seed, config, losses, competitor, s, k_cache)
-                       for s in config.seeds]
+    chunks = _chunks(config.seeds, config.workers)
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            futures = [pool.submit(_run_chunk, config, losses, competitor, c, k_cache)
+                       for c in chunks]
             results = [f.result() for f in futures]
     else:
-        results = [_run_one_seed(config, losses, competitor, s, k_cache) for s in config.seeds]
+        results = [_run_chunk(config, losses, competitor, chunks[0], k_cache)]
 
-    curves = np.stack([curve for _, curve, _, _ in results])
+    increments = np.concatenate([inc for inc, _, _ in results], axis=1)
+    # one C-ordered row per seed, the layout the seed-wise mean and SE reduce
+    curves = np.ascontiguousarray(np.cumsum(increments, axis=0).T)
     mean = curves.mean(axis=0)
     if curves.shape[0] > 1:
         se = curves.std(axis=0, ddof=1) / math.sqrt(curves.shape[0])
     else:
         se = np.zeros_like(mean)
     bound = theoretical_bound(config.set_kind, config.dimension, config.horizon)
-    violations = sum(v for _, _, v, _ in results)
-    total_time = sum(t for _, _, _, t in results)
+    violations = int(sum(v.sum() for _, v, _ in results))
+    total_time = sum(t for _, _, t in results)
     trace = RegretTrace(
         mean_regret=mean, se=se, bound=bound, violation_count=violations,
-        per_seed_final={s: float(curve[-1]) for s, curve, _, _ in results},
+        per_seed_final={s: float(curve[-1]) for s, curve in zip(config.seeds, curves)},
         wall_time_per_round=total_time / (config.horizon * len(config.seeds)),
         warnings=config.warnings(),
     )
-    _write_outputs(config, trace, results)
+    _write_outputs(config, trace, curves)
     if not quiet:
         print(f"{config.label}: final mean regret {trace.final_mean:.3f} "
               f"(bound {trace.final_bound:.3f}), {violations} step violations, "
@@ -341,7 +351,7 @@ def _format_row(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
-def _write_outputs(config: ExperimentConfig, trace: RegretTrace, results) -> None:
+def _write_outputs(config: ExperimentConfig, trace: RegretTrace, curves: np.ndarray) -> None:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["t,mean_regret,se,bound"]
@@ -350,7 +360,7 @@ def _write_outputs(config: ExperimentConfig, trace: RegretTrace, results) -> Non
     (out_dir / f"{config.label}.csv").write_text("\n".join(lines) + "\n")
 
     if config.write_per_seed:
-        for seed, curve, _, _ in results:
+        for seed, curve in zip(config.seeds, curves):
             rows = ["t,regret"]
             rows.extend(f"{i + 1},{float(curve[i])!r}" for i in range(config.horizon))
             (out_dir / f"{config.label}_seed{seed}.csv").write_text("\n".join(rows) + "\n")

@@ -31,8 +31,9 @@ at most 1 - F_V(s_max) <= 1e-6 of total-variation mass.
 
 The law is fixed by the body and d, so drawing needs no sampler object.
 Two stream layouts exist, both written here: :func:`draw` (bulk draws for
-verification and ``scbandits sample``) and :func:`round_noise` (a run's
-per-round noise); they read the uniform stream in different orders.
+verification and ``scbandits sample``) and :func:`round_noise_blocks` (the
+per-round noise of one or more runs, which :func:`round_noise` reads for a
+single run); they read the uniform stream in different orders.
 """
 
 from __future__ import annotations
@@ -284,30 +285,40 @@ def draw(aset: ActionSetModel, rng: np.random.Generator, size: int | None = None
     return sample(aset.dimension, rng, size)
 
 
-def round_noise(aset: ActionSetModel, rng: np.random.Generator, n: int):
-    """The perturbations of n rounds of a run, one (d,) row per round.
+def round_noise_blocks(aset: ActionSetModel, rngs, n: int):
+    """The perturbations of n rounds of runs on seeds ``rngs``, as (m, S, d) blocks.
 
-    They are drawn ahead of the rounds, in blocks whose rows follow the
-    per-round stream order, so each row is bit for bit the draw its round
-    would take alone. A hypercube round consumes d uniforms. A ball round
-    consumes 2 ceil(d/2) uniforms for Box-Muller, whose first d normals give
-    the direction, then one for the speed; its norm is the sqrt of a
-    ``vecdot``, like ``math.sqrt(normal @ normal)``, and the table inverse
-    works element by element.
+    Row i of a block holds round t0 + i of every seed, in the order of
+    ``rngs``. The draws are taken ahead of the rounds: each seed fills its
+    own (m, w) uniform block from its own stream, so its rows are bit for
+    bit the draws its rounds would take alone, however many seeds share a
+    block. A hypercube round consumes d uniforms. A ball round consumes
+    2 ceil(d/2) uniforms for Box-Muller, whose first d normals give the
+    direction, then one for the speed; its norm is the sqrt of a ``vecdot``,
+    like ``math.sqrt(normal @ normal)``, and the table inverse works element
+    by element.
     """
     d = aset.dimension
-    if aset.kind == HYPERCUBE:
-        for m in block_rows(n, d):
-            yield from sample_hypercube(d, rng, size=m)
-        return
-    table = RadialTable.build(d)
+    hypercube = aset.kind == HYPERCUBE
     pairs = (d + 1) // 2
-    for m in block_rows(n, 2 * pairs + 1):
-        u = rng.random((m, 2 * pairs + 1))
-        normal = box_muller(u[:, :pairs], u[:, pairs:-1])[:, :d]
+    width = d if hypercube else 2 * pairs + 1
+    table = None if hypercube else RadialTable.build(d)
+    for m in block_rows(n, len(rngs) * width):
+        u = np.stack([rng.random((m, width)) for rng in rngs], axis=1)
+        if hypercube:
+            yield inverse_cdf_hypercube(np.maximum(u, _U_FLOOR))
+            continue
+        normal = box_muller(u[..., :pairs], u[..., pairs:-1])[..., :d]
         norms = np.sqrt(np.vecdot(normal, normal))
-        speeds = table.inverse(np.maximum(u[:, -1], _U_FLOOR))
-        yield from normal / np.where(norms > 0.0, norms, 1.0)[:, None] * speeds[:, None]
+        speeds = table.inverse(np.maximum(u[..., -1], _U_FLOOR))
+        yield normal / np.where(norms > 0.0, norms, 1.0)[..., None] * speeds[..., None]
+
+
+def round_noise(aset: ActionSetModel, rng: np.random.Generator, n: int):
+    """The perturbations of one run's n rounds, one (d,) row per round:
+    :func:`round_noise_blocks` for the single seed ``rng``."""
+    for block in round_noise_blocks(aset, (rng,), n):
+        yield from block[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,11 @@ import numpy as np
 
 _MAX_SEED = 2**64
 
-# Uniforms drawn per block of noise rows: 256 KiB of float64 bounds a run's
-# noise memory at any horizon (blocks twice as large added about 1 MB of peak
-# RSS at d = 5), and at d = 1024 a block still spreads its per-call cost over
-# 31 or 32 rounds.
+# Uniforms drawn per block of noise rows: 256 KiB of float64 bounds the noise
+# memory of a run, or of a batch of seeds sharing a block, at any horizon
+# (blocks twice as large added about 1 MB of peak RSS at d = 5), and at
+# d = 1024 a block of one seed still spreads its per-call cost over 31 or 32
+# rounds.
 CHUNK_UNIFORMS = 1 << 15
 
 

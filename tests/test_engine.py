@@ -274,6 +274,54 @@ def test_block_noise_matches_per_round_draws_random(kind, variant, d, n, seed, c
     _assert_blocks_match_per_round(kind, variant, d, n, seed, chunk)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from([geom.HYPERCUBE, geom.BALL]), d=st.sampled_from([1, 2, 5, 33]),
+       n=st.integers(1, 90), rate=st.sampled_from([0.05, 0.5]),
+       seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6, unique=True),
+       chunk=st.sampled_from([7, _SMALL_CHUNK, streams.CHUNK_UNIFORMS]))
+def test_run_seeds_matches_per_seed_runs(kind, d, n, rate, seeds, chunk):
+    # the batched recurrence against one run per seed, with blocks that end
+    # mid-run wherever a block holds fewer than n rounds
+    aset = geom.ActionSetModel(dimension=d, kind=kind)
+    losses = generate(AdversarySpec(kind="seeded_random", geometry=kind, seed=seeds[0] % 1000),
+                      d, n)
+    competitor = best_in_hindsight(aset, losses)
+    spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=rate)
+    k_cache = _ball_k_cache(d) if kind == geom.BALL else None
+    with mock.patch.object(streams, "CHUNK_UNIFORMS", chunk):
+        increments, violations = engine.run_seeds(spec, losses, [make_rng(s) for s in seeds],
+                                                  competitor, k_cache)
+        traces = [engine.run(spec, losses, make_rng(s), k_cache) for s in seeds]
+    assert increments.shape == (n, len(seeds)) and violations.shape == (len(seeds),)
+    for j, trace in enumerate(traces):
+        assert (np.cumsum(increments[:, j])
+                == engine.cumulative_regret(trace, losses, competitor)).all()
+        assert violations[j] == trace.step_violation.sum()
+
+
+@pytest.mark.parametrize("kind,d,rate,adversary,seeds,decider", [
+    # seed 1 aborts in round 93, seed 2 in round 41
+    (geom.HYPERCUBE, 2, 1e9, "rotating_direction", [1, 2], 1),
+    # seed 1 finishes, seed 2 aborts in round 52, seed 3 in round 19
+    (geom.BALL, 2, 1e8, "seeded_random", [1, 2, 3], 2),
+])
+def test_run_seeds_first_aborting_seed_in_order_decides(kind, d, rate, adversary, seeds,
+                                                        decider):
+    aset = geom.ActionSetModel(dimension=d, kind=kind)
+    losses = generate(AdversarySpec(kind=adversary, geometry=kind, seed=3), d, 200)
+    spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=rate)
+    with pytest.raises(engine.AbortedRunError) as alone:
+        engine.run(spec, losses, make_rng(decider))
+    with pytest.raises(engine.AbortedRunError) as earlier:
+        engine.run(spec, losses, make_rng(seeds[-1]))
+    assert len(earlier.value.trace) < len(alone.value.trace)
+    with pytest.raises(engine.AbortedRunError) as batched:
+        engine.run_seeds(spec, losses, [make_rng(s) for s in seeds],
+                         best_in_hindsight(aset, losses))
+    assert str(batched.value) == str(alone.value)
+    assert np.array_equal(batched.value.trace.action, alone.value.trace.action)
+
+
 # ---------------------------------------------------------------------------
 # unbiasedness along trajectories
 # ---------------------------------------------------------------------------

@@ -187,11 +187,14 @@ def test_cmd_run_outputs_and_determinism(tmp_path):
 
 
 def test_cmd_run_aggregation_matches_per_seed_files(tmp_path):
-    raw = base_config(out_dir=str(tmp_path), write_per_seed=True, seeds=[5, 6, 7])
+    # 9 seeds: numpy sums 8 or more contiguous values pairwise, so the seed-wise
+    # mean and SE match only if the harness reduces one C-ordered row per seed
+    seeds = list(range(5, 14))
+    raw = base_config(out_dir=str(tmp_path), write_per_seed=True, seeds=seeds)
     cfg = harness.config_from_dict(raw)
     harness.cmd_run(cfg, quiet=True)
     curves = []
-    for seed in (5, 6, 7):
+    for seed in seeds:
         lines = (tmp_path / f"t_seed{seed}.csv").read_text().splitlines()[1:]
         curves.append([float(line.split(",")[1]) for line in lines])
     curves = np.array(curves)
@@ -199,7 +202,7 @@ def test_cmd_run_aggregation_matches_per_seed_files(tmp_path):
     mean_col = np.array([float(r.split(",")[1]) for r in main_rows])
     se_col = np.array([float(r.split(",")[2]) for r in main_rows])
     assert np.array_equal(curves.mean(axis=0), mean_col)
-    assert np.allclose(curves.std(axis=0, ddof=1) / math.sqrt(3), se_col, rtol=0, atol=0)
+    assert np.allclose(curves.std(axis=0, ddof=1) / math.sqrt(len(seeds)), se_col, rtol=0, atol=0)
 
 
 def test_bound_column_is_analytic(tmp_path):
@@ -225,24 +228,38 @@ def test_bound_column_is_analytic(tmp_path):
 def test_cmd_run_builds_one_k_grid_before_the_first_run(tmp_path, monkeypatch):
     # the grid is set-up: built once in the harness, then shared by every seed
     grids = []
-    real_run = harness.run
+    real_run_seeds = harness.run_seeds
 
-    def spy(spec, losses, rng, k_cache=None):
-        grids.append(k_cache)
-        return real_run(spec, losses, rng, k_cache)
+    def spy(spec, losses, rngs, competitor, k_cache=None):
+        grids.append((len(rngs), k_cache))
+        return real_run_seeds(spec, losses, rngs, competitor, k_cache)
 
-    monkeypatch.setattr(harness, "run", spy)
+    monkeypatch.setattr(harness, "run_seeds", spy)
     raw = base_config(set="ball", out_dir=str(tmp_path), seeds=[1, 2])
     harness.cmd_run(harness.config_from_dict(raw), quiet=True)
-    assert isinstance(grids[0], KFunctionCache) and grids == [grids[0]] * 2
+    assert len(grids) == 1 and grids[0][0] == 2 and isinstance(grids[0][1], KFunctionCache)
+
+
+def _timeless(summary: Path) -> list[str]:
+    return [line for line in summary.read_text().splitlines()
+            if '"wall_time_per_round_seconds"' not in line]
 
 
 def test_cmd_run_parallel_workers_match_serial(tmp_path):
-    serial = base_config(out_dir=str(tmp_path / "s"), seeds=[1, 2, 3, 4], workers=1)
-    parallel = base_config(out_dir=str(tmp_path / "p"), seeds=[1, 2, 3, 4], workers=2)
-    harness.cmd_run(harness.config_from_dict(serial), quiet=True)
-    harness.cmd_run(harness.config_from_dict(parallel), quiet=True)
-    assert (tmp_path / "s" / "t.csv").read_bytes() == (tmp_path / "p" / "t.csv").read_bytes()
+    # 5 seeds in 1, 2 or 3 chunks: batches of 5, 3 + 2 and 2 + 2 + 1 seeds,
+    # the last run seed by seed, give the same bytes on both bodies
+    seeds = [1, 2, 3, 4, 5]
+    for kind in ("hypercube", "ball"):
+        for workers in (1, 2, 3):
+            raw = base_config(set=kind, out_dir=str(tmp_path / kind / str(workers)), seeds=seeds,
+                              workers=workers, write_per_seed=True)
+            harness.cmd_run(harness.config_from_dict(raw), quiet=True)
+        serial = tmp_path / kind / "1"
+        for workers in (2, 3):
+            chunked = tmp_path / kind / str(workers)
+            for name in ["t.csv"] + [f"t_seed{s}.csv" for s in seeds]:
+                assert (serial / name).read_bytes() == (chunked / name).read_bytes(), name
+            assert _timeless(serial / "t_summary.json") == _timeless(chunked / "t_summary.json")
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +338,7 @@ def test_probe_entry_points():
     runs = {name: fn for name, fn in vars(engine).items()
             if name.startswith("run") and inspect.isfunction(fn)
             and fn.__module__ == engine.__name__}
-    assert set(runs) == {"run", "run_scftpl", "run_scribble"}
+    assert set(runs) == {"run", "run_scftpl", "run_scribble", "run_seeds"}
     for fn in runs.values():
         second = list(inspect.signature(fn).parameters.values())[1]
         assert second.name == "losses" and second.kind is second.POSITIONAL_OR_KEYWORD
@@ -421,6 +438,26 @@ def test_cli_bench_arguments(monkeypatch):
                      "--sets", "ball", "--quiet"]) == 0
     assert calls == [{"dims": (4, 16), "kinds": ("ball",), "rounds": 64, "repeats": 2,
                       "quiet": True}]
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["run"], "scbandits run: the following arguments are required: --config"),
+    (["sample", "--set", "cube", "--dimension", "2", "--out", "x.csv"],
+     "scbandits sample: argument --set: invalid choice: 'cube'"),
+    (["frobnicate"], "scbandits: argument command: invalid choice: 'frobnicate'"),
+])
+def test_cli_usage_error_exits_1(capsys, argv, fragment):
+    # exit 2 means a failed verification check, so a usage error must not use it
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {fragment}")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_cli_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli_main(argv)
+    assert info.value.code == 0
+    assert "usage: scbandits" in capsys.readouterr().out
 
 
 def test_cli_sample(tmp_path):

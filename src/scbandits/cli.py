@@ -17,6 +17,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .action_sets import BALL, HYPERCUBE
 from .engine import AbortedRunError
@@ -73,8 +74,11 @@ def _bench_arguments(args) -> dict:
     for flag, values in (("--dims", dims), ("--sets", kinds)):
         if not values or len(set(values)) != len(values):
             raise ConfigError(f"{flag}: must be a nonempty list of distinct entries")
+    if args.json is not None and (Path(args.json).is_dir()
+                                  or not Path(args.json).parent.is_dir()):
+        raise ConfigError(f"--json: must be a file in an existing directory, got {args.json!r}")
     # the auto learning rate needs a horizon of at least 2
-    return {"dims": dims, "kinds": kinds,
+    return {"dims": dims, "kinds": kinds, "json_path": args.json,
             "rounds": _digits(args.rounds.strip(" "), "--rounds", "an integer >= 2", minimum=2),
             "repeats": _digits(args.repeats.strip(" "), "--repeats", "a positive integer",
                                minimum=1)}
@@ -133,6 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--rounds", default="256")
     p_bench.add_argument("--repeats", default="3")
     p_bench.add_argument("--sets", default="hypercube,ball")
+    p_bench.add_argument("--json", default=None, help="also write the rows as JSON to this path")
     p_bench.add_argument("--quiet", action="store_true")
 
     p_sample = sub.add_parser("sample", help="dump perturbation draws as CSV")

@@ -14,6 +14,10 @@ K evaluations are memoized, and the engine path goes through a cubic
 interpolation cache on an asinh-spaced grid (interpolation error budget
 1e-5, inside the slack of the K bounds) that extends itself when the drift
 norm leaves the covered range.
+
+The K quadrature is the only part that uses scipy, and it imports it on
+first use: the hypercube forms are closed, so a hypercube run never loads
+scipy, and a ball run loads it when it builds its K grid.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
-from scipy.special import betainc, betaln
 
 from .action_sets import (
     ActionSetModel,
@@ -225,6 +227,8 @@ class _AngularRule(NamedTuple):
 
 @functools.lru_cache(maxsize=64)
 def _angular_rule(d: int) -> _AngularRule:
+    from scipy.special import betaln
+
     if d > 32:
         w = min(1.1, math.sqrt(92.0 / d))
         lo, hi = np.pi / 2 - w, np.pi / 2 + w
@@ -332,6 +336,9 @@ def k_function_ball(x: float, d: int) -> float:
         raise ValueError("the covariance factor is defined for d >= 2")
     if x < 0.0 or not np.isfinite(x):
         raise ValueError(f"drift norm must be finite and nonnegative, got {x!r}")
+    from scipy import integrate
+    from scipy.special import betainc
+
     ratio = np.exp(log_sphere_surface(d - 2) - log_sphere_surface(d - 1))
 
     def integrand(r: float) -> float:

@@ -24,7 +24,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -306,13 +305,18 @@ def _run_chunk(config: ExperimentConfig, losses: np.ndarray, competitor: np.ndar
 
 def cmd_run(config: ExperimentConfig, quiet: bool = False) -> RegretTrace:
     """Execute the experiment and write CSV + JSON outputs."""
+    # shared by every seed; built before the losses because on the ball it
+    # imports scipy, and importing it after the loss arrays were allocated
+    # raised a d=1024 run's peak RSS by about 1 MB
+    k_cache = k_cache_for(config.algorithm_spec(), config.horizon)
     losses = generate(config.adversary, config.dimension, config.horizon)
     aset = config.action_set()
     competitor = best_in_hindsight(aset, losses)
-    k_cache = k_cache_for(config.algorithm_spec(), config.horizon)  # shared by every seed
 
     chunks = _chunks(config.seeds, config.workers)
     if len(chunks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [pool.submit(_run_chunk, config, losses, competitor, c, k_cache)
                        for c in chunks]
@@ -431,13 +435,16 @@ def _bench_case(set_kind: str, d: int, rounds: int) -> tuple:
 
 
 def cmd_bench(dims: tuple[int, ...], rounds: int, repeats: int, kinds: tuple[str, ...],
-              seed: int = 7, quiet: bool = False) -> list[dict]:
+              seed: int = 7, quiet: bool = False,
+              json_path: str | Path | None = None) -> list[dict]:
     """Per-round timing across dimensions; the scaling table for the O(d) claim.
 
     Each dimension gets one untimed warm-up run, so that lazily built state
     (the radial table, the K grid) is paid for outside the measurement. Each
     repeat then times every dimension in turn, so a change in host speed
     lands on d and 4d alike; a dimension's time is its median over repeats.
+    With ``json_path`` the rows, ``ratio_4d`` included (null where 4d was
+    not timed), are also written there as JSON with the rounds and repeats.
     """
     rows = []
     for kind in kinds:
@@ -470,6 +477,9 @@ def cmd_bench(dims: tuple[int, ...], rounds: int, repeats: int, kinds: tuple[str
                 ratio = f"{row['ratio_4d']:.2f}" if row["ratio_4d"] else "-"
                 print(f"{kind:>9} d={row['dimension']:<5} {row['per_round_us']:9.1f} us/round "
                       f"{row['rounds_per_sec']:10.0f} rounds/s  time(4d)/time(d)={ratio}")
+    if json_path is not None:
+        report = {"rounds": rounds, "repeats": repeats, "rows": rows}
+        Path(json_path).write_text(json.dumps(report, indent=2) + "\n")
     return rows
 
 

@@ -34,6 +34,11 @@ Two stream layouts exist, both written here: :func:`draw` (bulk draws for
 verification and ``scbandits sample``) and :func:`round_noise_blocks` (the
 per-round noise of one or more runs, which :func:`round_noise` reads for a
 single run); they read the uniform stream in different orders.
+
+Only the ball's radial law uses scipy (quadrature, ``gammaln``, ``betainc``),
+so this module imports it inside those functions, on first use: a hypercube
+run, ``sample`` or ``bench`` loads numpy alone, and a ball one loads scipy
+when it builds its radial table or K grid.
 """
 
 from __future__ import annotations
@@ -42,8 +47,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import betainc, gammaln
 
 from .action_sets import ActionSetModel, HYPERCUBE, conjugate_gradient, grad_support
 from .rng import block_rows, box_muller, gaussians
@@ -97,6 +100,9 @@ def radial_profile_ball(r: float, d: int) -> float:
     Relative tolerance 1e-10; the Gamma prefactor is evaluated in the log
     domain.
     """
+    from scipy import integrate
+    from scipy.special import gammaln
+
     r = float(r)
     d = int(d)
     logc = gammaln(d + 0.5) - np.log(2.0) - (d / 2.0) * np.log(np.pi) - gammaln((d + 1) / 2.0)
@@ -135,7 +141,19 @@ def density_ball(x) -> float:
 
 def log_sphere_surface(n: int) -> float:
     """log of the surface area of the unit n-sphere embedded in R^{n+1}."""
+    from scipy.special import gammaln
+
     return float(np.log(2.0) + ((n + 1) / 2.0) * np.log(np.pi) - gammaln((n + 1) / 2.0))
+
+
+# scipy.special.betainc once radial_density_ball has bound it
+_betainc = None
+
+
+def _bind_betainc():
+    global _betainc
+    from scipy.special import betainc as _betainc
+    return _betainc
 
 
 def radial_density_ball(s, d: int):
@@ -143,8 +161,11 @@ def radial_density_ball(s, d: int):
 
     A Python float skips the array wrapping: the K quadrature calls this
     about 1e5 times per grid as its scalar integrand. Both routes perform
-    the same IEEE operations, so they return bit-identical values.
+    the same IEEE operations, so they return bit-identical values. For the
+    same reason ``betainc`` is bound once, by the first call, and not
+    imported per call.
     """
+    betainc = _betainc or _bind_betainc()
     scalar = isinstance(s, float)
     if scalar:
         if not s > 0.0:
@@ -168,6 +189,8 @@ def _radial_density_at_zero(d: int) -> float:
 
 def radial_cdf_ball(s, d: int):
     """Speed CDF F_V(s) = I_w(d/2, (d+1)/2) - I_w((d+1)/2, d/2) / s."""
+    from scipy.special import betainc
+
     s = np.asarray(s, dtype=float)
     w = s * s / (1.0 + s * s)
     safe = np.where(s > 0.0, s, 1.0)

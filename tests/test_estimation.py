@@ -373,6 +373,66 @@ def test_covariance_ball_k_range_guard(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Q^{-1} closed forms at extreme drift
+# ---------------------------------------------------------------------------
+
+# Gate: ||Q z - A|| <= QINV_C * eps * ||Q||_2 * ||t||, with z the closed-form
+# Q^{-1} A, Q from dense_covariance and t the entrywise size of the two terms
+# the closed form subtracts. An action aligned with the drift makes those
+# terms cancel, so ||z|| << ||t|| there and the plain backward-error gate
+# (||t|| replaced by ||z||) does not hold: over these examples its ratio
+# ||Q z - A|| / (eps ||Q|| ||z||) reaches 3.1e7 on the hypercube and 3.5e7 on
+# the ball, against at most 0.97 and 1.22 with ||t||.
+QINV_C = 4.0
+
+
+def _qinv_gate(model, a, terms):
+    z = est.estimate_loss(model, a, 1.0)
+    q = est.dense_covariance(model)
+    eps = np.finfo(float).eps
+    assert np.all(np.isfinite(z))
+    assert (np.linalg.norm(q @ z - a)
+            <= QINV_C * eps * np.linalg.norm(q, 2) * np.linalg.norm(terms))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(1, 512), log_gap=st.floats(0.0, 9.0), aligned=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_qinv_hypercube_backward_error_near_the_abort_floor(d, log_gap, aligned, seed):
+    # 1 - x_i^2 spread over [10^-log_gap, 1], down to 1e-9 (the abort floor
+    # is 1e-10); vertex actions match sign(x_i) with probability ``aligned``
+    rng = make_rng(seed)
+    gap = 10.0 ** -rng.uniform(0.0, log_gap, d)
+    gap[0] = 10.0**-log_gap
+    sign = np.where(rng.random(d) < 0.5, -1.0, 1.0)
+    x = sign * np.sqrt(1.0 - gap)
+    a = np.where(rng.random(d) < aligned, sign, -sign)
+    model = est.covariance_hypercube(x)
+    weighted = model.x / model.residual
+    terms = (np.abs(a) / model.residual
+             + np.abs(weighted) * abs(float(a @ weighted)) / (1.0 + model.alpha))
+    _qinv_gate(model, a, terms)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(2, 512), log_drift=st.floats(-2.0, 9.3), log_spread=st.floats(0.0, 12.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_qinv_ball_backward_error_at_extreme_drift(d, log_drift, log_spread, seed):
+    # 1 - ||x||^2 is about 2 / ||theta|| at the expected action, so drift 2e9
+    # puts it at 1e-9; the action is -theta/||theta|| tilted by 10^-log_spread
+    rng = make_rng(seed)
+    theta = rng.standard_normal(d)
+    theta *= 10.0**log_drift / np.linalg.norm(theta)
+    a = -theta / np.linalg.norm(theta) + 10.0**-log_spread * rng.standard_normal(d)
+    a /= np.linalg.norm(a)
+    model = est.covariance_ball(theta, d)
+    coeff = 1.0 / (1.0 - model.k) - (d - 1.0) / model.k
+    proj = float(a @ model.theta) / model.theta_norm**2
+    terms = (d - 1.0) / model.k * np.abs(a) + abs(coeff * proj) * np.abs(model.theta)
+    _qinv_gate(model, a, terms)
+
+
+# ---------------------------------------------------------------------------
 # loss estimation
 # ---------------------------------------------------------------------------
 

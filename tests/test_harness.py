@@ -421,6 +421,9 @@ def test_cli_bad_seed_override_exits_1_before_any_compute(tmp_path, capsys, monk
     ("--repeats=0", "--repeats: must be a positive integer, got '0'"),
     ("--repeats=+3", "--repeats: must be a positive integer, got '+3'"),
     ("--sets=hypercube,cube", "--sets[1]: must be 'hypercube' or 'ball', got 'cube'"),
+    ("--json=no_such_dir/bench.json",
+     "--json: must be a file in an existing directory, got 'no_such_dir/bench.json'"),
+    ("--json=.", "--json: must be a file in an existing directory, got '.'"),
 ])
 def test_cli_bad_bench_argument_exits_1_before_any_timing(capsys, monkeypatch, arg, fragment):
     def forbidden(*args, **kwargs):
@@ -437,7 +440,19 @@ def test_cli_bench_arguments(monkeypatch):
     assert cli_main(["bench", "--dims", " 4, 16", "--rounds", "64", "--repeats", "2",
                      "--sets", "ball", "--quiet"]) == 0
     assert calls == [{"dims": (4, 16), "kinds": ("ball",), "rounds": 64, "repeats": 2,
-                      "quiet": True}]
+                      "json_path": None, "quiet": True}]
+
+
+def test_cli_bench_json_writes_rows(tmp_path):
+    path = tmp_path / "bench.json"
+    assert cli_main(["bench", "--dims", "4,16", "--rounds", "8", "--repeats", "1",
+                     "--sets", "hypercube", "--json", str(path), "--quiet"]) == 0
+    report = json.loads(path.read_text())
+    assert (report["rounds"], report["repeats"]) == (8, 1)
+    rows = report["rows"]
+    assert [(r["set"], r["dimension"]) for r in rows] == [("hypercube", 4), ("hypercube", 16)]
+    assert rows[0]["ratio_4d"] == rows[1]["per_round_us"] / rows[0]["per_round_us"]
+    assert rows[1]["ratio_4d"] is None
 
 
 @pytest.mark.parametrize("argv,fragment", [
@@ -587,6 +602,34 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("case,scipy_loaded", [
+    ("run_scftpl", False), ("run_scribble", False), ("sample", False), ("bench", False),
+    ("sample_ball", True),
+])
+def test_hypercube_commands_leave_scipy_unloaded(tmp_path, case, scipy_loaded):
+    # hypercube laws are closed-form: only the ball's radial law and verify load scipy
+    algorithm = "scribble" if case == "run_scribble" else "scftpl"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base_config(horizon=50, seeds=[1, 2], out_dir=str(tmp_path),
+                                          algorithm=algorithm)))
+    out = str(tmp_path / "draws.csv")
+    argv = {
+        "run_scftpl": ["run", "--config", str(cfg), "--quiet"],
+        "run_scribble": ["run", "--config", str(cfg), "--quiet"],
+        "sample": ["sample", "--set", "hypercube", "--dimension", "3", "--out", out],
+        "bench": ["bench", "--sets", "hypercube", "--dims", "4", "--rounds", "8",
+                  "--repeats", "1", "--quiet"],
+        "sample_ball": ["sample", "--set", "ball", "--dimension", "3", "--out", out],
+    }[case]
+    code = ("import sys; from scbandits.cli import main; status = main(sys.argv[1:]); "
+            "print(status, 'scipy' in sys.modules, 'concurrent.futures.process' in sys.modules)")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": src})
+    # a one-chunk run starts no process pool, so it never imports one either
+    assert result.stdout.split() == ["0", str(scipy_loaded), "False"]
 
 
 def test_cli_missing_config_file_exits_1(tmp_path, capsys):

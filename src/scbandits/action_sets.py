@@ -15,6 +15,7 @@ O(d). All functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,14 +66,15 @@ class LocalNormContext:
     For the hypercube, ``diag`` holds the Hessian diagonal. For the ball,
     the Hessian is ``coeff_identity * I + coeff_outer * center center^T``.
     Positive definiteness is guaranteed by construction (diag > 0, resp.
-    coeff_identity > 0).
+    coeff_identity > 0). A context built at points with leading axes holds
+    one Hessian per point: the ball coefficients then carry those axes.
     """
 
     kind: str
     center: np.ndarray
     diag: np.ndarray | None = None
-    coeff_identity: float = 0.0
-    coeff_outer: float = 0.0
+    coeff_identity: float | np.ndarray = 0.0
+    coeff_outer: float | np.ndarray = 0.0
 
 
 def _as_vector(aset: ActionSetModel, x, name: str = "x") -> np.ndarray:
@@ -87,8 +89,8 @@ def _as_vector(aset: ActionSetModel, x, name: str = "x") -> np.ndarray:
 def interior_gap(aset: ActionSetModel, x: np.ndarray) -> float:
     """1 - max_i |x_i| (hypercube) or 1 - ||x|| (ball); positive iff interior."""
     if aset.kind == HYPERCUBE:
-        return float(1.0 - np.max(np.abs(x))) if aset.dimension else 1.0
-    return float(1.0 - np.linalg.norm(x))
+        return 1.0 - float(np.abs(x).max())
+    return 1.0 - math.sqrt(float(x @ x))  # rounds as np.linalg.norm does
 
 
 def _require_interior(aset: ActionSetModel, x: np.ndarray, name: str = "x") -> None:
@@ -169,11 +171,16 @@ def barrier_hessian(aset: ActionSetModel, x) -> LocalNormContext:
     """Hessian of the barrier at x, in O(d)-applicable form."""
     x = _as_vector(aset, x)
     _require_interior(aset, x)
+    return _barrier_hessian(aset, x)
+
+
+def _barrier_hessian(aset: ActionSetModel, x: np.ndarray) -> LocalNormContext:
+    """:func:`barrier_hessian` without the checks, vectorized over leading axes of x."""
     if aset.kind == HYPERCUBE:
         resid = 1.0 - x * x
         diag = 2.0 * (1.0 + x * x) / (resid * resid)
         return LocalNormContext(kind=HYPERCUBE, center=x, diag=diag)
-    resid = 1.0 - x @ x
+    resid = 1.0 - np.vecdot(x, x)
     return LocalNormContext(
         kind=BALL,
         center=x,
@@ -191,12 +198,13 @@ def hessian_matvec(ctx: LocalNormContext, v: np.ndarray) -> np.ndarray:
 
 
 def hessian_inv_matvec(ctx: LocalNormContext, v: np.ndarray) -> np.ndarray:
-    """Apply the inverse Hessian to v in O(d) (Sherman-Morrison for the ball)."""
+    """Apply the inverse Hessian to v in O(d) (Sherman-Morrison for the ball),
+    vectorized over leading axes shared by v and the context point."""
     if ctx.kind == HYPERCUBE:
         return v / ctx.diag
-    a, b, x = ctx.coeff_identity, ctx.coeff_outer, ctx.center
-    correction = b / (a * (a + b * (x @ x)))
-    return v / a - correction * (x @ v) * x
+    a, b, x = np.asarray(ctx.coeff_identity), ctx.coeff_outer, ctx.center
+    correction = b / (a * (a + b * np.vecdot(x, x)))
+    return v / a[..., None] - (correction * np.vecdot(x, v))[..., None] * x
 
 
 def dikin_pole(aset: ActionSetModel, x, index: int, sign: int) -> np.ndarray:
@@ -214,13 +222,20 @@ def dikin_pole(aset: ActionSetModel, x, index: int, sign: int) -> np.ndarray:
         raise ValueError(f"pole index must be in [0, {d}), got {index}")
     if sign not in (-1, 1):
         raise ValueError(f"pole sign must be +-1, got {sign}")
+    return _dikin_pole(aset, x, index, sign)
+
+
+def _dikin_pole(aset: ActionSetModel, x: np.ndarray, index: int, sign: int) -> np.ndarray:
+    """:func:`dikin_pole` without the checks."""
     if aset.kind == HYPERCUBE:
-        resid = 1.0 - x[index] * x[index]
-        scale = resid / np.sqrt(2.0 * (1.0 + x[index] * x[index]))
+        # Python floats round each operation as the numpy scalars would
+        x_i = float(x[index])
+        resid = 1.0 - x_i * x_i
         pole = x.copy()
-        pole[index] += sign * scale
+        pole[index] += sign * (resid / math.sqrt(2.0 * (1.0 + x_i * x_i)))
         return pole
-    norm_x = np.linalg.norm(x)
+    d = aset.dimension
+    norm_x = math.sqrt(float(x @ x))
     resid = 1.0 - norm_x * norm_x
     a = 2.0 / resid
     if norm_x == 0.0:
@@ -265,15 +280,19 @@ def conjugate_gradient(aset: ActionSetModel, theta) -> np.ndarray:
     ones go through the asymptotic branch, and the image is kept off the
     boundary by one float ulp.
     """
-    theta = _as_vector(aset, theta, "theta")
+    return _conjugate_gradient(aset, _as_vector(aset, theta, "theta"))
+
+
+def _conjugate_gradient(aset: ActionSetModel, theta: np.ndarray) -> np.ndarray:
+    """:func:`conjugate_gradient` without the checks."""
     if aset.kind == HYPERCUBE:
         big = np.abs(theta) > _CONJUGATE_OVERFLOW
-        if np.any(big):
+        if big.any():
             out = theta / (1.0 + np.sqrt(1.0 + np.where(big, 0.0, theta) ** 2))
             out[big] = np.sign(theta[big])
         else:
             out = theta / (1.0 + np.sqrt(1.0 + theta * theta))
-        return np.clip(out, -_INTERIOR_LIMIT, _INTERIOR_LIMIT)
+        return np.minimum(np.maximum(out, -_INTERIOR_LIMIT), _INTERIOR_LIMIT)
     scale = float(np.max(np.abs(theta), initial=0.0))
     if scale > _CONJUGATE_OVERFLOW:
         w = theta / scale

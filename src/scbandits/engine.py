@@ -15,7 +15,10 @@ unbiased loss-vector estimate back into the accumulator.
 The learner's randomness does not depend on its state, so each run draws
 it ahead of the rounds, in blocks whose rows follow the per-round stream
 order: a block is bit for bit the draws of its rounds taken one at a time,
-and the round loop itself is only the O(d) recurrence.
+and the round loop itself is only the O(d) recurrence. The Dikin-pole
+rounds call the geometry and estimator kernels shared with the module API,
+without its argument checks; the local norms and step violations of every
+run are computed after the loop, vectorized over rounds.
 The rounds of one seed are strictly sequential, but seeds are independent:
 :func:`run_seeds` runs the perturbed-leader recurrence for many seeds at
 once on (S, d) arrays and keeps only what the regret outputs read. Given
@@ -35,14 +38,16 @@ from .action_sets import (
     BALL,
     BoundaryError,
     HYPERCUBE,
-    barrier_hessian,
+    _barrier_hessian,
+    _conjugate_gradient,
+    _dikin_pole,
+    _require_interior,
     conjugate_gradient,
     conjugate_value,
-    dikin_pole,
+    hessian_inv_matvec,
 )
 from .environments import boundedness_violation
-from .estimation import (LOSS_SLACK, SINGULARITY_FLOOR, KFunctionCache, local_norm_sq,
-                         scribble_estimate)
+from .estimation import LOSS_SLACK, SINGULARITY_FLOOR, KFunctionCache, _scribble_estimate
 from .perturbations import round_noise, round_noise_blocks
 from .rng import block_rows
 
@@ -156,14 +161,39 @@ class AbortedRunError(RuntimeError):
         self.trace = trace
 
 
-def _record(trace: Trace, i: int, eta: float, x, action, scalar_loss: float, y_hat,
-            norm_sq: float) -> None:
-    trace.x[i] = x
-    trace.action[i] = action
-    trace.y_hat[i] = y_hat
-    trace.scalar_loss[i] = scalar_loss
-    trace.local_norm_sq[i] = norm_sq
-    trace.step_violation[i] = 2.0 * eta * math.sqrt(max(norm_sq, 0.0)) > 1.0
+# Elements per pass of the norm helper: bounds its temporaries to 32 KiB
+# each, so the pass after a run adds nothing to its peak memory at any d.
+_NORM_ELEMENTS = 1 << 12
+
+
+def _local_norms(aset: ActionSetModel, variant: str, eta: float, xs, y_hats):
+    """Local norms ||y_hat||_x^2 in the inverse-Hessian norm and step violations
+    2 eta ||y_hat||_x > 1 of rounds with expected actions ``xs`` and estimates
+    ``y_hats``, vectorized over their leading axes.
+
+    A perturbed-leader ball run keeps its own expansion of the norm,
+    ||y||^2 / a - c <x, y>^2; every other run applies the barrier Hessian's
+    inverse, as :func:`estimation.local_norm_sq` does.
+    """
+    if variant == SCFTPL and aset.kind == BALL:
+        x_sq = np.vecdot(xs, xs)
+        hess_a = 2.0 / (1.0 - x_sq)
+        hess_b = 4.0 / ((1.0 - x_sq) * (1.0 - x_sq))
+        correction = hess_b / (hess_a * (hess_a + hess_b * x_sq))
+        norm_sq = np.vecdot(y_hats, y_hats) / hess_a - correction * np.vecdot(xs, y_hats) ** 2
+    else:
+        norm_sq = np.vecdot(y_hats, hessian_inv_matvec(_barrier_hessian(aset, xs), y_hats))
+    return norm_sq, 2.0 * eta * np.sqrt(np.maximum(norm_sq, 0.0)) > 1.0
+
+
+def _with_norms(trace: Trace, aset: ActionSetModel, variant: str, eta: float) -> Trace:
+    """Fill ``local_norm_sq`` and ``step_violation`` of a trace whose other rows are written."""
+    step = max(1, _NORM_ELEMENTS // aset.dimension)
+    for lo in range(0, len(trace), step):
+        rows = slice(lo, lo + step)
+        trace.local_norm_sq[rows], trace.step_violation[rows] = _local_norms(
+            aset, variant, eta, trace.x[rows], trace.y_hat[rows])
+    return trace
 
 
 def _pole_draws(d: int, rng: np.random.Generator, n: int):
@@ -199,11 +229,12 @@ def run_scftpl(spec: AlgorithmSpec, losses, rng: np.random.Generator,
 
     The perturbations do not depend on the learner's state, so
     :func:`perturbations.round_noise` draws them ahead of the rounds, in
-    blocks whose rows follow the per-round stream order. The round body is
-    written inline so each round costs a handful of O(d) vector operations;
-    the expressions mirror the module-level operations (linear_minimizer,
-    conjugate_gradient, covariance/apply, local norms) and the test suite
-    pins the agreement.
+    blocks whose rows follow the per-round stream order. Each round is a
+    handful of O(d) vector operations that play and estimate; the local
+    norms and step violations are computed after the loop, vectorized over
+    rounds. The test suite pins the rounds against the module-level
+    operations (linear_minimizer, conjugate_gradient, covariance/apply,
+    local norms).
     """
     if spec.variant != SCFTPL:
         raise ValueError("run_scftpl requires a perturbed-leader spec")
@@ -241,16 +272,16 @@ def _run_scftpl_hypercube(aset, losses, eta, rng) -> Trace:
         if residual.min() < SINGULARITY_FLOOR:
             raise AbortedRunError(
                 f"round {t}: expected action within {SINGULARITY_FLOOR:g} of a vertex; "
-                f"covariance numerically singular", trace.head(t - 1))
+                f"covariance numerically singular",
+                _with_norms(trace.head(t - 1), aset, SCFTPL, eta))
         weighted = x / residual
         alpha = float(x @ weighted)
         cross = float(action @ weighted)
         y_hat = (action / residual - weighted * (cross / (1.0 + alpha))) * scalar_loss
-        hess_diag = 2.0 * (1.0 + x * x) / (residual * residual)
-        norm_sq = float(y_hat @ (y_hat / hess_diag))
-        _record(trace, t - 1, eta, x, action, scalar_loss, y_hat, norm_sq)
+        trace.x[t - 1], trace.action[t - 1], trace.y_hat[t - 1] = x, action, y_hat
+        trace.scalar_loss[t - 1] = scalar_loss
         y_hat_cum = y_hat_cum + y_hat
-    return trace
+    return _with_norms(trace, aset, SCFTPL, eta)
 
 
 def _run_scftpl_ball(aset, losses, eta, rng, k_cache) -> Trace:
@@ -278,18 +309,15 @@ def _run_scftpl_ball(aset, losses, eta, rng, k_cache) -> Trace:
             coeff = 1.0 / (1.0 - k) - (d - 1.0) / k
             proj = float(action @ theta) / (theta_norm * theta_norm)
             y_hat = ((d - 1.0) / k * action + (coeff * proj) * theta) * scalar_loss
-        x_sq = float(x @ x)
-        if 1.0 - x_sq < SINGULARITY_FLOOR:
+        if 1.0 - float(x @ x) < SINGULARITY_FLOOR:
             raise AbortedRunError(
                 f"round {t}: expected action within {SINGULARITY_FLOOR:g} of the sphere; "
-                f"local geometry numerically singular", trace.head(t - 1))
-        hess_a = 2.0 / (1.0 - x_sq)
-        hess_b = 4.0 / ((1.0 - x_sq) * (1.0 - x_sq))
-        correction = hess_b / (hess_a * (hess_a + hess_b * x_sq))
-        norm_sq = float(y_hat @ y_hat) / hess_a - correction * float(x @ y_hat) ** 2
-        _record(trace, t - 1, eta, x, action, scalar_loss, y_hat, norm_sq)
+                f"local geometry numerically singular",
+                _with_norms(trace.head(t - 1), aset, SCFTPL, eta))
+        trace.x[t - 1], trace.action[t - 1], trace.y_hat[t - 1] = x, action, y_hat
+        trace.scalar_loss[t - 1] = scalar_loss
         y_hat_cum = y_hat_cum + y_hat
-    return trace
+    return _with_norms(trace, aset, SCFTPL, eta)
 
 
 def run_scribble(spec: AlgorithmSpec, losses, rng: np.random.Generator) -> Trace:
@@ -297,7 +325,11 @@ def run_scribble(spec: AlgorithmSpec, losses, rng: np.random.Generator) -> Trace
 
     Per round this consumes one integer draw selecting among the 2d poles
     (index i = draw % d, sign +1 iff draw < d); the draws are taken ahead of
-    the rounds, in blocks, in the same stream order.
+    the rounds, in blocks, in the same stream order. A round checks once that
+    its expected action is interior and then calls the geometry and
+    estimator kernels that the module-level operations (conjugate_gradient,
+    dikin_pole, barrier_hessian, scribble_estimate) wrap in their argument
+    checks; the local norms are computed after the loop.
     """
     if spec.variant != SCRIBBLE:
         raise ValueError("run_scribble requires a Dikin-pole spec")
@@ -310,20 +342,19 @@ def run_scribble(spec: AlgorithmSpec, losses, rng: np.random.Generator) -> Trace
     y_hat_cum = np.zeros(d)
     trace = Trace.empty(n, d)
     for t, draw in zip(range(1, n + 1), _pole_draws(d, rng, n)):
-        theta = -eta * y_hat_cum
-        x = conjugate_gradient(aset, theta)
-        index, sign = draw % d, (1 if draw < d else -1)
+        x = _conjugate_gradient(aset, -eta * y_hat_cum)
         try:
-            action = dikin_pole(aset, x, index, sign)
-            ctx = barrier_hessian(aset, x)
+            _require_interior(aset, x)
         except BoundaryError as exc:
-            raise AbortedRunError(f"round {t}: {exc}", trace.head(t - 1)) from exc
+            raise AbortedRunError(f"round {t}: {exc}",
+                                  _with_norms(trace.head(t - 1), aset, SCRIBBLE, eta)) from exc
+        action = _dikin_pole(aset, x, draw % d, 1 if draw < d else -1)
         scalar_loss = float(losses[t - 1] @ action)
-        y_hat = scribble_estimate(aset, x, action, scalar_loss, ctx=ctx)
-        norm_sq = local_norm_sq(ctx, y_hat, inverse=True)
-        _record(trace, t - 1, eta, x, action, scalar_loss, y_hat, norm_sq)
+        y_hat = _scribble_estimate(d, _barrier_hessian(aset, x), x, action, scalar_loss)
+        trace.x[t - 1], trace.action[t - 1], trace.y_hat[t - 1] = x, action, y_hat
+        trace.scalar_loss[t - 1] = scalar_loss
         y_hat_cum = y_hat_cum + y_hat
-    return trace
+    return _with_norms(trace, aset, SCRIBBLE, eta)
 
 
 def run(spec: AlgorithmSpec, losses, rng: np.random.Generator,
@@ -384,10 +415,10 @@ def _raise_first_abort(spec, losses, snapshots, competitor, k_cache, first: int)
     raise RuntimeError(f"seed {first} aborted in a batch but not alone")
 
 
-def _block_outputs(eta, losses_block, competitor, actions, norm_sq):
+def _block_outputs(aset, eta, losses_block, competitor, xs, actions, y_hats):
     """Regret increments (m, S) and step violations (S,) of a block of batched rounds."""
     increments = np.vecdot(losses_block[:, None, :], actions - competitor)
-    violated = 2.0 * eta * np.sqrt(np.maximum(norm_sq, 0.0)) > 1.0
+    _, violated = _local_norms(aset, SCFTPL, eta, xs, y_hats)
     return increments, violated.sum(axis=0)
 
 
@@ -418,10 +449,8 @@ def _seeds_scftpl_hypercube(aset, losses, eta, rngs, competitor):
             xs[i], actions[i], y_hats[i] = x, action, y_hat
             y_hat_cum = y_hat_cum + y_hat
         m = len(xi_block)
-        residual = 1.0 - xs * xs
-        hess_diag = 2.0 * (1.0 + xs * xs) / (residual * residual)
         increments[t0:t0 + m], counts = _block_outputs(
-            eta, losses[t0:t0 + m], competitor, actions, np.vecdot(y_hats, y_hats / hess_diag))
+            aset, eta, losses[t0:t0 + m], competitor, xs, actions, y_hats)
         violations += counts
         t0 += m
     return increments, violations
@@ -463,13 +492,8 @@ def _seeds_scftpl_ball(aset, losses, eta, rngs, competitor, k_cache):
             xs[i], actions[i], y_hats[i] = x, action, y_hat
             y_hat_cum = y_hat_cum + y_hat
         m = len(xi_block)
-        x_sq = np.vecdot(xs, xs)
-        hess_a = 2.0 / (1.0 - x_sq)
-        hess_b = 4.0 / ((1.0 - x_sq) * (1.0 - x_sq))
-        correction = hess_b / (hess_a * (hess_a + hess_b * x_sq))
-        norm_sq = np.vecdot(y_hats, y_hats) / hess_a - correction * np.vecdot(xs, y_hats) ** 2
         increments[t0:t0 + m], counts = _block_outputs(
-            eta, losses[t0:t0 + m], competitor, actions, norm_sq)
+            aset, eta, losses[t0:t0 + m], competitor, xs, actions, y_hats)
         violations += counts
         t0 += m
     return increments, violations

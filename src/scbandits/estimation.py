@@ -326,7 +326,7 @@ def k_function_ball(x: float, d: int) -> float:
 
     Cost: about 400 integrand evaluations per value, each one scalar
     incomplete beta for p_V plus one 64-node dot product or a short
-    recursion for J; roughly 2.5 ms per value at d=5 on one core of a
+    recursion for J; roughly 1.4 ms per value at d=5 on one core of a
     shared 2-core x86_64 host. Contract: speed work on the integrand must
     leave every value bit-identical; tests pin float.hex of grid nodes.
     """
@@ -380,8 +380,8 @@ class KFunctionCache:
     rebuilding.
 
     Building costs one :func:`k_function_ball` value per node: a ball run at
-    d=5, n=2e4 prebuilds 264 nodes (x up to 90.8) in about 0.65 s on one
-    core of a 2-core x86_64 host. Node values are bit-identical for every
+    d=5, n=2e4 prebuilds 264 nodes (x up to 90.8) in about 0.35-0.4 s on
+    one core of a 2-core x86_64 host. Node values are bit-identical for every
     build at the same d; tests pin them.
     """
 
@@ -435,9 +435,15 @@ def scribble_estimate(aset: ActionSetModel, x, action, observed_loss,
         raise ValueError(f"observed loss must lie in [-1, 1], got {observed_loss!r}")
     if ctx is None:
         ctx = barrier_hessian(aset, x)
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(action, dtype=float)
-    return aset.dimension * loss[..., None] * hessian_matvec(ctx, a - x)
+    return _scribble_estimate(aset.dimension, ctx, np.asarray(x, dtype=float),
+                              np.asarray(action, dtype=float), loss[..., None])
+
+
+def _scribble_estimate(d: int, ctx: LocalNormContext, x: np.ndarray, action: np.ndarray,
+                       loss) -> np.ndarray:
+    """:func:`scribble_estimate` without the checks; ``loss`` is a float, or an
+    array broadcasting against ``action``."""
+    return d * loss * hessian_matvec(ctx, action - x)
 
 
 def local_norm_sq(ctx: LocalNormContext, v, inverse: bool = False) -> float:

@@ -351,23 +351,31 @@ def cmd_run(config: ExperimentConfig, quiet: bool = False) -> RegretTrace:
     return trace
 
 
+def _float_rows(*columns):
+    """The rows of equal-length float arrays as tuples of Python floats,
+    converted by ``tolist`` a bounded number of rows at a time."""
+    for lo in range(0, len(columns[0]), 1024):
+        yield from zip(*(column[lo:lo + 1024].tolist() for column in columns))
+
+
 def _format_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
+    """Comma-separated ``repr`` of Python floats."""
+    return ",".join(map(repr, values))
 
 
 def _write_outputs(config: ExperimentConfig, trace: RegretTrace, curves: np.ndarray) -> None:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["t,mean_regret,se,bound"]
-    for i in range(config.horizon):
-        lines.append(f"{i + 1}," + _format_row((trace.mean_regret[i], trace.se[i], trace.bound[i])))
+    rows = _float_rows(trace.mean_regret, trace.se, trace.bound)
+    lines.extend(f"{t}," + _format_row(row) for t, row in enumerate(rows, 1))
     (out_dir / f"{config.label}.csv").write_text("\n".join(lines) + "\n")
 
     if config.write_per_seed:
         for seed, curve in zip(config.seeds, curves):
-            rows = ["t,regret"]
-            rows.extend(f"{i + 1},{float(curve[i])!r}" for i in range(config.horizon))
-            (out_dir / f"{config.label}_seed{seed}.csv").write_text("\n".join(rows) + "\n")
+            lines = ["t,regret"]
+            lines.extend(f"{t},{value!r}" for t, (value,) in enumerate(_float_rows(curve), 1))
+            (out_dir / f"{config.label}_seed{seed}.csv").write_text("\n".join(lines) + "\n")
 
     summary = {
         "label": config.label,
@@ -496,6 +504,6 @@ def cmd_sample(set_kind: str, dimension: int, count: int, seed: int,
     path.parent.mkdir(parents=True, exist_ok=True)
     header = ",".join(f"xi_{i + 1}" for i in range(dimension))
     lines = [header]
-    lines.extend(_format_row(row) for row in np.atleast_2d(draws))
+    lines.extend(_format_row(row) for row in _float_rows(*np.atleast_2d(draws).T))
     path.write_text("\n".join(lines) + "\n")
     return path

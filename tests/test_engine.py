@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from unittest import mock
@@ -172,13 +173,19 @@ def test_scftpl_ball_matches_module_replay():
 
 
 def test_scribble_matches_module_replay():
-    d, n = 2, 50
-    aset = geom.hypercube(d)
-    losses = cube_losses(d, n, seed=12)
+    for kind in (geom.HYPERCUBE, geom.BALL):
+        for d in (1, 2, 5):
+            _assert_scribble_replays_module_ops(kind, d)
+
+
+def _assert_scribble_replays_module_ops(kind, d):
+    n = 50
+    aset = geom.ActionSetModel(dimension=d, kind=kind)
+    losses = generate(AdversarySpec(kind="seeded_random", geometry=kind, seed=12), d, n)
     spec = engine.AlgorithmSpec(variant=engine.SCRIBBLE, action_set=aset, learning_rate=0.1)
     trace = engine.run(spec, losses, make_rng(57))
 
-    rng = make_rng(57)
+    rng = make_rng(57)  # identical stream, replayed through the checked public ops
     y_cum = np.zeros(d)
     for t in range(1, n + 1):
         theta = -0.1 * y_cum
@@ -187,10 +194,31 @@ def test_scribble_matches_module_replay():
         index, sign = draw % d, (1 if draw < d else -1)
         action = geom.dikin_pole(aset, x, index, sign)
         scalar = float(losses[t - 1] @ action)
+        ctx = geom.barrier_hessian(aset, x)
         y_hat = est.scribble_estimate(aset, x, action, scalar)
+        assert np.array_equal(trace.x[t - 1], x)
         assert np.array_equal(trace.action[t - 1], action)
-        assert np.allclose(trace.y_hat[t - 1], y_hat, rtol=1e-12)
-        y_cum = y_cum + trace.y_hat[t - 1]
+        assert trace.scalar_loss[t - 1] == scalar
+        assert np.array_equal(trace.y_hat[t - 1], y_hat)
+        assert trace.local_norm_sq[t - 1] == est.local_norm_sq(ctx, y_hat, inverse=True)
+        y_cum = y_cum + y_hat
+
+
+@pytest.mark.parametrize("kind", [geom.HYPERCUBE, geom.BALL])
+def test_scribble_rounds_skip_the_argument_checks(kind):
+    # a round checks its expected action once and calls the unchecked
+    # kernels, so the checked entry points' vector validation never runs
+    # per round
+    aset = geom.ActionSetModel(dimension=3, kind=kind)
+    spec = engine.AlgorithmSpec(variant=engine.SCRIBBLE, action_set=aset)
+
+    def checks_in_run(n):
+        losses = generate(AdversarySpec(kind="seeded_random", geometry=kind, seed=4), 3, n)
+        with mock.patch.object(geom, "_as_vector", wraps=geom._as_vector) as counted:
+            engine.run(spec, losses, make_rng(71))
+        return counted.call_count
+
+    assert checks_in_run(10) == checks_in_run(200)
 
 
 # ---------------------------------------------------------------------------
@@ -503,24 +531,45 @@ def test_bregman_diagnostic_bounds(kind):
 # aborted runs
 # ---------------------------------------------------------------------------
 
-def test_aborted_run_carries_partial_trace():
+_ABORTING_RUNS = [
     # an absurd learning rate drives the expected action into a vertex
     # (residual 1 - x^2 ~ 2/(eta * t) for the constant loss, so eta = 1e9
     # crosses the 1e-10 singularity floor within ~20 rounds)
-    d = 1
-    losses = cube_losses(d, 100, kind="fixed_vector", base=(1.0,))
-    spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=geom.hypercube(d),
-                                learning_rate=1e9)
+    (geom.HYPERCUBE, engine.SCFTPL, 1, {"kind": "fixed_vector", "base": (1.0,)}, 1e9, 66,
+     None),
+    (geom.BALL, engine.SCFTPL, 2, {"kind": "seeded_random", "seed": 3}, 1e8, 2,
+     "round 52: expected action within 1e-10 of the sphere; "
+     "local geometry numerically singular"),
+    # the Dikin-pole run keeps the message of the interior check it shares
+    # with the module-level barrier operations
+    (geom.HYPERCUBE, engine.SCRIBBLE, 1, {"kind": "fixed_vector", "base": (1.0,)}, 10.0, 66,
+     "round 14: x is within 1e-12 of the boundary of the hypercube (gap=1.543e-13); "
+     "barrier operations need a strictly interior point"),
+]
+
+
+def test_aborted_run_carries_partial_trace():
+    for case in _ABORTING_RUNS:
+        _assert_abort_keeps_cut_run(*case)
+
+
+def _assert_abort_keeps_cut_run(kind, variant, d, adversary, rate, seed, message):
+    losses = generate(AdversarySpec(geometry=kind, **adversary), d, 100)
+    spec = engine.AlgorithmSpec(variant=variant, learning_rate=rate,
+                                action_set=geom.ActionSetModel(dimension=d, kind=kind))
     with pytest.raises(engine.AbortedRunError) as info:
-        engine.run(spec, losses, make_rng(66))
+        engine.run(spec, losses, make_rng(seed))
     trace = info.value.trace
     assert 1 <= len(trace) < 100
     assert trace.x.shape == (len(trace), d)
-    # the rows kept are the rounds played before the abort, identical to a
-    # run cut to that horizon at a learning rate fixed to the same value
-    cut = engine.run(spec, losses[:len(trace)], make_rng(66))
-    assert np.array_equal(trace.action, cut.action)
-    assert np.array_equal(trace.y_hat, cut.y_hat)
+    if message is not None:
+        assert str(info.value) == message
+    # the rows kept are the rounds played before the abort, every field
+    # filled, identical to a run cut to that horizon at a learning rate
+    # fixed to the same value
+    cut = engine.run(spec, losses[:len(trace)], make_rng(seed))
+    for field in dataclasses.fields(engine.Trace):
+        assert np.array_equal(getattr(trace, field.name), getattr(cut, field.name)), field.name
 
 
 def test_loss_normalization_is_enforced():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from scbandits import action_sets as geom
@@ -237,6 +239,28 @@ def test_replication_hypercube_closed_form():
     expected = np.array([math.sqrt(2.0) - 1.0, -(math.sqrt(5.0) - 1.0) / 2.0])
     assert np.allclose(report.target, expected, atol=1e-12)
     assert report.max_sigma <= 4.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(1, 4096), seed=st.integers(0, 2**32 - 1),
+       top=st.integers(0, 300), pinned=st.sampled_from(
+           [0.0, 1.0, 2e10, 1e150, 1.0000000000000002e150, 1.35e154, 1e300]))
+def test_replication_hypercube_identity_at_extreme_drift(d, seed, top, pinned):
+    # conjugate_gradient(theta) = E[grad_support(theta + xi)] = 1 - 2 F(-theta)
+    # per coordinate, for |theta_i| log-uniform up to 10^top: through the
+    # asymptotic branch above 1e150 (t^2 overflows from 1.34e154), and
+    # around 2e10, where 1 - x_i^2 nears the engine's 1e-10 abort floor. Both sides evaluate t / (1 + sqrt(1 + t^2))
+    # with the same roundings, so they differ only by the roundings of
+    # 1/2 - g/2 and 1 - 2F and by conjugate_gradient's one-ulp saturation
+    # below 1: at most 2^-54 + 2^-53 + 2^-53 < 2 eps.
+    rng = make_rng(seed)
+    theta = rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(-top, top, d)
+    theta[0] = pinned
+    theta[-1] = -pinned
+    x = geom.conjugate_gradient(geom.hypercube(d), theta)
+    replicated = 1.0 - 2.0 * pert.cdf_hypercube_marginal(-theta)
+    assert np.max(np.abs(x - replicated)) <= 2.0 * np.finfo(float).eps
+    assert np.all(np.abs(x) < 1.0)
 
 
 def test_replication_ball_closed_form():

@@ -7,7 +7,7 @@ harness with a CLI.
 """
 
 from .action_sets import ActionSetModel, BALL, HYPERCUBE, ball, hypercube
-from .engine import SCFTPL, SCRIBBLE, AlgorithmSpec, Trace, run, run_scftpl, run_scribble
+from .engine import SCFTPL, SCRIBBLE, AlgorithmSpec, Trace, run, run_seeds
 from .environments import AdversarySpec, best_in_hindsight, generate
 from .rng import make_rng
 
@@ -26,8 +26,7 @@ __all__ = [
     "hypercube",
     "make_rng",
     "run",
-    "run_scftpl",
-    "run_scribble",
+    "run_seeds",
 ]
 
 __version__ = "0.1.0"

@@ -12,17 +12,19 @@ unbiased loss-vector estimate back into the accumulator.
   of the Dikin ellipsoid at the expected action, chosen uniformly, and the
   estimate is d * H(x) (A - x) times the scalar loss.
 
-The learner's randomness does not depend on its state, so each run draws
-it ahead of the rounds, in blocks whose rows follow the per-round stream
-order: a block is bit for bit the draws of its rounds taken one at a time,
-and the round loop itself is only the O(d) recurrence. The Dikin-pole
-rounds call the geometry and estimator kernels shared with the module API,
-without its argument checks; the local norms and step violations of every
-run are computed after the loop, vectorized over rounds.
-The rounds of one seed are strictly sequential, but seeds are independent:
+The engine has two entries: :func:`run` plays one seed into a
+:class:`Trace`, and :func:`run_seeds` plays many, keeping only what the
+regret outputs read. The learner's randomness does not depend on its
+state, so each run draws it ahead of the rounds, in blocks whose rows
+follow the per-round stream order: a block is bit for bit the draws of its
+rounds taken one at a time, and the round loop itself is only the O(d)
+recurrence. The Dikin-pole rounds call the geometry and estimator kernels
+shared with the module API, without its argument checks; the local norms
+and step violations of every run are computed after the loop, vectorized
+over rounds. The rounds of one seed are strictly sequential, but seeds are independent:
 :func:`run_seeds` runs the perturbed-leader recurrence for many seeds at
-once on (S, d) arrays and keeps only what the regret outputs read. Given
-(seed, config, losses) a run is bit-reproducible, however seeds are batched.
+once on (S, d) arrays and the Dikin-pole seeds one by one. Given (seed,
+config, losses) a run is bit-reproducible, however seeds are batched.
 """
 
 from __future__ import annotations
@@ -100,13 +102,15 @@ def k_cache_for(spec: AlgorithmSpec, horizon: int) -> KFunctionCache | None:
     """The K grid a perturbed-leader ball run over ``horizon`` rounds reads, or None.
 
     It is prebuilt past the drift norm an aligned adversary can reach
-    (eta * n), so a run rarely extends it; other runs read no K.
+    (eta * n), so a run rarely extends it, but not past 2 / SINGULARITY_FLOOR:
+    1 - ||x||^2 = 2 / (1 + sqrt(1 + ||theta||^2)), so a round at a larger
+    drift aborts before it looks K up. Other runs read no K.
     """
     aset = spec.action_set
     if spec.variant != SCFTPL or aset.kind != BALL or aset.dimension < 2:
         return None
     reach = max(8.0, 1.25 * resolve_learning_rate(spec, horizon) * horizon)
-    return KFunctionCache(aset.dimension, x_max=reach)
+    return KFunctionCache(aset.dimension, x_max=min(reach, 2.0 / SINGULARITY_FLOOR))
 
 
 def theoretical_bound(set_kind: str, d: int, horizon: int) -> np.ndarray:
@@ -219,61 +223,77 @@ def _check_losses(aset: ActionSetModel, losses) -> np.ndarray:
     return losses
 
 
-def run_scftpl(spec: AlgorithmSpec, losses, rng: np.random.Generator,
-               k_cache: KFunctionCache | None = None) -> Trace:
-    """Run the perturbed-leader algorithm against an oblivious loss sequence.
+def run(spec: AlgorithmSpec, losses, rng: np.random.Generator,
+        k_cache: KFunctionCache | None = None) -> Trace:
+    """Run the spec's algorithm against an oblivious loss sequence.
 
-    ``losses`` is an (n, d) array fixed before the run. ``k_cache`` may be
-    shared across runs (read-only here apart from extension); omitted, a
-    ball run builds ``k_cache_for(spec, n)``.
+    ``losses`` is an (n, d) array fixed before the run. ``k_cache`` is read
+    only by a perturbed-leader ball run and may be shared across runs
+    (read-only here apart from extension); omitted, that run builds
+    ``k_cache_for(spec, n)``.
 
-    The perturbations do not depend on the learner's state, so
-    :func:`perturbations.round_noise` draws them ahead of the rounds, in
-    blocks whose rows follow the per-round stream order. Each round is a
-    handful of O(d) vector operations that play and estimate; the local
-    norms and step violations are computed after the loop, vectorized over
-    rounds. The test suite pins the rounds against the module-level
-    operations (linear_minimizer, conjugate_gradient, covariance/apply,
-    local norms).
+    This is the one prologue (loss check, learning rate, K grid) and the one
+    place that fills the local norms and step violations, after the loop and
+    vectorized over rounds, or turns an abort into an ``AbortedRunError``
+    carrying the rounds before it. The perturbations
+    (:func:`perturbations.round_noise`) and Dikin-pole indices
+    (:func:`_pole_draws`: index draw % d, sign +1 iff draw < d) are drawn
+    ahead of the rounds in per-round stream order. A round writes x,
+    action, y_hat and scalar_loss by O(d) vector operations, or by the
+    unchecked kernels that the module-level operations (conjugate_gradient,
+    dikin_pole, barrier_hessian, scribble_estimate) wrap; the tests pin the
+    rounds against those operations.
     """
-    if spec.variant != SCFTPL:
-        raise ValueError("run_scftpl requires a perturbed-leader spec")
+    aset = spec.action_set
+    losses, eta, k_cache = _prologue(spec, losses, k_cache)
+    trace = Trace.empty(*losses.shape)
+    with np.errstate(over="ignore"):  # an overflowing theta^2 aborts its round
+        if spec.variant == SCRIBBLE:
+            abort = _scribble_rounds(aset, losses, eta, rng, trace)
+        elif aset.kind == BALL:
+            abort = _scftpl_ball_rounds(aset, losses, eta, rng, trace, k_cache)
+        else:
+            abort = _scftpl_hypercube_rounds(aset, losses, eta, rng, trace)
+    if abort is not None:
+        t, reason = abort
+        raise AbortedRunError(f"round {t}: {reason}",
+                              _with_norms(trace.head(t - 1), aset, spec.variant, eta))
+    return _with_norms(trace, aset, spec.variant, eta)
+
+
+def _prologue(spec: AlgorithmSpec, losses, k_cache: KFunctionCache | None):
+    """The checked (n, d) losses, the learning rate and the K grid (or None) of a run."""
     aset = spec.action_set
     losses = _check_losses(aset, losses)
     n = losses.shape[0]
-    d = aset.dimension
-    eta = resolve_learning_rate(spec, n)
-    if aset.kind == BALL:
-        return _run_scftpl_ball(aset, losses, eta, rng, _ball_k_cache(spec, n, k_cache))
-    return _run_scftpl_hypercube(aset, losses, eta, rng)
-
-
-def _ball_k_cache(spec: AlgorithmSpec, n: int, k_cache: KFunctionCache | None):
-    """The K grid a perturbed-leader ball run reads: the one given, checked, or a new one."""
     if k_cache is None:
-        return k_cache_for(spec, n)
-    if k_cache.d != spec.action_set.dimension:
-        raise ValueError(f"K cache was built for d={k_cache.d}, "
-                         f"run targets d={spec.action_set.dimension}")
-    return k_cache
+        k_cache = k_cache_for(spec, n)
+    elif k_cache.d != aset.dimension:
+        raise ValueError(f"K cache was built for d={k_cache.d}, run targets d={aset.dimension}")
+    return losses, resolve_learning_rate(spec, n), k_cache
 
 
-def _run_scftpl_hypercube(aset, losses, eta, rng) -> Trace:
+# Each *_rounds loop writes one run's rounds into ``trace`` and returns None,
+# or the round t and the reason of an abort. Where theta^2 would overflow
+# (|theta| > 1.34e154) x would round to 0, so a perturbed-leader round caps
+# it at the largest double on the hypercube, which puts |x_i| at or past 1,
+# and aborts on an infinite ||theta||^2 on the ball.
+_FLOAT_MAX = np.finfo(float).max
+
+
+def _scftpl_hypercube_rounds(aset, losses, eta, rng, trace):
     n, d = losses.shape
     y_hat_cum = np.zeros(d)
-    trace = Trace.empty(n, d)
     for t, xi in zip(range(1, n + 1), round_noise(aset, rng, n)):
         theta = -eta * y_hat_cum
-        # argmin_a <a, eta Yhat - xi> = sign(theta + xi) coordinatewise (+1 at ties)
-        action = np.where(theta + xi >= 0.0, 1.0, -1.0)
-        x = theta / (1.0 + np.sqrt(1.0 + theta * theta))
-        scalar_loss = float(losses[t - 1] @ action)
+        x = theta / (1.0 + np.sqrt(1.0 + np.minimum(theta * theta, _FLOAT_MAX)))
         residual = 1.0 - x * x
         if residual.min() < SINGULARITY_FLOOR:
-            raise AbortedRunError(
-                f"round {t}: expected action within {SINGULARITY_FLOOR:g} of a vertex; "
-                f"covariance numerically singular",
-                _with_norms(trace.head(t - 1), aset, SCFTPL, eta))
+            return t, (f"expected action within {SINGULARITY_FLOOR:g} of a vertex; "
+                       f"covariance numerically singular")
+        # argmin_a <a, eta Yhat - xi> = sign(theta + xi) coordinatewise (+1 at ties)
+        action = np.where(theta + xi >= 0.0, 1.0, -1.0)
+        scalar_loss = float(losses[t - 1] @ action)
         weighted = x / residual
         alpha = float(x @ weighted)
         cross = float(action @ weighted)
@@ -281,16 +301,20 @@ def _run_scftpl_hypercube(aset, losses, eta, rng) -> Trace:
         trace.x[t - 1], trace.action[t - 1], trace.y_hat[t - 1] = x, action, y_hat
         trace.scalar_loss[t - 1] = scalar_loss
         y_hat_cum = y_hat_cum + y_hat
-    return _with_norms(trace, aset, SCFTPL, eta)
+    return None
 
 
-def _run_scftpl_ball(aset, losses, eta, rng, k_cache) -> Trace:
+def _scftpl_ball_rounds(aset, losses, eta, rng, trace, k_cache):
     n, d = losses.shape
     y_hat_cum = np.zeros(d)
-    trace = Trace.empty(n, d)
     for t, xi in zip(range(1, n + 1), round_noise(aset, rng, n)):
         theta = -eta * y_hat_cum
         theta_norm = math.sqrt(float(theta @ theta))
+        norm_sq = theta_norm * theta_norm
+        x = theta / (1.0 + math.sqrt(1.0 + norm_sq))
+        if 1.0 - float(x @ x) < SINGULARITY_FLOOR or norm_sq == math.inf:
+            return t, (f"expected action within {SINGULARITY_FLOOR:g} of the sphere; "
+                       f"local geometry numerically singular")
         drifted = theta + xi
         drift_norm = math.sqrt(float(drifted @ drifted))
         if drift_norm > 0.0:
@@ -298,7 +322,6 @@ def _run_scftpl_ball(aset, losses, eta, rng, k_cache) -> Trace:
         else:
             action = np.zeros(d)
             action[0] = 1.0
-        x = theta / (1.0 + math.sqrt(1.0 + theta_norm * theta_norm))
         scalar_loss = float(losses[t - 1] @ action)
         if d == 1:
             y_hat = action * scalar_loss
@@ -307,62 +330,30 @@ def _run_scftpl_ball(aset, losses, eta, rng, k_cache) -> Trace:
         else:
             k = k_cache(theta_norm)
             coeff = 1.0 / (1.0 - k) - (d - 1.0) / k
-            proj = float(action @ theta) / (theta_norm * theta_norm)
+            proj = float(action @ theta) / norm_sq
             y_hat = ((d - 1.0) / k * action + (coeff * proj) * theta) * scalar_loss
-        if 1.0 - float(x @ x) < SINGULARITY_FLOOR:
-            raise AbortedRunError(
-                f"round {t}: expected action within {SINGULARITY_FLOOR:g} of the sphere; "
-                f"local geometry numerically singular",
-                _with_norms(trace.head(t - 1), aset, SCFTPL, eta))
         trace.x[t - 1], trace.action[t - 1], trace.y_hat[t - 1] = x, action, y_hat
         trace.scalar_loss[t - 1] = scalar_loss
         y_hat_cum = y_hat_cum + y_hat
-    return _with_norms(trace, aset, SCFTPL, eta)
+    return None
 
 
-def run_scribble(spec: AlgorithmSpec, losses, rng: np.random.Generator) -> Trace:
-    """Run the Dikin-pole algorithm against an oblivious loss sequence.
-
-    Per round this consumes one integer draw selecting among the 2d poles
-    (index i = draw % d, sign +1 iff draw < d); the draws are taken ahead of
-    the rounds, in blocks, in the same stream order. A round checks once that
-    its expected action is interior and then calls the geometry and
-    estimator kernels that the module-level operations (conjugate_gradient,
-    dikin_pole, barrier_hessian, scribble_estimate) wrap in their argument
-    checks; the local norms are computed after the loop.
-    """
-    if spec.variant != SCRIBBLE:
-        raise ValueError("run_scribble requires a Dikin-pole spec")
-    aset = spec.action_set
-    losses = _check_losses(aset, losses)
-    n = losses.shape[0]
-    eta = resolve_learning_rate(spec, n)
-    d = aset.dimension
-
+def _scribble_rounds(aset, losses, eta, rng, trace):
+    n, d = losses.shape
     y_hat_cum = np.zeros(d)
-    trace = Trace.empty(n, d)
     for t, draw in zip(range(1, n + 1), _pole_draws(d, rng, n)):
         x = _conjugate_gradient(aset, -eta * y_hat_cum)
         try:
             _require_interior(aset, x)
         except BoundaryError as exc:
-            raise AbortedRunError(f"round {t}: {exc}",
-                                  _with_norms(trace.head(t - 1), aset, SCRIBBLE, eta)) from exc
+            return t, str(exc)
         action = _dikin_pole(aset, x, draw % d, 1 if draw < d else -1)
         scalar_loss = float(losses[t - 1] @ action)
         y_hat = _scribble_estimate(d, _barrier_hessian(aset, x), x, action, scalar_loss)
         trace.x[t - 1], trace.action[t - 1], trace.y_hat[t - 1] = x, action, y_hat
         trace.scalar_loss[t - 1] = scalar_loss
         y_hat_cum = y_hat_cum + y_hat
-    return _with_norms(trace, aset, SCRIBBLE, eta)
-
-
-def run(spec: AlgorithmSpec, losses, rng: np.random.Generator,
-        k_cache: KFunctionCache | None = None) -> Trace:
-    """Dispatch on the spec's variant; only a perturbed-leader ball run reads ``k_cache``."""
-    if spec.variant == SCFTPL:
-        return run_scftpl(spec, losses, rng, k_cache)
-    return run_scribble(spec, losses, rng)
+    return None
 
 
 def run_seeds(spec: AlgorithmSpec, losses, rngs, competitor,
@@ -375,27 +366,25 @@ def run_seeds(spec: AlgorithmSpec, losses, rngs, competitor,
     both equal the per-seed runs' values bit for bit. Two or more
     perturbed-leader seeds run their recurrences together on (S, d) arrays
     and keep no (n, d) array. One seed, which runs faster alone, and the
-    Dikin-pole variant run seed by seed, each trace reduced as it finishes.
-    An abort raises the per-seed run's ``AbortedRunError`` of the first
-    aborting seed in the order of ``rngs``.
+    Dikin-pole variant run seed by seed through :func:`run`, each trace
+    reduced as it finishes. An abort raises the per-seed run's
+    ``AbortedRunError`` of the first aborting seed in the order of ``rngs``.
     """
     aset = spec.action_set
-    losses = _check_losses(aset, losses)
+    losses, eta, k_cache = _prologue(spec, losses, k_cache)
     competitor = np.asarray(competitor, dtype=float)
     rngs = list(rngs)
-    n = losses.shape[0]
     if spec.variant == SCFTPL and len(rngs) > 1:
         snapshots = copy.deepcopy(rngs)  # to replay an aborting seed alone
-        eta = resolve_learning_rate(spec, n)
-        if aset.kind == BALL:
-            batch = _seeds_scftpl_ball(aset, losses, eta, rngs, competitor,
-                                       _ball_k_cache(spec, n, k_cache))
-        else:
-            batch = _seeds_scftpl_hypercube(aset, losses, eta, rngs, competitor)
+        with np.errstate(over="ignore"):
+            if aset.kind == BALL:
+                batch = _seeds_scftpl_ball(aset, losses, eta, rngs, competitor, k_cache)
+            else:
+                batch = _seeds_scftpl_hypercube(aset, losses, eta, rngs, competitor)
         if isinstance(batch, int):
             _raise_first_abort(spec, losses, snapshots, competitor, k_cache, batch)
         return batch
-    increments = np.empty((n, len(rngs)))
+    increments = np.empty((losses.shape[0], len(rngs)))
     violations = np.empty(len(rngs), dtype=np.int64)
     for s, rng in enumerate(rngs):
         trace = run(spec, losses, rng, k_cache)
@@ -411,7 +400,7 @@ def _raise_first_abort(spec, losses, snapshots, competitor, k_cache, first: int)
     again first; then seed ``first`` replays alone and raises its own error.
     """
     run_seeds(spec, losses, snapshots[:first], competitor, k_cache)
-    run_scftpl(spec, losses, snapshots[first], k_cache)
+    run(spec, losses, snapshots[first], k_cache)
     raise RuntimeError(f"seed {first} aborted in a batch but not alone")
 
 
@@ -423,8 +412,8 @@ def _block_outputs(aset, eta, losses_block, competitor, xs, actions, y_hats):
 
 
 def _seeds_scftpl_hypercube(aset, losses, eta, rngs, competitor):
-    """:func:`_run_scftpl_hypercube` over S seeds; the index of the first aborting
-    seed, or the (n, S) increments and (S,) violations."""
+    """:func:`_scftpl_hypercube_rounds` over S seeds; the index of the first
+    aborting seed, or the (n, S) increments and (S,) violations."""
     n, d = losses.shape
     increments = np.empty((n, len(rngs)))
     violations = np.zeros(len(rngs), dtype=np.int64)
@@ -434,13 +423,13 @@ def _seeds_scftpl_hypercube(aset, losses, eta, rngs, competitor):
         xs, actions, y_hats = (np.empty_like(xi_block) for _ in range(3))
         for i, xi in enumerate(xi_block):
             theta = -eta * y_hat_cum
-            action = np.where(theta + xi >= 0.0, 1.0, -1.0)
-            x = theta / (1.0 + np.sqrt(1.0 + theta * theta))
-            scalar_loss = np.vecdot(losses[t0 + i], action)
+            x = theta / (1.0 + np.sqrt(1.0 + np.minimum(theta * theta, _FLOAT_MAX)))
             residual = 1.0 - x * x
             aborted = residual.min(axis=1) < SINGULARITY_FLOOR
             if aborted.any():
                 return int(np.argmax(aborted))
+            action = np.where(theta + xi >= 0.0, 1.0, -1.0)
+            scalar_loss = np.vecdot(losses[t0 + i], action)
             weighted = x / residual
             alpha = np.vecdot(x, weighted)
             cross = np.vecdot(action, weighted)
@@ -457,12 +446,8 @@ def _seeds_scftpl_hypercube(aset, losses, eta, rngs, competitor):
 
 
 def _seeds_scftpl_ball(aset, losses, eta, rngs, competitor, k_cache):
-    """:func:`_run_scftpl_ball` over S seeds; the index of the first aborting
-    seed, or the (n, S) increments and (S,) violations.
-
-    K is looked up seed by seed, as a float, so the grid extends as it does
-    in a single run.
-    """
+    """:func:`_scftpl_ball_rounds` over S seeds; the index of the first aborting
+    seed, or the (n, S) increments and (S,) violations."""
     n, d = losses.shape
     increments = np.empty((n, len(rngs)))
     violations = np.zeros(len(rngs), dtype=np.int64)
@@ -473,22 +458,23 @@ def _seeds_scftpl_ball(aset, losses, eta, rngs, competitor, k_cache):
         for i, xi in enumerate(xi_block):
             theta = -eta * y_hat_cum
             theta_norm = np.sqrt(np.vecdot(theta, theta))
+            norm_sq = theta_norm * theta_norm
+            x = theta / (1.0 + np.sqrt(1.0 + norm_sq))[:, None]
+            aborted = (1.0 - np.vecdot(x, x) < SINGULARITY_FLOOR) | (norm_sq == math.inf)
+            if aborted.any():
+                return int(np.argmax(aborted))
             drifted = theta + xi
             drift_norm = np.sqrt(np.vecdot(drifted, drifted))
             still = ~(drift_norm > 0.0)
             action = drifted / np.where(still, 1.0, drift_norm)[:, None]
             if still.any():
                 action[still] = np.eye(1, d)
-            x = theta / (1.0 + np.sqrt(1.0 + theta_norm * theta_norm))[:, None]
             scalar_loss = np.vecdot(losses[t0 + i], action)
             if d == 1:
                 y_hat = action * scalar_loss[:, None]
             else:
-                y_hat = _ball_estimates(d, k_cache, theta, theta_norm, action, scalar_loss)
-            x_sq = np.vecdot(x, x)
-            aborted = 1.0 - x_sq < SINGULARITY_FLOOR
-            if aborted.any():
-                return int(np.argmax(aborted))
+                y_hat = _ball_estimates(d, k_cache, theta, theta_norm, norm_sq, action,
+                                        scalar_loss)
             xs[i], actions[i], y_hats[i] = x, action, y_hat
             y_hat_cum = y_hat_cum + y_hat
         m = len(xi_block)
@@ -499,14 +485,13 @@ def _seeds_scftpl_ball(aset, losses, eta, rngs, competitor, k_cache):
     return increments, violations
 
 
-def _ball_estimates(d, k_cache, theta, theta_norm, action, scalar_loss):
-    """The ball's loss estimates of one batched round, d >= 2, rounded as a single run's."""
+def _ball_estimates(d, k_cache, theta, theta_norm, norm_sq, action, scalar_loss):
+    """The ball's loss estimates of one batched round, d >= 2, rounded as a single run's;
+    K is looked up once for the (S,) drift norms."""
     flat = theta_norm < 1e-14
-    if flat.all():
-        return (d * scalar_loss)[:, None] * action
-    k = np.array([0.5 if f else k_cache(v) for f, v in zip(flat.tolist(), theta_norm.tolist())])
+    k = np.where(flat, 0.5, k_cache(theta_norm))
     coeff = 1.0 / (1.0 - k) - (d - 1.0) / k
-    proj = np.vecdot(action, theta) / np.where(flat, 1.0, theta_norm * theta_norm)
+    proj = np.vecdot(action, theta) / np.where(flat, 1.0, norm_sq)
     y_hat = ((d - 1.0) / k)[:, None] * action + (coeff * proj)[:, None] * theta
     y_hat *= scalar_loss[:, None]
     if flat.any():

@@ -13,7 +13,9 @@ forms for Q^{-1} A:
 K evaluations are memoized, and the engine path goes through a cubic
 interpolation cache on an asinh-spaced grid (interpolation error budget
 1e-5, inside the slack of the K bounds) that extends itself when the drift
-norm leaves the covered range.
+norm leaves the covered range. The cache is looked up at one drift norm, or
+at the (S,) drift norms of a batch of seeds in one call, bit for bit the
+same values.
 
 The K quadrature is the only part that uses scipy, and it imports it on
 first use: the hypercube forms are closed, so a hypercube run never loads
@@ -397,29 +399,44 @@ class KFunctionCache:
         while len(self._values) <= hi:
             t = len(self._values) * K_GRID_SPACING
             self._values.append(k_function_ball(float(np.sinh(t)), self.d))
+        self._array = np.array(self._values)  # the nodes, for array lookups
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
+        """K at drift norm ``x``, a float, or at each entry of an (S,) array.
+
+        An array gives, entry by entry, the floats that calls in its order
+        give, and leaves the grid as long as they leave it.
+        """
+        if isinstance(x, np.ndarray) and x.ndim == 1:
+            t = np.arcsinh(x.astype(float, copy=False))
+            if not (t.min() >= 0.0 and t.max() <= (len(self._values) - 3) * K_GRID_SPACING):
+                for x_i in x.tolist():  # extend, or raise, as float calls do
+                    self(x_i)
+            q = t / K_GRID_SPACING
+            i = q.astype(np.intp)
+            return _catmull_rom(*self._array[abs(i + _NEIGHBOURS)], q - i)
         x = float(x)
         if x < 0.0 or not math.isfinite(x):
             raise ValueError(f"drift norm must be finite and nonnegative, got {x!r}")
         t = float(np.arcsinh(x))
-        h = K_GRID_SPACING
-        if t > (len(self._values) - 3) * h:
+        if t > (len(self._values) - 3) * K_GRID_SPACING:
             self._extend_to(t + 1.0)
-        i = int(t / h)
-        frac = t / h - i
+        q = t / K_GRID_SPACING
+        i = int(q)
         v = self._values
-        if i == 0:
-            # K is even in x, so the phantom node mirrors index 1.
-            p0, p1, p2, p3 = v[1], v[0], v[1], v[2]
-        else:
-            p0, p1, p2, p3 = v[i - 1], v[i], v[i + 1], v[i + 2]
-        return float(
-            p1
-            + 0.5 * frac * (p2 - p0
-                            + frac * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3
-                                      + frac * (3.0 * (p1 - p2) + p3 - p0)))
-        )
+        return _catmull_rom(v[abs(i - 1)], v[i], v[i + 1], v[i + 2], q - i)
+
+
+# Offsets of the nodes i - 1 .. i + 2 that interpolate in cell i, one row
+# each; K is even in x, so node -1 mirrors node 1 (hence the abs of the index).
+_NEIGHBOURS = np.arange(-1, 3)[:, None]
+
+
+def _catmull_rom(p0, p1, p2, p3, frac):
+    """Catmull-Rom cubic through four consecutive nodes at ``frac`` past p1."""
+    return (p1 + 0.5 * frac * (p2 - p0
+                               + frac * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3
+                                         + frac * (3.0 * (p1 - p2) + p3 - p0))))
 
 
 # ---------------------------------------------------------------------------

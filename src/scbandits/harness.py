@@ -11,11 +11,12 @@ regret against the empirical best fixed action, and writes
   counts, and wall-clock per round;
 * optionally one ``<label>_seed<seed>.csv`` per seed for re-aggregation.
 
-The seeds run in contiguous chunks, one :func:`engine.run_seeds` call each,
-which batches a chunk's perturbed-leader seeds into one recurrence; with
-``workers > 1`` the seeds split into that many chunks on a process pool.
-Results are collected in seed order either way, and a seed's numbers do not
-depend on its chunk, so the output is identical however the work was split.
+All seeds run in this process, in one :func:`engine.run_seeds` call, which
+batches the perturbed-leader seeds into one recurrence and runs the
+Dikin-pole seeds one by one; the summary's wall time per round is that
+call's wall time over seeds x rounds. The config key ``workers`` is still
+accepted and checked, and has no effect: a seed's numbers do not depend on
+how seeds are batched, so the output is the same for any value.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .environments import (
     best_in_hindsight,
     generate,
 )
-from .estimation import KFunctionCache
 from . import perturbations
 from .rng import make_rng
 from .verify import CheckResult, VerifyOptions, run_verify_suite
@@ -73,7 +73,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     out_dir: str
     label: str
-    workers: int
     write_per_seed: bool
 
     def action_set(self) -> ActionSetModel:
@@ -205,6 +204,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             and not any(c in label for c in "/\\\0"), "$.label",
             f"must be a file name without '/', '\\' or NUL, not '.' or '..', got {label!r}")
 
+    # checked, but without effect: all seeds run in one process
     workers = raw.get("workers", 1)
     _expect(_is_int(workers) and workers >= 1, "$.workers",
             f"must be a positive integer, got {workers!r}")
@@ -215,7 +215,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         set_kind=kind, dimension=d, horizon=n, algorithm=algorithm, learning_rate=rate,
         adversary=adversary, seeds=tuple(seeds), out_dir=out_dir, label=label,
-        workers=workers, write_per_seed=write_per_seed)
+        write_per_seed=write_per_seed)
 
 
 def verify_options_from_dict(raw: dict, scale: float) -> VerifyOptions:
@@ -286,23 +286,6 @@ class RegretTrace:
         return float(self.bound[-1])
 
 
-def _chunks(seeds: tuple[int, ...], workers: int) -> list[tuple[int, ...]]:
-    """The seeds cut into min(workers, len(seeds)) contiguous chunks of near-equal size."""
-    count = min(workers, len(seeds))
-    size, extra = divmod(len(seeds), count)
-    bounds = [i * size + min(i, extra) for i in range(count + 1)]
-    return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _run_chunk(config: ExperimentConfig, losses: np.ndarray, competitor: np.ndarray,
-               seeds: tuple[int, ...], k_cache: KFunctionCache | None):
-    """Worker body: one chunk of seeds; returns ((n, S) regret increments, violations, secs)."""
-    start = time.perf_counter()
-    increments, violations = run_seeds(config.algorithm_spec(), losses,
-                                       [make_rng(s) for s in seeds], competitor, k_cache)
-    return increments, violations, time.perf_counter() - start
-
-
 def cmd_run(config: ExperimentConfig, quiet: bool = False) -> RegretTrace:
     """Execute the experiment and write CSV + JSON outputs."""
     # shared by every seed; built before the losses because on the ball it
@@ -313,18 +296,10 @@ def cmd_run(config: ExperimentConfig, quiet: bool = False) -> RegretTrace:
     aset = config.action_set()
     competitor = best_in_hindsight(aset, losses)
 
-    chunks = _chunks(config.seeds, config.workers)
-    if len(chunks) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
-
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_run_chunk, config, losses, competitor, c, k_cache)
-                       for c in chunks]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_chunk(config, losses, competitor, chunks[0], k_cache)]
-
-    increments = np.concatenate([inc for inc, _, _ in results], axis=1)
+    start = time.perf_counter()
+    increments, violations = run_seeds(config.algorithm_spec(), losses,
+                                       [make_rng(s) for s in config.seeds], competitor, k_cache)
+    engine_time = time.perf_counter() - start
     # one C-ordered row per seed, the layout the seed-wise mean and SE reduce
     curves = np.ascontiguousarray(np.cumsum(increments, axis=0).T)
     mean = curves.mean(axis=0)
@@ -333,12 +308,11 @@ def cmd_run(config: ExperimentConfig, quiet: bool = False) -> RegretTrace:
     else:
         se = np.zeros_like(mean)
     bound = theoretical_bound(config.set_kind, config.dimension, config.horizon)
-    violations = int(sum(v.sum() for _, v, _ in results))
-    total_time = sum(t for _, _, t in results)
+    violations = int(violations.sum())
     trace = RegretTrace(
         mean_regret=mean, se=se, bound=bound, violation_count=violations,
         per_seed_final={s: float(curve[-1]) for s, curve in zip(config.seeds, curves)},
-        wall_time_per_round=total_time / (config.horizon * len(config.seeds)),
+        wall_time_per_round=engine_time / (config.horizon * len(config.seeds)),
         warnings=config.warnings(),
     )
     _write_outputs(config, trace, curves)

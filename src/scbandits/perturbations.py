@@ -26,8 +26,9 @@ its CDF reduce exactly to regularized incomplete beta functions,
 (integration by parts plus w-substitution), which the tests cross-check
 against direct quadrature of f~. Speeds are drawn by inverse transform on a
 precomputed log-spaced CDF table refined by one Newton step with the exact
-CDF/density pair. The table truncates the s^-2 tail at s_max = 2e6, losing
-at most 1 - F_V(s_max) <= 1e-6 of total-variation mass.
+CDF/density pair, which share one I_w((d+1)/2, d/2) per speed. The table
+truncates the s^-2 tail at s_max = 2e6, losing at most
+1 - F_V(s_max) <= 1e-6 of total-variation mass.
 
 The law is fixed by the body and d, so drawing needs no sampler object.
 Two stream layouts exist, both written here: :func:`draw` (bulk draws for
@@ -156,7 +157,7 @@ def log_sphere_surface(n: int) -> float:
 
 
 # scipy.special's betainc ufunc and its scalar cython_special twin, once
-# radial_density_ball has bound them
+# the first radial-law call has bound them
 _betainc = _betainc_scalar = None
 
 
@@ -184,10 +185,7 @@ def radial_density_ball(s, d: int):
             return _radial_density_at_zero(d)
         ssq = s * s
         return _betainc_scalar((d + 1) / 2.0, d / 2.0, ssq / (1.0 + ssq)) / ssq
-    s = np.asarray(s, dtype=float)
-    ssq = np.where(s > 0.0, s * s, 1.0)
-    out = _betainc((d + 1) / 2.0, d / 2.0, ssq / (1.0 + ssq)) / ssq
-    out = np.where(s > 0.0, out, _radial_density_at_zero(d))
+    out = _radial_law(np.asarray(s, dtype=float), d)[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -199,17 +197,26 @@ def _radial_density_at_zero(d: int) -> float:
 
 def radial_cdf_ball(s, d: int):
     """Speed CDF F_V(s) = I_w(d/2, (d+1)/2) - I_w((d+1)/2, d/2) / s."""
-    from scipy.special import betainc
-
-    s = np.asarray(s, dtype=float)
-    w = s * s / (1.0 + s * s)
-    safe = np.where(s > 0.0, s, 1.0)
-    out = np.where(
-        s > 0.0,
-        betainc(d / 2.0, (d + 1) / 2.0, w) - betainc((d + 1) / 2.0, d / 2.0, w) / safe,
-        0.0,
-    )
+    out = _radial_law(np.asarray(s, dtype=float), d)[1]
     return float(out) if out.ndim == 0 else out
+
+
+def _radial_law(s: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The speed density p_V and CDF F_V at every entry of ``s``.
+
+    Both read I_w((d+1)/2, d/2) at w = s^2/(1+s^2), computed once here;
+    each is rounded as its own formula alone rounds it.
+    """
+    if _betainc is None:
+        _bind_betainc()
+    positive = s > 0.0
+    ssq = np.where(positive, s * s, 1.0)
+    w = ssq / (1.0 + ssq)
+    upper = _betainc((d + 1) / 2.0, d / 2.0, w)
+    density = np.where(positive, upper / ssq, _radial_density_at_zero(d))
+    cdf = np.where(positive, _betainc(d / 2.0, (d + 1) / 2.0, w)
+                   - upper / np.where(positive, s, 1.0), 0.0)
+    return density, cdf
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +280,8 @@ class RadialTable:
         clo, chi = self.cdf[idx - 1], self.cdf[idx]
         frac = np.clip((u - clo) / (chi - clo), 0.0, 1.0)
         s = lo + frac * (hi - lo)
-        dens = radial_density_ball(s, self.d)
-        s = s - (radial_cdf_ball(s, self.d) - u) / np.maximum(dens, 1e-300)
+        dens, cdf = _radial_law(s, self.d)
+        s = s - (cdf - u) / np.maximum(dens, 1e-300)
         return np.clip(s, lo, hi)
 
 

@@ -32,7 +32,7 @@ from .engine import (
     bregman_diagnostic,
     regret,
     resolve_learning_rate,
-    run_scftpl,
+    run,
     theoretical_bound,
 )
 from .environments import FIXED_VECTOR, AdversarySpec, best_in_hindsight, generate
@@ -430,7 +430,7 @@ def check_engine(opts: VerifyOptions) -> list[CheckResult]:
     losses = generate(adv, d, n)
     aset = geom.hypercube(d)
     spec = AlgorithmSpec(variant=SCFTPL, action_set=aset, learning_rate="auto")
-    trace = run_scftpl(spec, losses, spawn_rngs(opts.seed + 7, 1)[0])
+    trace = run(spec, losses, spawn_rngs(opts.seed + 7, 1)[0])
 
     out.append(_upper("step_condition_hypercube", float(trace.step_violation.sum()), 0.0,
                       f"rounds violating 2 eta ||yhat||_t <= 1 out of {n}"))
@@ -448,13 +448,13 @@ def check_engine(opts: VerifyOptions) -> list[CheckResult]:
     out.append(_upper("bregman_quadratic_per_round", bound_margin, 1e-12,
                       "B <= ||eta yhat||_t^2 whenever the step condition holds"))
 
-    rerun = run_scftpl(spec, losses, spawn_rngs(opts.seed + 7, 1)[0])
+    rerun = run(spec, losses, spawn_rngs(opts.seed + 7, 1)[0])
     identical = bool(np.array_equal(trace.action, rerun.action)
                      and np.array_equal(trace.scalar_loss, rerun.scalar_loss))
     out.append(CheckResult("engine_determinism", float(identical), 1.0, identical, ">="))
 
     u_star = best_in_hindsight(aset, losses)
-    regrets = [regret(run_scftpl(spec, losses, child), losses, u_star)
+    regrets = [regret(run(spec, losses, child), losses, u_star)
                for child in spawn_rngs(opts.seed + 8, 8)]
     bound = theoretical_bound(geom.HYPERCUBE, d, n)[-1]
     out.append(_upper("regret_under_bound_small", float(np.mean(regrets)), bound,

@@ -350,6 +350,45 @@ def test_run_seeds_first_aborting_seed_in_order_decides(kind, d, rate, adversary
     assert np.array_equal(batched.value.trace.action, alone.value.trace.action)
 
 
+@pytest.mark.parametrize("d", [2, 5])
+def test_run_seeds_matches_per_seed_runs_at_32_seeds(d):
+    # 32 ball seeds look K up in one array call per round
+    aset = geom.ball(d)
+    losses = generate(AdversarySpec(kind="rotating_direction", geometry=geom.BALL, seed=d),
+                      d, 300)
+    competitor = best_in_hindsight(aset, losses)
+    spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=0.2)
+    seeds = range(500, 532)
+    increments, violations = engine.run_seeds(spec, losses, [make_rng(s) for s in seeds],
+                                              competitor, _ball_k_cache(d))
+    for j, seed in enumerate(seeds):
+        trace = engine.run(spec, losses, make_rng(seed), _ball_k_cache(d))
+        assert (np.cumsum(increments[:, j])
+                == engine.cumulative_regret(trace, losses, competitor)).all()
+        assert violations[j] == trace.step_violation.sum()
+
+
+@pytest.mark.parametrize("kind,message", [
+    (geom.HYPERCUBE, "round 2: expected action within 1e-10 of a vertex; "
+                     "covariance numerically singular"),
+    (geom.BALL, "round 2: expected action within 1e-10 of the sphere; "
+                "local geometry numerically singular"),
+])
+def test_overflowing_drift_aborts_in_its_round(kind, message):
+    # at eta = 1e160 round 2's theta^2 overflows, which would round x to 0
+    aset = geom.ActionSetModel(dimension=2, kind=kind)
+    losses = generate(AdversarySpec(kind="seeded_random", geometry=kind, seed=3), 2, 50)
+    spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=1e160)
+    k_cache = _ball_k_cache(2) if kind == geom.BALL else None
+    with pytest.raises(engine.AbortedRunError) as alone:
+        engine.run(spec, losses, make_rng(1), k_cache)
+    assert str(alone.value) == message and len(alone.value.trace) == 1
+    with pytest.raises(engine.AbortedRunError) as batched:
+        engine.run_seeds(spec, losses, [make_rng(1), make_rng(2)],
+                         best_in_hindsight(aset, losses), k_cache)
+    assert str(batched.value) == message
+
+
 # ---------------------------------------------------------------------------
 # unbiasedness along trajectories
 # ---------------------------------------------------------------------------

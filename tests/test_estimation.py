@@ -162,6 +162,31 @@ def test_k_cache_matches_direct_and_extends():
     assert abs(cache(far) - est.k_function_ball(far, 3)) <= 1e-5
 
 
+_NODE_DRIFTS = [float(np.sinh(i * est.K_GRID_SPACING)) for i in (0, 1, 2, 7, 100, 103)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drifts=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e-14),
+                                 st.sampled_from(_NODE_DRIFTS), st.floats(0.0, 8.0),
+                                 st.floats(8.0, 60.0)), min_size=1, max_size=40))
+def test_k_cache_array_lookup_equals_float_calls(drifts):
+    # drift 0, drifts below 1e-14, exact node positions, and drifts past the
+    # covered range, which extend both grids to the same length
+    by_array, by_float = est.KFunctionCache(3), est.KFunctionCache(3)
+    assert by_array(np.array(drifts)).tolist() == [by_float(x) for x in drifts]
+    assert len(by_array._values) == len(by_float._values)
+
+
+@pytest.mark.parametrize("bad", [-1e-300, -2.0, math.inf, -math.inf, math.nan])
+def test_k_cache_array_lookup_rejects_what_a_float_call_rejects(bad):
+    cache = est.KFunctionCache(3)
+    with pytest.raises(ValueError) as by_float:
+        cache(bad)
+    with pytest.raises(ValueError) as by_array:
+        cache(np.array([0.5, bad, 2.0]))
+    assert str(by_array.value) == str(by_float.value)
+
+
 # K grid and speed density pinned bit for bit. float.hex of every 8th node of
 # the grid a ball run builds, engine.k_cache_for with the auto eta, at the n
 # of acceptance criterion 7 (d <= 33) and of the d=1024 benchmark runs; and

@@ -246,8 +246,8 @@ def _timeless(summary: Path) -> list[str]:
 
 
 def test_cmd_run_parallel_workers_match_serial(tmp_path):
-    # 5 seeds in 1, 2 or 3 chunks: batches of 5, 3 + 2 and 2 + 2 + 1 seeds,
-    # the last run seed by seed, give the same bytes on both bodies
+    # workers is accepted and has no effect: every value runs the 5 seeds in
+    # one batch in this process and gives the same bytes on both bodies
     seeds = [1, 2, 3, 4, 5]
     for kind in ("hypercube", "ball"):
         for workers in (1, 2, 3):
@@ -338,7 +338,7 @@ def test_probe_entry_points():
     runs = {name: fn for name, fn in vars(engine).items()
             if name.startswith("run") and inspect.isfunction(fn)
             and fn.__module__ == engine.__name__}
-    assert set(runs) == {"run", "run_scftpl", "run_scribble", "run_seeds"}
+    assert set(runs) == {"run", "run_seeds"}
     for fn in runs.values():
         second = list(inspect.signature(fn).parameters.values())[1]
         assert second.name == "losses" and second.kind is second.POSITIONAL_OR_KEYWORD
@@ -534,7 +534,7 @@ def test_cli_numeric_error_exit_code(tmp_path):
     assert cli_main(["run", "--config", str(cfg), "--quiet"]) == 3
 
 
-@pytest.mark.parametrize("rate", [1e5, 1e3])
+@pytest.mark.parametrize("rate", [1e5, 1e3, 1e12, 1e160])
 def test_cli_ball_run_at_extreme_drift_never_fails_quadrature(tmp_path, capsys, rate):
     # a fixed direction drives ||theta|| far past any prebuilt K grid; the run
     # finishes or aborts at the singularity floor, never on a K quadrature
@@ -544,7 +544,13 @@ def test_cli_ball_run_at_extreme_drift_never_fails_quadrature(tmp_path, capsys, 
         adversary={"kind": "fixed_vector"}, out_dir=str(tmp_path))))
     code = cli_main(["run", "--config", str(cfg), "--quiet"])
     err = capsys.readouterr().err
-    assert code == 0 or (code == 3 and err.startswith("numeric error: round ")), err
+    if rate < 1e12:
+        assert code == 0 or (code == 3 and err.startswith("numeric error: round ")), err
+    else:
+        # round 2's drift is past 2e10 (at 1e160, past where its square
+        # overflows): the round aborts before it looks K up
+        assert (code, err) == (3, "numeric error: round 2: expected action within 1e-10 "
+                                  "of the sphere; local geometry numerically singular\n")
 
 
 def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
@@ -628,7 +634,7 @@ def test_hypercube_commands_leave_scipy_unloaded(tmp_path, case, scipy_loaded):
     src = str(Path(harness.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": src})
-    # a one-chunk run starts no process pool, so it never imports one either
+    # a run starts no process pool, so it never imports one either
     assert result.stdout.split() == ["0", str(scipy_loaded), "False"]
 
 

@@ -183,6 +183,48 @@ def test_radial_table_inverse_alone_matches_batch():
         assert table.inverse(np.array([u]))[0] == s
 
 
+def _two_call_law(s, d):
+    """The speed density and CDF as separate formulas, each with its own betainc
+    call, as the Newton polish once evaluated them."""
+    from scipy.special import betainc
+
+    ssq = np.where(s > 0.0, s * s, 1.0)
+    density = np.where(s > 0.0, betainc((d + 1) / 2.0, d / 2.0, ssq / (1.0 + ssq)) / ssq,
+                       0.5 if d == 1 else 0.0)
+    w = s * s / (1.0 + s * s)
+    cdf = np.where(s > 0.0, betainc(d / 2.0, (d + 1) / 2.0, w)
+                   - betainc((d + 1) / 2.0, d / 2.0, w) / np.where(s > 0.0, s, 1.0), 0.0)
+    return density, cdf
+
+
+def _two_call_inverse(table, u):
+    idx = np.clip(np.searchsorted(table.cdf, u, side="right"), 1, table.node_count - 1)
+    lo, hi = table.nodes[idx - 1], table.nodes[idx]
+    clo, chi = table.cdf[idx - 1], table.cdf[idx]
+    s = lo + np.clip((u - clo) / (chi - clo), 0.0, 1.0) * (hi - lo)
+    density, cdf = _two_call_law(s, table.d)
+    return np.clip(s - (cdf - u) / np.maximum(density, 1e-300), lo, hi)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 64, 1024])
+def test_radial_inverse_shares_one_betainc_bit_for_bit(d):
+    # one betainc((d+1)/2, d/2, w) serves both the density and the CDF of the
+    # Newton polish; the speeds equal those of the two-call step
+    us = np.concatenate([[2.0**-54, 1.0 - 2.0**-53],
+                         np.maximum(make_rng(90 + d).random(500_000 - 2), 2.0**-54)])
+    table = pert.RadialTable.build(d)
+    assert np.array_equal(table.inverse(us), _two_call_inverse(table, us))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 1024])
+def test_radial_cdf_keeps_the_two_call_bits(d):
+    # the speeds whose densities test_estimation pins bit for bit
+    speeds = np.array([0.0] + [float(f"{m}e{k}") for k in range(-6, 6) for m in (1, 3)] + [1e6])
+    _, cdf = _two_call_law(speeds, d)
+    assert pert.radial_cdf_ball(speeds, d).tolist() == cdf.tolist()
+    assert [pert.radial_cdf_ball(s, d) for s in speeds.tolist()] == cdf.tolist()
+
+
 # ---------------------------------------------------------------------------
 # ball sampling
 # ---------------------------------------------------------------------------

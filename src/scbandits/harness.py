@@ -52,7 +52,7 @@ from .environments import (
 )
 from . import perturbations
 from .rng import make_rng
-from .verify import CheckResult, VerifyOptions, run_verify_suite
+from .verify import CheckResult, VerifyOptions, verify_groups
 
 
 class ConfigError(ValueError):
@@ -384,17 +384,25 @@ def _write_outputs(config: ExperimentConfig, trace: RegretTrace, curves: np.ndar
 
 def cmd_verify(options: VerifyOptions, out_dir: str | Path | None = None,
                quiet: bool = False) -> tuple[bool, list[CheckResult]]:
-    """Run the verification suite; optionally write a JSON report."""
-    results = run_verify_suite(options)
+    """Run the verification suite; optionally write a JSON report.
+
+    Unless ``quiet``, prints each check group's rows followed by the group's
+    wall seconds, which the report leaves out so that its bytes depend on
+    the results alone.
+    """
+    groups = list(verify_groups(options))
+    results = [r for _, rows, _ in groups for r in rows]
     if not results:
         raise ConfigError(f"$.checks: no check name starts with any of {list(options.checks)}")
     ok = all(r.passed for r in results)
     if not quiet:
         width = max(len(r.name) for r in results)
-        for r in results:
-            status = "pass" if r.passed else "FAIL"
-            print(f"[{status}] {r.name:<{width}}  measured {r.measured:.6g} "
-                  f"{r.comparison} {r.threshold:.6g}")
+        for name, rows, seconds in groups:
+            for r in rows:
+                status = "pass" if r.passed else "FAIL"
+                print(f"[{status}] {r.name:<{width}}  measured {r.measured:.6g} "
+                      f"{r.comparison} {r.threshold:.6g}")
+            print(f"[time] {name:<{width}}  {seconds:.3f} s")
         print(f"verify: {sum(r.passed for r in results)}/{len(results)} checks passed")
     if out_dir is not None:
         path = Path(out_dir)

@@ -36,6 +36,18 @@ verification and ``scbandits sample``) and :func:`round_noise_blocks` (the
 per-round noise of one or more runs, which :func:`round_noise` reads for a
 single run); they read the uniform stream in different orders.
 
+A bulk draw of many rows may run part of its work on other threads, one
+per usable CPU (:func:`_split_rows`): the ball's Box-Muller, direction
+normalization and radial-table inverse, and :func:`verify_replication`'s
+``grad_support`` and squaring. Each thread applies the same element-wise
+kernels to its own contiguous range of rows and writes only those rows;
+the generator reads and every reduction stay on the calling thread, over
+the whole batch, in stream order. So the arrays, the reports and the
+generator's state afterwards are bit for bit the same at any core count.
+Small draws and a run's per-round noise blocks stay on the calling thread,
+and the thread pool is imported by the first split, so a run starts no
+thread.
+
 Only the ball's radial law uses scipy (quadrature, ``gammaln``, ``betainc``),
 so this module imports it inside those functions, on first use: a hypercube
 run, ``sample`` or ``bench`` loads numpy alone, and a ball one loads scipy
@@ -45,13 +57,14 @@ when it builds its radial table or K grid.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .action_sets import (_CONJUGATE_OVERFLOW, ActionSetModel, HYPERCUBE, conjugate_gradient,
                           grad_support)
-from .rng import block_rows, box_muller, gaussians
+from .rng import block_rows, box_muller
 
 # Radial table geometry: 4096 log-spaced nodes reaching far enough into the
 # s^-2 tail that the truncated mass is below 1e-6 (1 - F_V(2e6) = 5e-7 at
@@ -289,6 +302,48 @@ class RadialTable:
 # Drawing perturbations: the only place that knows how the stream is laid out
 # ---------------------------------------------------------------------------
 
+# Fewer rows than this per share and a bulk draw stays on the calling thread:
+# a share costs milliseconds of ufunc work, far more than a thread start.
+_MIN_SHARE_ROWS = 1 << 12
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _split_rows(n: int, width: int, work) -> None:
+    """Call ``work(start, stop)`` on consecutive row ranges that cover range(n).
+
+    A range holds at most the rows :func:`block_rows` gives a block of
+    ``width`` values per row, so the temporaries of a call stay small at any
+    n. With more than one usable CPU and at least 2 * _MIN_SHARE_ROWS rows,
+    the rows are cut into one contiguous share per CPU; the calling thread
+    walks the last share and a new thread each other one. ``work`` must
+    write only the rows it is given. An exception from any share is raised
+    here, after every share has ended.
+    """
+    def walk(start: int, stop: int) -> None:
+        for m in block_rows(stop - start, width):
+            work(start, start + m)
+            start += m
+
+    shares = min(_usable_cpus(), n // _MIN_SHARE_ROWS)
+    if shares <= 1:
+        walk(0, n)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [n * i // shares for i in range(shares + 1)]
+    with ThreadPoolExecutor(max_workers=shares - 1) as pool:
+        futures = [pool.submit(walk, a, b) for a, b in zip(bounds[:-2], bounds[1:-1])]
+        walk(bounds[-2], bounds[-1])
+    for future in futures:
+        future.result()
+
+
 def sample_hypercube(d: int, rng: np.random.Generator, size: int | None = None):
     """Draw from the hypercube perturbation: d i.i.d. inverse-CDF coordinates.
 
@@ -310,12 +365,28 @@ def sample_ball(d: int, rng: np.random.Generator, size: int | None = None):
     """
     n = 1 if size is None else int(size)
     pairs = (d + 1) // 2
-    normal = gaussians(rng, n * 2 * pairs).reshape(n, 2 * pairs)[:, :d]
-    norms = np.linalg.norm(normal, axis=1, keepdims=True)
-    directions = normal / np.where(norms > 0.0, norms, 1.0)
-    u = np.maximum(rng.random(n), _U_FLOOR)
-    speeds = RadialTable.build(d).inverse(u)
-    out = directions * speeds[:, None]
+    # the stream and the normals of gaussians(rng, 2 * n * pairs): the u1
+    # block, then the u2 block; Box-Muller's cosine block, then its sine
+    # block, read in rows of 2 * pairs normals, one row per draw
+    u = rng.random((2, n, pairs))
+    speed_u = np.maximum(rng.random(n), _U_FLOOR)
+    normal = np.empty((2, n, pairs))
+
+    def box_muller_rows(a: int, b: int) -> None:
+        normal[:, a:b] = box_muller(u[0, a:b].ravel(), u[1, a:b].ravel()).reshape(2, b - a, pairs)
+
+    _split_rows(n, 2 * pairs, box_muller_rows)
+    del u  # free the uniforms before the second pass
+    rows = normal.reshape(n, 2 * pairs)[:, :d]
+    table = RadialTable.build(d)
+    out = np.empty((n, d))
+
+    def direction_times_speed(a: int, b: int) -> None:
+        norms = np.linalg.norm(rows[a:b], axis=1, keepdims=True)
+        speeds = table.inverse(speed_u[a:b])
+        out[a:b] = rows[a:b] / np.where(norms > 0.0, norms, 1.0) * speeds[:, None]
+
+    _split_rows(n, 2 * pairs, direction_times_speed)
     return out[0] if size is None else out
 
 
@@ -396,9 +467,16 @@ def verify_replication(aset: ActionSetModel, theta, n_samples: int,
     while remaining > 0:
         m = min(batch, remaining)
         xi = draw(aset, rng, size=m)
-        grads = grad_support(aset, theta + xi)
+        grads = np.empty_like(xi)
+
+        def support_rows(a: int, b: int) -> None:
+            grads[a:b] = grad_support(aset, theta + xi[a:b])
+            # the squares overwrite xi's rows, which are spent
+            np.multiply(grads[a:b], grads[a:b], out=xi[a:b])
+
+        _split_rows(m, aset.dimension, support_rows)
         total += grads.sum(axis=0)
-        total_sq += (grads * grads).sum(axis=0)
+        total_sq += xi.sum(axis=0)
         remaining -= m
     mean = total / n_samples
     var = np.maximum(total_sq / n_samples - mean * mean, 0.0)

@@ -1,6 +1,10 @@
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -660,3 +664,28 @@ def test_k_cache_for_prebuilds_the_reach_of_a_ball_run():
                                   20_000) is None
     with pytest.raises(ValueError, match="K cache was built for d=3"):
         engine.run(spec, ball_losses(5, 10), make_rng(70), est.KFunctionCache(3))
+
+
+def test_runs_start_no_thread():
+    # bulk draws may split over threads; a run's noise blocks never do, so a
+    # run process neither loads the thread pool nor starts a thread (scipy,
+    # which a ball run loads, imports the concurrent.futures package itself;
+    # its ThreadPoolExecutor lives in concurrent.futures.thread)
+    code = """
+import sys, threading
+import scbandits.cli
+from scbandits import action_sets as geom, engine
+from scbandits.environments import AdversarySpec, generate
+from scbandits.rng import make_rng
+for kind in (geom.HYPERCUBE, geom.BALL):
+    losses = generate(AdversarySpec(kind="seeded_random", geometry=kind, seed=3), 3, 400)
+    spec = engine.AlgorithmSpec(variant=engine.SCFTPL,
+                                action_set=geom.ActionSetModel(dimension=3, kind=kind))
+    engine.run(spec, losses, make_rng(5))
+    print("concurrent.futures" in sys.modules, "concurrent.futures.thread" in sys.modules,
+          threading.active_count())
+"""
+    src = str(Path(engine.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["False", "False", "1", "True", "False", "1"]

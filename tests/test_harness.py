@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scbandits import action_sets as geom
 from scbandits import cli, engine, harness, verify
 from scbandits import perturbations as pert
 from scbandits.cli import main as cli_main
@@ -319,6 +320,59 @@ def test_verify_runs_only_the_groups_a_filter_selects(monkeypatch):
         g if g is verify.check_k_function else _raising(g) for g in verify.CHECK_GROUPS))
     results = run_verify_suite(opts)
     assert results == expected and len(results) == 2 * len(verify.BALL_DIMENSIONS)
+
+
+def test_ks_statistic_equals_scipy_kstest():
+    from scipy import stats
+
+    d = 3
+    opts = VerifyOptions()
+    rng = verify.spawn_rngs(opts.seed + 9, 1)[0]  # the draws of check_radial_sampling
+    speeds = np.linalg.norm(pert.draw(geom.ball(d), rng, size=10**5), axis=1)
+
+    def cdf(s):
+        return pert.radial_cdf_ball(s, d)
+
+    samples = [(speeds, cdf),
+               (np.array([0.5]), cdf),
+               (np.array([2.0, 0.1, 0.1, 7.0, 0.3]), cdf),  # unsorted, with a tie
+               (np.linspace(0.0, 1.0, 11), lambda x: np.clip(x, 0.0, 1.0)),  # D at both ends
+               (np.array([0.25, 0.5, 0.75]), lambda x: x)]
+    for sample, law in samples:
+        assert verify.ks_statistic(sample, law) == stats.kstest(sample, law).statistic
+
+
+def test_verify_leaves_scipy_stats_unloaded(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"checks": ["ball_radial"]}))
+    code = ("import sys; from scbandits.cli import main; status = main(sys.argv[1:]); "
+            "print(status, 'scipy.stats' in sys.modules)")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code, "verify", "--config", str(cfg),
+                             "--quiet"], capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.split() == ["0", "False"]
+
+
+def test_verify_prints_each_group_time_after_its_rows(tmp_path, capsys):
+    opts = VerifyOptions(scale=0.1, checks=("hypercube_", "k_function_at_zero"))
+    harness.cmd_verify(opts, out_dir=tmp_path / "quiet", quiet=True)
+    assert capsys.readouterr().out == ""
+    harness.cmd_verify(opts, out_dir=tmp_path / "loud", quiet=False)
+    lines = capsys.readouterr().out.splitlines()
+    rows = [r["name"] for r in json.loads((tmp_path / "loud" / "verify_report.json")
+                                          .read_text())["checks"]]
+    expected = []  # each selected group's rows, then its time line
+    for group in verify.select_groups(opts.checks):
+        expected += [r for r in rows if r.startswith(verify.ROW_PREFIXES[group.__name__])]
+        expected.append(f"[time] {group.__name__}")
+    assert len(expected) == len(rows) + 3
+    assert [" ".join(line.split()[:2]) if line.startswith("[time] ") else line.split()[1]
+            for line in lines[:-1]] == expected
+    assert all(line.endswith(" s") for line in lines if line.startswith("[time] "))
+    assert lines[-1] == f"verify: {len(rows)}/{len(rows)} checks passed"
+    assert ((tmp_path / "quiet" / "verify_report.json").read_bytes()
+            == (tmp_path / "loud" / "verify_report.json").read_bytes())
 
 
 def test_select_groups_by_row_prefix():

@@ -8,7 +8,7 @@ from scipy import integrate, stats
 
 from scbandits import action_sets as geom
 from scbandits import perturbations as pert
-from scbandits.rng import make_rng
+from scbandits.rng import gaussians, make_rng
 
 # ---------------------------------------------------------------------------
 # hypercube marginal law
@@ -336,3 +336,107 @@ def test_draws_are_reproducible():
         a = pert.draw(aset, make_rng(seed), size=50)
         b = pert.draw(aset, make_rng(seed), size=50)
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# bulk draws split over threads
+# ---------------------------------------------------------------------------
+
+def _serial_ball_draw(d, rng, size):
+    """The ball's bulk draw written out on whole arrays, as one thread computes it."""
+    n = 1 if size is None else size
+    pairs = (d + 1) // 2
+    normal = gaussians(rng, n * 2 * pairs).reshape(n, 2 * pairs)[:, :d]
+    norms = np.linalg.norm(normal, axis=1, keepdims=True)
+    speeds = pert.RadialTable.build(d).inverse(np.maximum(rng.random(n), 2.0**-54))
+    out = normal / np.where(norms > 0.0, norms, 1.0) * speeds[:, None]
+    return out[0] if size is None else out
+
+
+_PART = pert._MIN_SHARE_ROWS
+_SPLIT_SIZES = [None, 1, 7, _PART - 1, _PART + 1, 2 * _PART - 1, 2 * _PART, 3 * _PART + 5]
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("d,sizes", [(1, _SPLIT_SIZES + [(1 << 17) + 1]),
+                                     (2, _SPLIT_SIZES), (3, _SPLIT_SIZES + [(1 << 17) + 1]),
+                                     (8, _SPLIT_SIZES + [(1 << 17) + 1]), (64, _SPLIT_SIZES)])
+def test_ball_draws_are_bit_for_bit_at_any_part_count(monkeypatch, parts, d, sizes):
+    monkeypatch.setattr(pert, "_usable_cpus", lambda: parts)
+    for size in sizes:
+        rng, ref_rng = make_rng(700 + d), make_rng(700 + d)
+        got = pert.draw(geom.ball(d), rng, size=size)
+        assert np.array_equal(got, _serial_ball_draw(d, ref_rng, size)), (d, size)
+        assert np.array_equal(rng.random(3), ref_rng.random(3)), (d, size)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_ball_draws_split_into_one_share_per_usable_cpu(monkeypatch, parts):
+    shares = []
+    block_rows = pert.block_rows
+
+    def recording(n, width):
+        shares.append(n)  # each share walks its rows in blocks
+        return block_rows(n, width)
+
+    monkeypatch.setattr(pert, "block_rows", recording)
+    monkeypatch.setattr(pert, "_usable_cpus", lambda: parts)
+    pert.draw(geom.ball(3), make_rng(1), size=3 * _PART + 2)
+    assert sorted(shares) == sorted(2 * [(3 * _PART + 2) * (i + 1) // parts
+                                         - (3 * _PART + 2) * i // parts for i in range(parts)])
+    shares.clear()
+    pert.draw(geom.ball(3), make_rng(1), size=2 * _PART - 1)  # too few rows for two shares
+    assert shares == [2 * _PART - 1] * 2
+
+
+def _serial_replication(aset, theta, n_samples, rng):
+    """verify_replication's mean and standard error written out on whole batches."""
+    total = total_sq = np.zeros(aset.dimension)
+    for start in range(0, n_samples, 1 << 17):
+        xi = pert.draw(aset, rng, size=min(1 << 17, n_samples - start))
+        grads = geom.grad_support(aset, theta + xi)
+        total = total + grads.sum(axis=0)
+        total_sq = total_sq + (grads * grads).sum(axis=0)
+    mean = total / n_samples
+    var = np.maximum(total_sq / n_samples - mean * mean, 0.0)
+    return mean, np.maximum(np.sqrt(var / n_samples), 1.0 / n_samples)
+
+
+@pytest.mark.parametrize("kind", [geom.HYPERCUBE, geom.BALL])
+def test_replication_reports_equal_at_any_part_count(monkeypatch, kind):
+    aset = geom.ActionSetModel(dimension=3, kind=kind)
+    theta = np.array([0.4, -1.5, 2.0])
+    n_samples = (1 << 17) + 3 * _PART + 1
+    ref_rng = make_rng(41)
+    mean, stderr = _serial_replication(aset, theta, n_samples, ref_rng)
+    after = ref_rng.random(3)
+    for parts in (1, 2, 3):
+        monkeypatch.setattr(pert, "_usable_cpus", lambda: parts)
+        rng = make_rng(41)
+        report = pert.verify_replication(aset, theta, n_samples, rng)
+        assert np.array_equal(report.mc_mean, mean) and np.array_equal(report.stderr, stderr)
+        assert np.array_equal(rng.random(3), after)
+
+
+class _ShareFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("on_worker", [True, False])
+def test_a_failing_share_raises_out_of_draw(monkeypatch, parts, on_worker):
+    import threading
+
+    inverse = pert.RadialTable.inverse
+
+    def failing(self, u):
+        if (threading.current_thread() is threading.main_thread()) != on_worker:
+            raise _ShareFailure(f"slice of {u.size} speeds")
+        return inverse(self, u)
+
+    monkeypatch.setattr(pert, "_usable_cpus", lambda: parts)
+    monkeypatch.setattr(pert.RadialTable, "inverse", failing)
+    threads = threading.active_count()
+    with pytest.raises(_ShareFailure, match="slice of"):
+        pert.draw(geom.ball(5), make_rng(42), size=4 * _PART)
+    assert threading.active_count() == threads  # every share has ended

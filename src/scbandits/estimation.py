@@ -17,14 +17,18 @@ norm leaves the covered range. The cache is looked up at one drift norm, or
 at the (S,) drift norms of a batch of seeds in one call, bit for bit the
 same values.
 
-The K quadrature is the only part that uses scipy, and it imports it on
-first use: the hypercube forms are closed, so a hypercube run never loads
-scipy, and a ball run loads it when it builds its K grid.
+The K quadrature is QUADPACK's adaptive Gauss-Kronrod scheme, ported in
+:mod:`.quadpack` so that a grid's nodes advance together through vectorized
+integrand calls, with the values ``scipy.integrate.quad`` gives. Only the
+integrand's incomplete beta and log-gamma come from ``scipy.special``,
+imported on first use: the hypercube forms are closed, so a hypercube run
+never loads scipy, and a ball run loads ``scipy.special`` alone.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,7 +45,7 @@ from .action_sets import (
     hessian_inv_matvec,
     hessian_matvec,
 )
-from .perturbations import log_sphere_surface, radial_density_ball
+from .perturbations import log_sphere_surface, radial_beta, radial_density_ball
 
 # Hypercube covariance is declared singular below this residual; the engine
 # aborts the run rather than emit unbounded estimates.
@@ -256,8 +260,9 @@ def _angular_rule(d: int) -> _AngularRule:
     )
 
 
-def _angular_integral(u: float, d: int) -> float:
-    """Fast evaluator for the angular integral above.
+def _angular_integral(u, d: int):
+    """Fast evaluator for the angular integral above, at a float or at each
+    entry of an array; a float gives a float.
 
     Splitting sin^d = sin^{d-2} (1 - cos^2) and eliminating cos(phi) through
     the denominator yields the exact two-term recursion
@@ -274,29 +279,111 @@ def _angular_integral(u: float, d: int) -> float:
     window |phi - pi/2| <= min(1.1, sqrt(92/d)) is used: the truncated
     tails carry relative mass below e^{-26} and the u = 1 spike at
     phi = pi never enters the window. Everything that depends on d alone
-    comes from :func:`_angular_rule`, so a call costs one 64-term dot
+    comes from :func:`_angular_rule`, so an entry costs one 64-term dot
     product or at most d/2 recursion steps.
+
+    An entry's bits do not depend on the other entries, so an array gives
+    what float calls give: the rule is one ``vecdot`` per row, which sums as
+    ``weights @ row`` does (a matrix product rounds differently), and the
+    odd-d logarithm is ``math.log`` per entry (``np.log`` can differ in the
+    last bit).
     """
-    if u > 1.0:
-        if u * u == math.inf:
-            return 0.0
-        return _angular_integral(1.0 / u, d) / (u * u)
     rule = _angular_rule(d)
-    if d > 32 or u < rule.u_cut:
-        return rule.half * float(rule.weights @ (rule.sin_pow / (1.0 + u * u + 2.0 * u * rule.cos)))
-    if u == 1.0:
-        return rule.at_one
-    gap = 1.0 - u                       # exact for u near 1
-    one_minus_usq = gap * (2.0 - gap)
-    usq = u * u
-    if d % 2 == 0:
-        j = np.pi / one_minus_usq
-    else:
-        j = math.log((1.0 + u) / gap) / u
-    a, b, c = -(one_minus_usq * one_minus_usq), 1.0 + usq, 4.0 * usq
-    for w_m in rule.w_terms:
-        j = (a * j + b * w_m) / c
-    return j
+    arg = np.asarray(u, dtype=float)
+    u = arg.reshape(-1)
+    big = u > 1.0
+    v = np.where(big, 1.0 / np.where(big, u, 1.0), u)
+    out = np.empty_like(v)
+    window = np.flatnonzero(v < rule.u_cut)
+    for start in range(0, window.size, _WINDOW_ROWS):
+        rows = window[start:start + _WINDOW_ROWS]
+        w = v[rows, None]
+        out[rows] = rule.half * np.vecdot(rule.sin_pow / (1.0 + w * w + 2.0 * w * rule.cos),
+                                          rule.weights)
+    if window.size < v.size:
+        rest = np.flatnonzero(v >= rule.u_cut)
+        r = v[rest]
+        one = r == 1.0
+        out[rest[one]] = rule.at_one
+        rest, r = rest[~one], r[~one]
+        gap = 1.0 - r                   # exact for r near 1
+        one_minus_usq = gap * (2.0 - gap)
+        usq = r * r
+        if d % 2 == 0:
+            j = np.pi / one_minus_usq
+        else:
+            j = np.array([math.log(q) for q in ((1.0 + r) / gap).tolist()]) / r
+        a, b, c = -(one_minus_usq * one_minus_usq), 1.0 + usq, 4.0 * usq
+        for w_m in rule.w_terms:
+            j = (a * j + b * w_m) / c
+        out[rest] = j
+    if big.any():
+        with np.errstate(over="ignore"):  # J(1/u)/u^2 is 0 once u^2 overflows
+            out[big] /= u[big] * u[big]
+    return float(out[0]) if arg.ndim == 0 else out.reshape(arg.shape)
+
+
+# Rows of the angular window rule evaluated at once: 256 KiB of temporaries
+_WINDOW_ROWS = 512
+
+# Subdivision limit of each radial integral of K
+_K_LIMIT = 300
+
+
+def _radial_pieces(x: float, d: int) -> tuple[tuple[float, float, bool], ...]:
+    """The ranges (lo, hi) whose integrals sum to integral_0^inf J(x/r) p_V(r) dr,
+    in summation order, each with whether it runs in v = 1/r."""
+    if x > (16.0 if d > 32 else 240.0):
+        return ((0.0, 4.0, False), (4.0, 0.5 * x, False), (0.5 * x, 2.0 * x, False),
+                (0.0, 0.5 / x, True))
+    split = max(4.0, 4.0 * x)
+    return (0.0, split, False), (split, math.inf, False)
+
+
+def _k_values(xs: list[float], d: int) -> list[float]:
+    """K(x, d) at each drift norm of ``xs``: the value of
+    :func:`k_function_ball`, bit for bit, with every radial integral of the
+    batch advanced in lockstep (one integrand call per step for all).
+
+    Raises QuadratureError for the first node, in order, whose integral
+    fails or whose value is not finite.
+    """
+    from . import quadpack  # only the ball reads K: a hypercube run never loads it
+
+    pieces = [_radial_pieces(x, d) for x in xs]
+    drift = np.array([x for x, node in zip(xs, pieces) for _ in node])
+    inverted = np.array([inv for node in pieces for *_, inv in node], dtype=bool)
+    tol = dict(epsabs=0.0, epsrel=1e-9, limit=_K_LIMIT)
+    integrals = [quadpack.qagi(lo, **tol) if hi == math.inf else quadpack.qags(lo, hi, **tol)
+                 for node in pieces for lo, hi, _ in node]
+
+    def integrand(owner: np.ndarray, r: np.ndarray) -> np.ndarray:
+        x = drift[owner]
+        v = inverted[owner]
+        radial = ~v & (r != 0.0)
+        u = np.where(v, x * r, x / np.where(radial, r, 1.0))
+        factor = np.zeros_like(r)
+        factor[radial] = radial_density_ball(r[radial], d)
+        if v.any():  # p_V(r) dr = I_{1/(1+v^2)}((d+1)/2, d/2) dv
+            t = r[v]
+            factor[v] = radial_beta(1.0 / (1.0 + t * t), d)
+        return _angular_integral(u, d) * factor
+
+    results = iter(quadpack.lockstep(integrals, integrand))
+    ratio = np.exp(log_sphere_surface(d - 2) - log_sphere_surface(d - 1))
+    values = []
+    for x, node in zip(xs, pieces):
+        total = 0.0
+        for result in itertools.islice(results, len(node)):
+            if result.ier:
+                raise QuadratureError(
+                    f"radial integral failed for K({x}, d={d}): {result.message}")
+            total += result.value
+        k = ratio * total
+        if not np.isfinite(k):
+            raise QuadratureError(f"K({x}, d={d}) evaluated to {k!r}")
+        values.append(float(k))
+    return values
 
 
 @functools.lru_cache(maxsize=65536)
@@ -309,28 +396,33 @@ def k_function_ball(x: float, d: int) -> float:
         K(x) = (S_{d-2}/S_{d-1}) * integral_0^inf J(x/r) p_V(r) dr,
 
     J(u) = integral_0^pi sin^d(phi)/(1 + u^2 + 2u cos(phi)) dphi. The
-    radial level is adaptive quadrature; the angular level uses the exact
-    reduction in :func:`_angular_integral` (checked against the adaptive
-    rule in tests). Satisfies K(0) = (d-1)/d and
-    (d-1)/(d(x+2)) <= K(x) <= (d-1)/d. Memoized per (x, d); raises
-    QuadratureError on non-convergence.
+    radial level is QUADPACK's adaptive Gauss-Kronrod quadrature, ported in
+    :mod:`.quadpack` (relative tolerance 1e-9, at most 300 subintervals per
+    piece), which returns what ``scipy.integrate.quad`` returns, bit for
+    bit; the angular level uses the exact reduction in
+    :func:`_angular_integral` (checked against the adaptive rule in tests).
+    Satisfies K(0) = (d-1)/d and (d-1)/(d(x+2)) <= K(x) <= (d-1)/d.
+    Memoized per (x, d); raises QuadratureError on non-convergence.
 
     Up to x = 240 (16 for d > 32) the radial integral is split once, at
-    max(4, 4x). Further out that head stops early with a tiny error
-    estimate (it samples too few nodes in the narrow bulk of p_V near
-    r = 1), so far drifts split at 4, x/2 and 2x, around the bulk and the
-    kink of J(x/r) at r = x, and map the tail [2x, inf) onto (0, 1/(2x)] by
-    r = 1/v, where p_V(r) dr = I_{1/(1+v^2)}((d+1)/2, d/2) dv. The switch
-    lies above every node a prebuilt grid, verify or a benchmark run
-    evaluates (236.7 at d=2, 8.4 at d=1024), so those values keep their
-    pinned rounding, and below every drift where the two-piece route was
-    seen to fail (601 at d=32, 236 at d=65536).
+    max(4, 4x), and the piece [4x, inf) is mapped onto (0, 1]. Further out
+    that head stops early with a tiny error estimate (it samples too few
+    nodes in the narrow bulk of p_V near r = 1), so far drifts split at 4,
+    x/2 and 2x, around the bulk and the kink of J(x/r) at r = x, and map
+    the tail [2x, inf) onto (0, 1/(2x)] by r = 1/v, where
+    p_V(r) dr = I_{1/(1+v^2)}((d+1)/2, d/2) dv. The switch lies above every
+    node a prebuilt grid, verify or a benchmark run evaluates (236.7 at
+    d=2, 8.4 at d=1024), so those values keep their pinned rounding, and
+    below every drift where the two-piece route was seen to fail (601 at
+    d=32, 236 at d=65536).
 
-    Cost: about 400 integrand evaluations per value, each one scalar
-    incomplete beta for p_V plus one 64-node dot product or a short
-    recursion for J; roughly 1.4 ms per value at d=5 on one core of a
-    shared 2-core x86_64 host. Contract: speed work on the integrand must
-    leave every value bit-identical; tests pin float.hex of grid nodes.
+    Cost: one value is :func:`_k_values` on one node, one vectorized
+    integrand call per bisection step: 0.7-2 ms at d=5 and about 1.1 ms at
+    d=1024 on one core of a shared 2-core x86_64 host. A grid costs far less
+    per node, because :class:`KFunctionCache` evaluates all its nodes in one
+    batch. Contract: speed work on the integrand must leave every value
+    bit-identical; tests pin float.hex of grid nodes and compare every node
+    with ``quad``.
     """
     x = float(x)
     d = int(d)
@@ -338,37 +430,7 @@ def k_function_ball(x: float, d: int) -> float:
         raise ValueError("the covariance factor is defined for d >= 2")
     if x < 0.0 or not np.isfinite(x):
         raise ValueError(f"drift norm must be finite and nonnegative, got {x!r}")
-    from scipy import integrate
-    from scipy.special import betainc
-
-    ratio = np.exp(log_sphere_surface(d - 2) - log_sphere_surface(d - 1))
-
-    def integrand(r: float) -> float:
-        if r == 0.0:
-            return 0.0
-        return _angular_integral(x / r, d) * radial_density_ball(r, d)
-
-    if x > (16.0 if d > 32 else 240.0):
-        def inverted(v: float) -> float:
-            return _angular_integral(x * v, d) * float(betainc((d + 1) / 2.0, d / 2.0,
-                                                               1.0 / (1.0 + v * v)))
-
-        pieces = ((integrand, 0.0, 4.0), (integrand, 4.0, 0.5 * x),
-                  (integrand, 0.5 * x, 2.0 * x), (inverted, 0.0, 0.5 / x))
-    else:
-        split = max(4.0, 4.0 * x)
-        pieces = ((integrand, 0.0, split), (integrand, split, np.inf))
-    total = 0.0
-    for f, lo, hi in pieces:
-        val, abserr, info, *rest = integrate.quad(
-            f, lo, hi, epsabs=0.0, epsrel=1e-9, limit=300, full_output=1)
-        if rest:
-            raise QuadratureError(f"radial integral failed for K({x}, d={d}): {rest[0]}")
-        total += val
-    k = ratio * total
-    if not np.isfinite(k):
-        raise QuadratureError(f"K({x}, d={d}) evaluated to {k!r}")
-    return float(k)
+    return _k_values([x], d)[0]
 
 
 class KFunctionCache:
@@ -381,24 +443,27 @@ class KFunctionCache:
     budget. A query beyond the covered range appends nodes instead of
     rebuilding.
 
-    Building costs one :func:`k_function_ball` value per node: a ball run at
-    d=5, n=2e4 prebuilds 264 nodes (x up to 90.8) in about 0.35-0.4 s on
-    one core of a 2-core x86_64 host. Node values are bit-identical for every
-    build at the same d; tests pin them.
+    Node i is K(sinh(i h)), the :func:`k_function_ball` value bit for bit.
+    The nodes of a build, or of an extension, are evaluated in one
+    :func:`_k_values` batch, without the ``k_function_ball`` memo: a ball
+    run at d=5, n=2e4 prebuilds 264 nodes (x up to 90.8) in 0.12-0.2 s on
+    one core of a shared 2-core x86_64 host, against 0.3-0.4 s node by node
+    through ``scipy.integrate.quad``, and every integral of the batch ends
+    within 10 lockstep steps. Node values are bit-identical for every build
+    at the same d; tests pin them.
     """
 
     def __init__(self, d: int, x_max: float = 8.0):
         if d < 2:
             raise ValueError("K cache requires d >= 2")
         self.d = int(d)
-        self._values: list[float] = [k_function_ball(0.0, self.d)]
+        self._values: list[float] = []
         self._extend_to(np.arcsinh(float(x_max)))
 
     def _extend_to(self, t_needed: float) -> None:
         hi = int(np.ceil(t_needed / K_GRID_SPACING)) + 2
-        while len(self._values) <= hi:
-            t = len(self._values) * K_GRID_SPACING
-            self._values.append(k_function_ball(float(np.sinh(t)), self.d))
+        xs = [float(np.sinh(i * K_GRID_SPACING)) for i in range(len(self._values), hi + 1)]
+        self._values.extend(_k_values(xs, self.d))
         self._array = np.array(self._values)  # the nodes, for array lookups
 
     def __call__(self, x):

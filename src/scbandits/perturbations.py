@@ -44,19 +44,23 @@ kernels to its own contiguous range of rows and writes only those rows;
 the generator reads and every reduction stay on the calling thread, over
 the whole batch, in stream order. So the arrays, the reports and the
 generator's state afterwards are bit for bit the same at any core count.
-Small draws and a run's per-round noise blocks stay on the calling thread,
-and the thread pool is imported by the first split, so a run starts no
-thread.
+A kernel splits only when each share's estimated work outweighs starting
+its thread, so the hypercube's one-``np.where`` support kernel stays on
+the calling thread at d = 1. Small draws and a run's per-round noise
+blocks stay on the calling thread, and the thread pool is imported by the
+first split, so a run starts no thread.
 
-Only the ball's radial law uses scipy (quadrature, ``gammaln``, ``betainc``),
+Only the ball's radial law uses scipy (``gammaln``, ``betainc``, and the
+quadrature of :func:`radial_profile_ball`, which only verification reads),
 so this module imports it inside those functions, on first use: a hypercube
-run, ``sample`` or ``bench`` loads numpy alone, and a ball one loads scipy
-when it builds its radial table or K grid.
+run, ``sample`` or ``bench`` loads numpy alone, and a ball one loads
+``scipy.special`` when it builds its radial table or K grid.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass
 
@@ -169,36 +173,24 @@ def log_sphere_surface(n: int) -> float:
     return float(np.log(2.0) + ((n + 1) / 2.0) * np.log(np.pi) - gammaln((n + 1) / 2.0))
 
 
-# scipy.special's betainc ufunc and its scalar cython_special twin, once
-# the first radial-law call has bound them
-_betainc = _betainc_scalar = None
+# scipy.special's betainc ufunc, once the first radial-law call has bound it
+_betainc = None
 
 
-def _bind_betainc() -> None:
-    global _betainc, _betainc_scalar
-    from scipy.special import betainc as _betainc
-    from scipy.special.cython_special import betainc as _betainc_scalar
+def radial_beta(w, d: int):
+    """I_w((d+1)/2, d/2), the regularized incomplete beta that the speed law
+    reads, element by element. The binding is made once, by the first
+    call, and not imported per call."""
+    global _betainc
+    if _betainc is None:
+        from scipy.special import betainc as _betainc
+    return _betainc((d + 1) / 2.0, d / 2.0, w)
 
 
 def radial_density_ball(s, d: int):
-    """Speed density p_V(s) = S_{d-1} f~(s) s^{d-1}, in incomplete-beta form.
-
-    A Python float takes a scalar route: the K quadrature calls this about
-    1e5 times per grid as its scalar integrand, and there
-    ``scipy.special.cython_special.betainc`` takes less than half the
-    ufunc's time per call (1.2 against 2.8 us). Both routes perform the
-    same IEEE operations and both betainc bindings evaluate the same
-    routine, so they return bit-identical values. The bindings are made
-    once, by the first call, and not imported per call.
-    """
-    if _betainc is None:
-        _bind_betainc()
-    if isinstance(s, float):
-        if not s > 0.0:
-            return _radial_density_at_zero(d)
-        ssq = s * s
-        return _betainc_scalar((d + 1) / 2.0, d / 2.0, ssq / (1.0 + ssq)) / ssq
-    out = _radial_law(np.asarray(s, dtype=float), d)[0]
+    """Speed density p_V(s) = S_{d-1} f~(s) s^{d-1}, in incomplete-beta form,
+    at a float (giving a float) or at each entry of an array."""
+    out = _radial_law(np.asarray(s, dtype=float), d, cdf=False)[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -214,22 +206,21 @@ def radial_cdf_ball(s, d: int):
     return float(out) if out.ndim == 0 else out
 
 
-def _radial_law(s: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The speed density p_V and CDF F_V at every entry of ``s``.
+def _radial_law(s: np.ndarray, d: int, cdf: bool = True):
+    """The speed density p_V and, with ``cdf``, the CDF F_V at every entry of ``s``.
 
     Both read I_w((d+1)/2, d/2) at w = s^2/(1+s^2), computed once here;
     each is rounded as its own formula alone rounds it.
     """
-    if _betainc is None:
-        _bind_betainc()
     positive = s > 0.0
     ssq = np.where(positive, s * s, 1.0)
     w = ssq / (1.0 + ssq)
-    upper = _betainc((d + 1) / 2.0, d / 2.0, w)
+    upper = radial_beta(w, d)
     density = np.where(positive, upper / ssq, _radial_density_at_zero(d))
-    cdf = np.where(positive, _betainc(d / 2.0, (d + 1) / 2.0, w)
-                   - upper / np.where(positive, s, 1.0), 0.0)
-    return density, cdf
+    if not cdf:
+        return density, None
+    return density, np.where(positive, _betainc(d / 2.0, (d + 1) / 2.0, w)
+                             - upper / np.where(positive, s, 1.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +293,18 @@ class RadialTable:
 # Drawing perturbations: the only place that knows how the stream is laid out
 # ---------------------------------------------------------------------------
 
-# Fewer rows than this per share and a bulk draw stays on the calling thread:
-# a share costs milliseconds of ufunc work, far more than a thread start.
+# A share holds at least this many rows, and at least this much work: starting
+# and joining a share's thread cost 0.24-0.36 ms on a 2-core x86_64 host, and
+# a split gained nothing until each share carried more than that.
 _MIN_SHARE_ROWS = 1 << 12
+_MIN_SHARE_NS = 500_000
+
+# Estimated cost of one row of each split kernel, in ns, on that host:
+# Box-Muller about 40 ns per normal; the radial-table inverse with its Newton
+# polish 0.8-1.3 us per speed; grad_support and squaring about 6 ns per value.
+_BOX_MULLER_NS = 40
+_SPEED_NS = 1000
+_SUPPORT_NS = 6
 
 
 def _usable_cpus() -> int:
@@ -314,23 +314,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _split_rows(n: int, width: int, work) -> None:
+def _split_rows(n: int, width: int, work, row_ns: float) -> None:
     """Call ``work(start, stop)`` on consecutive row ranges that cover range(n).
 
     A range holds at most the rows :func:`block_rows` gives a block of
     ``width`` values per row, so the temporaries of a call stay small at any
-    n. With more than one usable CPU and at least 2 * _MIN_SHARE_ROWS rows,
-    the rows are cut into one contiguous share per CPU; the calling thread
-    walks the last share and a new thread each other one. ``work`` must
-    write only the rows it is given. An exception from any share is raised
-    here, after every share has ended.
+    n. ``row_ns`` is the estimated cost of ``work`` per row. With more than
+    one usable CPU, and enough rows for two shares of at least
+    _MIN_SHARE_ROWS rows and _MIN_SHARE_NS of work each, the rows are cut
+    into one contiguous share per CPU (fewer if the work does not fill
+    them); the calling thread walks the last share and a new thread each
+    other one. ``work`` must write only the rows it is given. An exception
+    from any share is raised here, after every share has ended.
     """
     def walk(start: int, stop: int) -> None:
         for m in block_rows(stop - start, width):
             work(start, start + m)
             start += m
 
-    shares = min(_usable_cpus(), n // _MIN_SHARE_ROWS)
+    shares = min(_usable_cpus(), n // max(_MIN_SHARE_ROWS, math.ceil(_MIN_SHARE_NS / row_ns)))
     if shares <= 1:
         walk(0, n)
         return
@@ -375,7 +377,7 @@ def sample_ball(d: int, rng: np.random.Generator, size: int | None = None):
     def box_muller_rows(a: int, b: int) -> None:
         normal[:, a:b] = box_muller(u[0, a:b].ravel(), u[1, a:b].ravel()).reshape(2, b - a, pairs)
 
-    _split_rows(n, 2 * pairs, box_muller_rows)
+    _split_rows(n, 2 * pairs, box_muller_rows, _BOX_MULLER_NS * 2 * pairs)
     del u  # free the uniforms before the second pass
     rows = normal.reshape(n, 2 * pairs)[:, :d]
     table = RadialTable.build(d)
@@ -386,7 +388,7 @@ def sample_ball(d: int, rng: np.random.Generator, size: int | None = None):
         speeds = table.inverse(speed_u[a:b])
         out[a:b] = rows[a:b] / np.where(norms > 0.0, norms, 1.0) * speeds[:, None]
 
-    _split_rows(n, 2 * pairs, direction_times_speed)
+    _split_rows(n, 2 * pairs, direction_times_speed, _SPEED_NS)
     return out[0] if size is None else out
 
 
@@ -474,7 +476,7 @@ def verify_replication(aset: ActionSetModel, theta, n_samples: int,
             # the squares overwrite xi's rows, which are spent
             np.multiply(grads[a:b], grads[a:b], out=xi[a:b])
 
-        _split_rows(m, aset.dimension, support_rows)
+        _split_rows(m, aset.dimension, support_rows, _SUPPORT_NS * aset.dimension)
         total += grads.sum(axis=0)
         total_sq += xi.sum(axis=0)
         remaining -= m

@@ -299,6 +299,88 @@ def test_radial_density_bit_identical_to_pinned_values(d):
     assert pert.radial_density_ball(np.array(_DENSITY_SPEEDS[5]), d) == pinned[5]
 
 
+# The reference for the K evaluator: the route k_function_ball took before
+# its radial integrals were ported, scipy.integrate.quad on each piece with
+# one float call of the integrand per abscissa. The port must equal it bit
+# for bit, errors included.
+
+def _k_by_quad(x, d, limit=300):
+    from scipy import integrate
+
+    ratio = np.exp(pert.log_sphere_surface(d - 2) - pert.log_sphere_surface(d - 1))
+
+    def integrand(r):
+        if r == 0.0:
+            return 0.0
+        return est._angular_integral(x / r, d) * pert.radial_density_ball(r, d)
+
+    if x > (16.0 if d > 32 else 240.0):
+        def inverted(v):
+            return est._angular_integral(x * v, d) * float(pert.radial_beta(1.0 / (1.0 + v * v), d))
+
+        pieces = ((integrand, 0.0, 4.0), (integrand, 4.0, 0.5 * x),
+                  (integrand, 0.5 * x, 2.0 * x), (inverted, 0.0, 0.5 / x))
+    else:
+        split = max(4.0, 4.0 * x)
+        pieces = ((integrand, 0.0, split), (integrand, split, np.inf))
+    total = 0.0
+    for f, lo, hi in pieces:
+        val, abserr, info, *rest = integrate.quad(
+            f, lo, hi, epsabs=0.0, epsrel=1e-9, limit=limit, full_output=1)
+        if rest:
+            raise est.QuadratureError(f"radial integral failed for K({x}, d={d}): {rest[0]}")
+        total += val
+    k = ratio * total
+    if not np.isfinite(k):
+        raise est.QuadratureError(f"K({x}, d={d}) evaluated to {k!r}")
+    return float(k)
+
+
+def _outcome(f):
+    try:
+        return f()
+    except est.QuadratureError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("d", sorted(_KGRID_EVERY_8TH_HEX))
+def test_k_grid_nodes_equal_quad_reference(d):
+    cache = _ball_grid(d, _KGRID_HORIZONS[d])
+    xs = [float(np.sinh(i * est.K_GRID_SPACING)) for i in range(len(cache._values))]
+    assert cache._values == [_k_by_quad(x, d) for x in xs]
+
+
+@pytest.mark.parametrize("d,xs", [(2, (0.0, 300.0, 1e3, 1e5, 1e8, 2e10)),
+                                  (5, (0.0, 300.0, 1e3, 1e5, 1e8, 2e10)),
+                                  (64, (0.0, 20.0, 1e4, 1e8))])
+def test_k_far_drifts_equal_quad_reference(d, xs):
+    # drift 0 and drifts past the four-piece switch, in one batch and one by one
+    reference = [_k_by_quad(x, d) for x in xs]
+    assert est._k_values(list(xs), d) == reference
+    assert [est.k_function_ball(x, d) for x in xs] == reference
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(2, 2048), x=st.one_of(st.floats(0.0, 2e10), st.floats(0.0, 300.0)))
+def test_k_values_equal_quad_reference(d, x):
+    assert _outcome(lambda: est._k_values([x], d)[0]) == _outcome(lambda: _k_by_quad(x, d))
+
+
+def test_k_cache_raises_the_first_failing_nodes_quad_error(monkeypatch):
+    # with 4 subintervals per piece, node 2 is the first node quad cannot
+    # integrate; the port fails there too, with quad's message
+    monkeypatch.setattr(est, "_K_LIMIT", 4)
+    with pytest.raises(est.QuadratureError) as by_port:
+        est.KFunctionCache(5)
+    xs = [float(np.sinh(i * est.K_GRID_SPACING)) for i in range(3)]
+    assert [_k_by_quad(x, 5, limit=4) for x in xs[:2]] == est._k_values(xs[:2], 5)
+    with pytest.raises(est.QuadratureError) as by_quad:
+        _k_by_quad(xs[2], 5, limit=4)
+    assert str(by_port.value) == str(by_quad.value)
+    assert str(by_port.value).startswith(f"radial integral failed for K({xs[2]}, d=5): "
+                                         "The maximum number of subdivisions (4)")
+
+
 @pytest.mark.parametrize("d", [2, 8, 33, 256, 4096])
 def test_k_cache_budget_and_bounds_across_reach(d):
     # every branch of the angular evaluator (recursion, small-u rule, the

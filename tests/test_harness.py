@@ -588,6 +588,19 @@ def test_cli_numeric_error_exit_code(tmp_path):
     assert cli_main(["run", "--config", str(cfg), "--quiet"]) == 3
 
 
+def test_cli_k_quadrature_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a K node whose radial integral cannot converge maps to exit code 3
+    from scbandits import estimation
+
+    monkeypatch.setattr(estimation, "_K_LIMIT", 4)
+    cfg = tmp_path / "k.json"
+    cfg.write_text(json.dumps(base_config(set="ball", dimension=5, horizon=100,
+                                          seeds=[1], out_dir=str(tmp_path))))
+    assert cli_main(["run", "--config", str(cfg), "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numeric error: radial integral failed for K(0.04001066752003251, d=5): ")
+
+
 @pytest.mark.parametrize("rate", [1e5, 1e3, 1e12, 1e160])
 def test_cli_ball_run_at_extreme_drift_never_fails_quadrature(tmp_path, capsys, rate):
     # a fixed direction drives ||theta|| far past any prebuilt K grid; the run
@@ -690,6 +703,22 @@ def test_hypercube_commands_leave_scipy_unloaded(tmp_path, case, scipy_loaded):
                             check=True, env={**os.environ, "PYTHONPATH": src})
     # a run starts no process pool, so it never imports one either
     assert result.stdout.split() == ["0", str(scipy_loaded), "False"]
+
+
+def test_ball_run_leaves_scipy_integrate_unloaded(tmp_path):
+    # a ball run's K grid comes from the quadrature port and its radial law
+    # from the betainc ufunc: scipy.special loads, scipy.integrate does not
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base_config(set="ball", dimension=3, horizon=50, seeds=[1, 2],
+                                          out_dir=str(tmp_path))))
+    code = ("import sys; from scbandits.cli import main; status = main(sys.argv[1:]); "
+            "print(status, *(m in sys.modules for m in ('scipy.special', 'scipy.integrate', "
+            "'scipy.special.cython_special')))")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code, "run", "--config", str(cfg), "--quiet"],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.split() == ["0", "True", "False", "False"]
 
 
 def test_cli_missing_config_file_exits_1(tmp_path, capsys):

@@ -418,6 +418,27 @@ def test_replication_reports_equal_at_any_part_count(monkeypatch, kind):
         assert np.array_equal(rng.random(3), after)
 
 
+@pytest.mark.parametrize("kind,d,shares", [(geom.HYPERCUBE, 1, 1), (geom.HYPERCUBE, 2, 2),
+                                           (geom.BALL, 1, 1), (geom.BALL, 3, 2)])
+def test_replication_splits_only_work_that_outweighs_a_thread(monkeypatch, kind, d, shares):
+    # a batch of 2^17 rows: the support kernel's work per share decides the
+    # split, so one np.where per value at d = 1 stays on the calling thread
+    walked = []
+    block_rows = pert.block_rows
+
+    def recording(n, width):
+        walked.append(n)
+        return block_rows(n, width)
+
+    aset = geom.ActionSetModel(dimension=d, kind=kind)
+    xi = pert.draw(aset, make_rng(3), size=1 << 17)
+    monkeypatch.setattr(pert, "draw", lambda aset, rng, size: xi.copy())
+    monkeypatch.setattr(pert, "block_rows", recording)
+    monkeypatch.setattr(pert, "_usable_cpus", lambda: 2)
+    pert.verify_replication(aset, np.linspace(-1.0, 1.0, d), 1 << 17, make_rng(4))
+    assert walked == [(1 << 17) // shares] * shares
+
+
 class _ShareFailure(Exception):
     pass
 

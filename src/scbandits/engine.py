@@ -12,19 +12,16 @@ unbiased loss-vector estimate back into the accumulator.
   of the Dikin ellipsoid at the expected action, chosen uniformly, and the
   estimate is d * H(x) (A - x) times the scalar loss.
 
-The engine has two entries: :func:`run` plays one seed into a
-:class:`Trace`, and :func:`run_seeds` plays many, keeping only what the
-regret outputs read. The learner's randomness does not depend on its
-state, so each run draws it ahead of the rounds, in blocks whose rows
-follow the per-round stream order: a block is bit for bit the draws of its
-rounds taken one at a time, and the round loop itself is only the O(d)
-recurrence. The Dikin-pole rounds call the geometry and estimator kernels
-shared with the module API, without its argument checks; the local norms
-and step violations of every run are computed after the loop, vectorized
-over rounds. The rounds of one seed are strictly sequential, but seeds are independent:
-:func:`run_seeds` runs the perturbed-leader recurrence for many seeds at
-once on (S, d) arrays and the Dikin-pole seeds one by one. Given (seed,
-config, losses) a run is bit-reproducible, however seeds are batched.
+That loop is written once, in :func:`_blocks`, which plays each round by
+one of five per-round functions (one seed or S seeds on each body, and the
+Dikin pole, which calls the unchecked geometry and estimator kernels) and
+yields blocks of rounds. The learner's randomness does not depend on its
+state, so it comes from :mod:`perturbations` ahead of the rounds, bit for
+bit the draws taken round by round. :func:`run` copies the blocks into one
+seed's :class:`Trace`; :func:`run_seeds` reduces them to regret increments
+and step-violation counts, running two or more perturbed-leader seeds
+together on (S, d) arrays. Given (seed, config, losses) a run is
+bit-reproducible, however seeds are batched.
 """
 
 from __future__ import annotations
@@ -49,9 +46,9 @@ from .action_sets import (
     hessian_inv_matvec,
 )
 from .environments import boundedness_violation
-from .estimation import LOSS_SLACK, SINGULARITY_FLOOR, KFunctionCache, _scribble_estimate
-from .perturbations import round_noise, round_noise_blocks
-from .rng import block_rows
+from .estimation import (FLAT_DRIFT, LOSS_SLACK, SINGULARITY_FLOOR, KFunctionCache,
+                         _scribble_estimate)
+from .perturbations import pole_draw_blocks, round_noise_blocks
 
 SCFTPL = "scftpl"
 SCRIBBLE = "scribble"
@@ -139,7 +136,7 @@ class Trace:
 
     @classmethod
     def empty(cls, n: int, d: int) -> Trace:
-        """Unfilled arrays for n rounds in dimension d; a loop writes row t - 1 in round t."""
+        """Unfilled arrays for n rounds in dimension d."""
         return cls(x=np.empty((n, d)), action=np.empty((n, d)), y_hat=np.empty((n, d)),
                    scalar_loss=np.empty(n), local_norm_sq=np.empty(n),
                    step_violation=np.empty(n, dtype=bool))
@@ -165,9 +162,11 @@ class AbortedRunError(RuntimeError):
         self.trace = trace
 
 
-# Elements per pass of the norm helper: bounds its temporaries to 32 KiB
-# each, so the pass after a run adds nothing to its peak memory at any d.
-_NORM_ELEMENTS = 1 << 12
+class _Abort(Exception):
+    """Seed ``seed`` of a batch stops in round ``t``, which :func:`_blocks` sets."""
+
+    def __init__(self, seed: int, reason: str):
+        self.seed, self.reason, self.t = seed, reason, 0
 
 
 def _local_norms(aset: ActionSetModel, variant: str, eta: float, xs, y_hats):
@@ -190,39 +189,6 @@ def _local_norms(aset: ActionSetModel, variant: str, eta: float, xs, y_hats):
     return norm_sq, 2.0 * eta * np.sqrt(np.maximum(norm_sq, 0.0)) > 1.0
 
 
-def _with_norms(trace: Trace, aset: ActionSetModel, variant: str, eta: float) -> Trace:
-    """Fill ``local_norm_sq`` and ``step_violation`` of a trace whose other rows are written."""
-    step = max(1, _NORM_ELEMENTS // aset.dimension)
-    for lo in range(0, len(trace), step):
-        rows = slice(lo, lo + step)
-        trace.local_norm_sq[rows], trace.step_violation[rows] = _local_norms(
-            aset, variant, eta, trace.x[rows], trace.y_hat[rows])
-    return trace
-
-
-def _pole_draws(d: int, rng: np.random.Generator, n: int):
-    """The Dikin-pole indices of n scribble rounds, uniform on [0, 2d)."""
-    for m in block_rows(n, 1):
-        yield from rng.integers(0, 2 * d, size=m).tolist()
-
-
-def _check_losses(aset: ActionSetModel, losses) -> np.ndarray:
-    """The losses as an (n, d) float array, checked whole before any draw.
-
-    Every row must satisfy sup_a |<y, a>| <= 1 (up to float slack), so every
-    scalar loss the learner can observe lies in [-1, 1]; a NaN row fails too.
-    """
-    losses = np.asarray(losses, dtype=float)
-    if losses.ndim != 2 or losses.shape[1] != aset.dimension:
-        raise ValueError(f"losses must have shape (n, {aset.dimension})")
-    excess = boundedness_violation(aset, losses)
-    if not excess <= LOSS_SLACK:
-        raise ValueError(
-            f"losses break the [-1, 1] normalization: max_t sup_a |<y_t, a>| - 1 "
-            f"is {excess!r}, not <= {LOSS_SLACK:g}")
-    return losses
-
-
 def run(spec: AlgorithmSpec, losses, rng: np.random.Generator,
         k_cache: KFunctionCache | None = None) -> Trace:
     """Run the spec's algorithm against an oblivious loss sequence.
@@ -232,128 +198,49 @@ def run(spec: AlgorithmSpec, losses, rng: np.random.Generator,
     (read-only here apart from extension); omitted, that run builds
     ``k_cache_for(spec, n)``.
 
-    This is the one prologue (loss check, learning rate, K grid) and the one
-    place that fills the local norms and step violations, after the loop and
-    vectorized over rounds, or turns an abort into an ``AbortedRunError``
-    carrying the rounds before it. The perturbations
-    (:func:`perturbations.round_noise`) and Dikin-pole indices
-    (:func:`_pole_draws`: index draw % d, sign +1 iff draw < d) are drawn
-    ahead of the rounds in per-round stream order. A round writes x,
-    action, y_hat and scalar_loss by O(d) vector operations, or by the
-    unchecked kernels that the module-level operations (conjugate_gradient,
-    dikin_pole, barrier_hessian, scribble_estimate) wrap; the tests pin the
-    rounds against those operations.
+    Each block of rounds from :func:`_blocks` is copied into the trace,
+    whose scalar losses, local norms and step violations are computed per
+    block. An abort raises an ``AbortedRunError`` carrying the rounds before
+    it. The tests pin the rounds against the module-level operations.
     """
     aset = spec.action_set
     losses, eta, k_cache = _prologue(spec, losses, k_cache)
     trace = Trace.empty(*losses.shape)
-    with np.errstate(over="ignore"):  # an overflowing theta^2 aborts its round
-        if spec.variant == SCRIBBLE:
-            abort = _scribble_rounds(aset, losses, eta, rng, trace)
-        elif aset.kind == BALL:
-            abort = _scftpl_ball_rounds(aset, losses, eta, rng, trace, k_cache)
-        else:
-            abort = _scftpl_hypercube_rounds(aset, losses, eta, rng, trace)
-    if abort is not None:
-        t, reason = abort
-        raise AbortedRunError(f"round {t}: {reason}",
-                              _with_norms(trace.head(t - 1), aset, spec.variant, eta))
-    return _with_norms(trace, aset, spec.variant, eta)
+    try:
+        for rows, (xs, actions, y_hats) in _blocks(spec, losses, eta, [rng], k_cache):
+            xs, actions, y_hats = xs[:, 0], actions[:, 0], y_hats[:, 0]
+            trace.x[rows], trace.action[rows], trace.y_hat[rows] = xs, actions, y_hats
+            trace.scalar_loss[rows] = np.vecdot(losses[rows], actions)
+            trace.local_norm_sq[rows], trace.step_violation[rows] = _local_norms(
+                aset, spec.variant, eta, xs, y_hats)
+    except _Abort as abort:
+        raise AbortedRunError(f"round {abort.t}: {abort.reason}",
+                              trace.head(abort.t - 1)) from None
+    return trace
 
 
 def _prologue(spec: AlgorithmSpec, losses, k_cache: KFunctionCache | None):
-    """The checked (n, d) losses, the learning rate and the K grid (or None) of a run."""
+    """The checked (n, d) losses, the learning rate and the K grid (or None) of a run.
+
+    The losses are checked whole before any draw: every row must satisfy
+    sup_a |<y, a>| <= 1 (up to float slack), so every scalar loss the learner
+    can observe lies in [-1, 1]; a NaN row fails too.
+    """
     aset = spec.action_set
-    losses = _check_losses(aset, losses)
+    losses = np.asarray(losses, dtype=float)
+    if losses.ndim != 2 or losses.shape[1] != aset.dimension:
+        raise ValueError(f"losses must have shape (n, {aset.dimension})")
+    excess = boundedness_violation(aset, losses)
+    if not excess <= LOSS_SLACK:
+        raise ValueError(
+            f"losses break the [-1, 1] normalization: max_t sup_a |<y_t, a>| - 1 "
+            f"is {excess!r}, not <= {LOSS_SLACK:g}")
     n = losses.shape[0]
     if k_cache is None:
         k_cache = k_cache_for(spec, n)
     elif k_cache.d != aset.dimension:
         raise ValueError(f"K cache was built for d={k_cache.d}, run targets d={aset.dimension}")
     return losses, resolve_learning_rate(spec, n), k_cache
-
-
-# Each *_rounds loop writes one run's rounds into ``trace`` and returns None,
-# or the round t and the reason of an abort. Where theta^2 would overflow
-# (|theta| > 1.34e154) x would round to 0, so a perturbed-leader round caps
-# it at the largest double on the hypercube, which puts |x_i| at or past 1,
-# and aborts on an infinite ||theta||^2 on the ball.
-_FLOAT_MAX = np.finfo(float).max
-
-
-def _scftpl_hypercube_rounds(aset, losses, eta, rng, trace):
-    n, d = losses.shape
-    y_hat_cum = np.zeros(d)
-    for t, xi in zip(range(1, n + 1), round_noise(aset, rng, n)):
-        theta = -eta * y_hat_cum
-        x = theta / (1.0 + np.sqrt(1.0 + np.minimum(theta * theta, _FLOAT_MAX)))
-        residual = 1.0 - x * x
-        if residual.min() < SINGULARITY_FLOOR:
-            return t, (f"expected action within {SINGULARITY_FLOOR:g} of a vertex; "
-                       f"covariance numerically singular")
-        # argmin_a <a, eta Yhat - xi> = sign(theta + xi) coordinatewise (+1 at ties)
-        action = np.where(theta + xi >= 0.0, 1.0, -1.0)
-        scalar_loss = float(losses[t - 1] @ action)
-        weighted = x / residual
-        alpha = float(x @ weighted)
-        cross = float(action @ weighted)
-        y_hat = (action / residual - weighted * (cross / (1.0 + alpha))) * scalar_loss
-        trace.x[t - 1], trace.action[t - 1], trace.y_hat[t - 1] = x, action, y_hat
-        trace.scalar_loss[t - 1] = scalar_loss
-        y_hat_cum = y_hat_cum + y_hat
-    return None
-
-
-def _scftpl_ball_rounds(aset, losses, eta, rng, trace, k_cache):
-    n, d = losses.shape
-    y_hat_cum = np.zeros(d)
-    for t, xi in zip(range(1, n + 1), round_noise(aset, rng, n)):
-        theta = -eta * y_hat_cum
-        theta_norm = math.sqrt(float(theta @ theta))
-        norm_sq = theta_norm * theta_norm
-        x = theta / (1.0 + math.sqrt(1.0 + norm_sq))
-        if 1.0 - float(x @ x) < SINGULARITY_FLOOR or norm_sq == math.inf:
-            return t, (f"expected action within {SINGULARITY_FLOOR:g} of the sphere; "
-                       f"local geometry numerically singular")
-        drifted = theta + xi
-        drift_norm = math.sqrt(float(drifted @ drifted))
-        if drift_norm > 0.0:
-            action = drifted / drift_norm
-        else:
-            action = np.zeros(d)
-            action[0] = 1.0
-        scalar_loss = float(losses[t - 1] @ action)
-        if d == 1:
-            y_hat = action * scalar_loss
-        elif theta_norm < 1e-14:
-            y_hat = (d * scalar_loss) * action
-        else:
-            k = k_cache(theta_norm)
-            coeff = 1.0 / (1.0 - k) - (d - 1.0) / k
-            proj = float(action @ theta) / norm_sq
-            y_hat = ((d - 1.0) / k * action + (coeff * proj) * theta) * scalar_loss
-        trace.x[t - 1], trace.action[t - 1], trace.y_hat[t - 1] = x, action, y_hat
-        trace.scalar_loss[t - 1] = scalar_loss
-        y_hat_cum = y_hat_cum + y_hat
-    return None
-
-
-def _scribble_rounds(aset, losses, eta, rng, trace):
-    n, d = losses.shape
-    y_hat_cum = np.zeros(d)
-    for t, draw in zip(range(1, n + 1), _pole_draws(d, rng, n)):
-        x = _conjugate_gradient(aset, -eta * y_hat_cum)
-        try:
-            _require_interior(aset, x)
-        except BoundaryError as exc:
-            return t, str(exc)
-        action = _dikin_pole(aset, x, draw % d, 1 if draw < d else -1)
-        scalar_loss = float(losses[t - 1] @ action)
-        y_hat = _scribble_estimate(d, _barrier_hessian(aset, x), x, action, scalar_loss)
-        trace.x[t - 1], trace.action[t - 1], trace.y_hat[t - 1] = x, action, y_hat
-        trace.scalar_loss[t - 1] = scalar_loss
-        y_hat_cum = y_hat_cum + y_hat
-    return None
 
 
 def run_seeds(spec: AlgorithmSpec, losses, rngs, competitor,
@@ -364,131 +251,166 @@ def run_seeds(spec: AlgorithmSpec, losses, rngs, competitor,
     seeds against ``competitor`` u, whose ``cumsum`` along rounds is each
     seed's :func:`cumulative_regret`, and the (S,) step-violation counts;
     both equal the per-seed runs' values bit for bit. Two or more
-    perturbed-leader seeds run their recurrences together on (S, d) arrays
-    and keep no (n, d) array. One seed, which runs faster alone, and the
-    Dikin-pole variant run seed by seed through :func:`run`, each trace
-    reduced as it finishes. An abort raises the per-seed run's
-    ``AbortedRunError`` of the first aborting seed in the order of ``rngs``.
+    perturbed-leader seeds run their recurrences together on (S, d) arrays;
+    one seed, and each Dikin-pole seed, runs alone. Every block of rounds is
+    reduced as it comes, so no (n, d) array is kept. An abort raises the
+    per-seed run's ``AbortedRunError`` of the first aborting seed in the
+    order of ``rngs``.
     """
     aset = spec.action_set
     losses, eta, k_cache = _prologue(spec, losses, k_cache)
     competitor = np.asarray(competitor, dtype=float)
     rngs = list(rngs)
-    if spec.variant == SCFTPL and len(rngs) > 1:
-        snapshots = copy.deepcopy(rngs)  # to replay an aborting seed alone
-        with np.errstate(over="ignore"):
-            if aset.kind == BALL:
-                batch = _seeds_scftpl_ball(aset, losses, eta, rngs, competitor, k_cache)
-            else:
-                batch = _seeds_scftpl_hypercube(aset, losses, eta, rngs, competitor)
-        if isinstance(batch, int):
-            _raise_first_abort(spec, losses, snapshots, competitor, k_cache, batch)
-        return batch
+    snapshots = copy.deepcopy(rngs)  # to replay an aborting seed through run
     increments = np.empty((losses.shape[0], len(rngs)))
-    violations = np.empty(len(rngs), dtype=np.int64)
-    for s, rng in enumerate(rngs):
-        trace = run(spec, losses, rng, k_cache)
-        increments[:, s] = np.vecdot(losses, trace.action - competitor)
-        violations[s] = trace.step_violation.sum()
+    violations = np.zeros(len(rngs), dtype=np.int64)
+    together = spec.variant == SCFTPL and len(rngs) > 1
+    batches = [slice(0, len(rngs))] if together else [slice(s, s + 1) for s in range(len(rngs))]
+    for seeds in batches:
+        try:
+            for rows, (xs, actions, y_hats) in _blocks(spec, losses, eta, rngs[seeds], k_cache):
+                increments[rows, seeds] = np.vecdot(losses[rows, None, :], actions - competitor)
+                _, violated = _local_norms(aset, spec.variant, eta, xs, y_hats)
+                violations[seeds] += violated.sum(axis=0)
+        except _Abort as abort:
+            # the seeds batched before it may abort in a later round than it
+            # did, so they run again first; then it replays alone and raises
+            first = seeds.start + abort.seed
+            run_seeds(spec, losses, snapshots[seeds.start:first], competitor, k_cache)
+            run(spec, losses, snapshots[first], k_cache)
+            raise RuntimeError(f"seed {first} aborted in a batch but not alone") from None
     return increments, violations
 
 
-def _raise_first_abort(spec, losses, snapshots, competitor, k_cache, first: int) -> None:
-    """Raise the abort of the first seed in order that aborts; seed ``first`` does.
+def _blocks(spec: AlgorithmSpec, losses, eta: float, rngs, k_cache):
+    """The rounds of runs on the seeds ``rngs``: per block, its slice of rounds
+    and a (3, m, S, d) array of expected actions, played actions and estimates.
 
-    Seeds before it may abort in a later round than it did, so they run
-    again first; then seed ``first`` replays alone and raises its own error.
+    The one round loop. It keeps each seed's cumulative estimate, takes the
+    learner's randomness from :mod:`perturbations` in blocks of at most 2^15
+    values (the noise, or the Dikin-pole indices: index draw % d, sign +1
+    iff draw < d), and plays each round of all seeds by one per-round call.
+    Where a seed aborts, the rounds before it come as a last, shorter block,
+    then :class:`_Abort` is raised with the round t. A Dikin-pole run plays
+    one seed.
     """
-    run_seeds(spec, losses, snapshots[:first], competitor, k_cache)
-    run(spec, losses, snapshots[first], k_cache)
-    raise RuntimeError(f"seed {first} aborted in a batch but not alone")
-
-
-def _block_outputs(aset, eta, losses_block, competitor, xs, actions, y_hats):
-    """Regret increments (m, S) and step violations (S,) of a block of batched rounds."""
-    increments = np.vecdot(losses_block[:, None, :], actions - competitor)
-    _, violated = _local_norms(aset, SCFTPL, eta, xs, y_hats)
-    return increments, violated.sum(axis=0)
-
-
-def _seeds_scftpl_hypercube(aset, losses, eta, rngs, competitor):
-    """:func:`_scftpl_hypercube_rounds` over S seeds; the index of the first
-    aborting seed, or the (n, S) increments and (S,) violations."""
+    aset = spec.action_set
     n, d = losses.shape
-    increments = np.empty((n, len(rngs)))
-    violations = np.zeros(len(rngs), dtype=np.int64)
-    y_hat_cum = np.zeros((len(rngs), d))
+    single = len(rngs) == 1
+    if spec.variant == SCRIBBLE:
+        step, state = _pole_round, aset
+        draws = (block[:, 0].tolist() for block in pole_draw_blocks(aset, rngs, n))
+    else:
+        if aset.kind == BALL:
+            step = _ball_round if single else _ball_rounds
+        else:
+            step = _cube_round if single else _cube_rounds
+        state = k_cache
+        draws = round_noise_blocks(aset, rngs, n)
+        if single:
+            draws = (block[:, 0] for block in draws)
+    y_hat_cum = np.zeros(d if single else (len(rngs), d))
     t0 = 0
-    for xi_block in round_noise_blocks(aset, rngs, n):
-        xs, actions, y_hats = (np.empty_like(xi_block) for _ in range(3))
-        for i, xi in enumerate(xi_block):
-            theta = -eta * y_hat_cum
-            x = theta / (1.0 + np.sqrt(1.0 + np.minimum(theta * theta, _FLOAT_MAX)))
-            residual = 1.0 - x * x
-            aborted = residual.min(axis=1) < SINGULARITY_FLOOR
-            if aborted.any():
-                return int(np.argmax(aborted))
-            action = np.where(theta + xi >= 0.0, 1.0, -1.0)
-            scalar_loss = np.vecdot(losses[t0 + i], action)
-            weighted = x / residual
-            alpha = np.vecdot(x, weighted)
-            cross = np.vecdot(action, weighted)
-            y_hat = ((action / residual - weighted * (cross / (1.0 + alpha))[:, None])
-                     * scalar_loss[:, None])
-            xs[i], actions[i], y_hats[i] = x, action, y_hat
-            y_hat_cum = y_hat_cum + y_hat
-        m = len(xi_block)
-        increments[t0:t0 + m], counts = _block_outputs(
-            aset, eta, losses[t0:t0 + m], competitor, xs, actions, y_hats)
-        violations += counts
-        t0 += m
-    return increments, violations
+    for block in draws:
+        out = np.empty((3, len(block), len(rngs), d))
+        xs, actions, y_hats = out[:, :, 0] if single else out
+        try:
+            with np.errstate(over="ignore"):  # an overflowing theta^2 aborts its round
+                for i, draw in enumerate(block):
+                    x, action, y_hat = step(-eta * y_hat_cum, draw, losses[t0 + i], state)
+                    xs[i], actions[i], y_hats[i] = x, action, y_hat
+                    y_hat_cum = y_hat_cum + y_hat
+        except _Abort as abort:
+            abort.t = t0 + i + 1
+            yield slice(t0, t0 + i), out[:, :i]
+            raise abort
+        yield slice(t0, t0 + len(block)), out
+        t0 += len(block)
 
 
-def _seeds_scftpl_ball(aset, losses, eta, rngs, competitor, k_cache):
-    """:func:`_scftpl_ball_rounds` over S seeds; the index of the first aborting
-    seed, or the (n, S) increments and (S,) violations."""
-    n, d = losses.shape
-    increments = np.empty((n, len(rngs)))
-    violations = np.zeros(len(rngs), dtype=np.int64)
-    y_hat_cum = np.zeros((len(rngs), d))
-    t0 = 0
-    for xi_block in round_noise_blocks(aset, rngs, n):
-        xs, actions, y_hats = (np.empty_like(xi_block) for _ in range(3))
-        for i, xi in enumerate(xi_block):
-            theta = -eta * y_hat_cum
-            theta_norm = np.sqrt(np.vecdot(theta, theta))
-            norm_sq = theta_norm * theta_norm
-            x = theta / (1.0 + np.sqrt(1.0 + norm_sq))[:, None]
-            aborted = (1.0 - np.vecdot(x, x) < SINGULARITY_FLOOR) | (norm_sq == math.inf)
-            if aborted.any():
-                return int(np.argmax(aborted))
-            drifted = theta + xi
-            drift_norm = np.sqrt(np.vecdot(drifted, drifted))
-            still = ~(drift_norm > 0.0)
-            action = drifted / np.where(still, 1.0, drift_norm)[:, None]
-            if still.any():
-                action[still] = np.eye(1, d)
-            scalar_loss = np.vecdot(losses[t0 + i], action)
-            if d == 1:
-                y_hat = action * scalar_loss[:, None]
-            else:
-                y_hat = _ball_estimates(d, k_cache, theta, theta_norm, norm_sq, action,
-                                        scalar_loss)
-            xs[i], actions[i], y_hats[i] = x, action, y_hat
-            y_hat_cum = y_hat_cum + y_hat
-        m = len(xi_block)
-        increments[t0:t0 + m], counts = _block_outputs(
-            aset, eta, losses[t0:t0 + m], competitor, xs, actions, y_hats)
-        violations += counts
-        t0 += m
-    return increments, violations
+# The per-round functions play one round of one seed on (d,) arrays, or of S
+# seeds on (S, d) arrays, from theta = -eta * (cumulative estimate), the
+# round's draw and loss row and the run's K grid or body, and return
+# (x, action, y_hat) or raise _Abort. The one-seed twins keep Python floats:
+# at S = 1 the (S, d) code took 1.2-1.5x (hypercube) and 3.4-4x (ball) as
+# long per round on a 2-core x86_64 host.
+# Where theta^2 would overflow (|theta| > 1.34e154) x would round to 0, so a
+# hypercube round caps it at the largest double, which puts |x_i| at or
+# past 1, and a ball round aborts on an infinite ||theta||^2.
+_FLOAT_MAX = np.finfo(float).max
+_CUBE_ABORT = (f"expected action within {SINGULARITY_FLOOR:g} of a vertex; "
+               f"covariance numerically singular")
+_BALL_ABORT = (f"expected action within {SINGULARITY_FLOOR:g} of the sphere; "
+               f"local geometry numerically singular")
 
 
-def _ball_estimates(d, k_cache, theta, theta_norm, norm_sq, action, scalar_loss):
-    """The ball's loss estimates of one batched round, d >= 2, rounded as a single run's;
-    K is looked up once for the (S,) drift norms."""
-    flat = theta_norm < 1e-14
+def _cube_round(theta, xi, loss, _):
+    x = theta / (1.0 + np.sqrt(1.0 + np.minimum(theta * theta, _FLOAT_MAX)))
+    residual = 1.0 - x * x
+    if residual.min() < SINGULARITY_FLOOR:
+        raise _Abort(0, _CUBE_ABORT)
+    # argmin_a <a, eta Yhat - xi> = sign(theta + xi) coordinatewise (+1 at ties)
+    action = np.where(theta + xi >= 0.0, 1.0, -1.0)
+    scalar_loss = float(loss @ action)
+    weighted = x / residual
+    alpha = float(x @ weighted)
+    cross = float(action @ weighted)
+    return x, action, (action / residual - weighted * (cross / (1.0 + alpha))) * scalar_loss
+
+
+def _cube_rounds(theta, xi, loss, _):
+    x = theta / (1.0 + np.sqrt(1.0 + np.minimum(theta * theta, _FLOAT_MAX)))
+    residual = 1.0 - x * x
+    aborted = residual.min(axis=1) < SINGULARITY_FLOOR
+    if aborted.any():
+        raise _Abort(int(np.argmax(aborted)), _CUBE_ABORT)
+    action = np.where(theta + xi >= 0.0, 1.0, -1.0)
+    scalar_loss = np.vecdot(loss, action)
+    weighted = x / residual
+    alpha = np.vecdot(x, weighted)
+    cross = np.vecdot(action, weighted)
+    y_hat = (action / residual - weighted * (cross / (1.0 + alpha))[:, None]) * scalar_loss[:, None]
+    return x, action, y_hat
+
+
+def _ball_round(theta, xi, loss, k_cache):
+    theta_norm = math.sqrt(float(theta @ theta))
+    norm_sq = theta_norm * theta_norm
+    x = theta / (1.0 + math.sqrt(1.0 + norm_sq))
+    if 1.0 - float(x @ x) < SINGULARITY_FLOOR or norm_sq == math.inf:
+        raise _Abort(0, _BALL_ABORT)
+    drifted = theta + xi
+    drift_norm = math.sqrt(float(drifted @ drifted))
+    d = len(theta)
+    action = drifted / drift_norm if drift_norm > 0.0 else np.eye(1, d)[0]
+    scalar_loss = float(loss @ action)
+    if d == 1 or theta_norm < FLAT_DRIFT:  # at d = 1, d * scalar_loss is scalar_loss
+        return x, action, (d * scalar_loss) * action
+    k = k_cache(theta_norm)
+    coeff = 1.0 / (1.0 - k) - (d - 1.0) / k
+    proj = float(action @ theta) / norm_sq
+    return x, action, ((d - 1.0) / k * action + (coeff * proj) * theta) * scalar_loss
+
+
+def _ball_rounds(theta, xi, loss, k_cache):
+    d = theta.shape[1]
+    theta_norm = np.sqrt(np.vecdot(theta, theta))
+    norm_sq = theta_norm * theta_norm
+    x = theta / (1.0 + np.sqrt(1.0 + norm_sq))[:, None]
+    aborted = (1.0 - np.vecdot(x, x) < SINGULARITY_FLOOR) | (norm_sq == math.inf)
+    if aborted.any():
+        raise _Abort(int(np.argmax(aborted)), _BALL_ABORT)
+    drifted = theta + xi
+    drift_norm = np.sqrt(np.vecdot(drifted, drifted))
+    still = ~(drift_norm > 0.0)
+    action = drifted / np.where(still, 1.0, drift_norm)[:, None]
+    if still.any():
+        action[still] = np.eye(1, d)
+    scalar_loss = np.vecdot(loss, action)
+    if d == 1:
+        return x, action, action * scalar_loss[:, None]
+    # K is looked up once for the (S,) drift norms; each row rounds as _ball_round's
+    flat = theta_norm < FLAT_DRIFT
     k = np.where(flat, 0.5, k_cache(theta_norm))
     coeff = 1.0 / (1.0 - k) - (d - 1.0) / k
     proj = np.vecdot(action, theta) / np.where(flat, 1.0, norm_sq)
@@ -496,7 +418,19 @@ def _ball_estimates(d, k_cache, theta, theta_norm, norm_sq, action, scalar_loss)
     y_hat *= scalar_loss[:, None]
     if flat.any():
         y_hat[flat] = (d * scalar_loss[flat])[:, None] * action[flat]
-    return y_hat
+    return x, action, y_hat
+
+
+def _pole_round(theta, draw, loss, aset):
+    x = _conjugate_gradient(aset, theta)
+    try:
+        _require_interior(aset, x)
+    except BoundaryError as exc:
+        raise _Abort(0, str(exc)) from None
+    d = aset.dimension
+    action = _dikin_pole(aset, x, draw % d, 1 if draw < d else -1)
+    scalar_loss = float(loss @ action)
+    return x, action, _scribble_estimate(d, _barrier_hessian(aset, x), x, action, scalar_loss)
 
 
 def regret(trace: Trace, losses, competitor) -> float:

@@ -51,6 +51,9 @@ from .perturbations import log_sphere_surface, radial_beta, radial_density_ball
 # aborts the run rather than emit unbounded estimates.
 SINGULARITY_FLOOR = 1e-10
 
+# Ball drift norms below this take the theta = 0 forms: Q = I/d, Q^{-1} A = d A.
+FLAT_DRIFT = 1e-14
+
 # Float slack on the [-1, 1] bound of an observed scalar loss.
 LOSS_SLACK = 1e-9
 
@@ -109,7 +112,7 @@ def covariance_ball(theta, dimension: int) -> CovarianceModel:
     theta = np.asarray(theta, dtype=float)
     d = int(dimension)
     norm = float(np.linalg.norm(theta))
-    if d == 1 or norm < 1e-14:
+    if d == 1 or norm < FLAT_DRIFT:
         return CovarianceModel(kind=BALL, dimension=d, theta=theta, theta_norm=norm,
                                k=(d - 1.0) / d)
     k = k_function_ball(norm, d)
@@ -142,7 +145,7 @@ def apply_qinv_ball(model: CovarianceModel, action) -> np.ndarray:
     d = model.dimension
     if d == 1:
         return a.copy()
-    if model.theta_norm < 1e-14:
+    if model.theta_norm < FLAT_DRIFT:
         return d * a
     k = model.k
     coeff = 1.0 / (1.0 - k) - (d - 1.0) / k
@@ -167,8 +170,8 @@ def dense_covariance(model: CovarianceModel) -> np.ndarray:
     d = model.dimension
     if model.kind == HYPERCUBE:
         return np.outer(model.x, model.x) + np.diag(model.residual)
-    if d == 1 or model.theta_norm < 1e-14:
-        if model.theta_norm < 1e-14:
+    if d == 1 or model.theta_norm < FLAT_DRIFT:
+        if model.theta_norm < FLAT_DRIFT:
             return np.eye(d) / d
         return np.ones((1, 1))
     p = np.outer(model.theta, model.theta) / model.theta_norm**2

@@ -31,10 +31,11 @@ truncates the s^-2 tail at s_max = 2e6, losing at most
 1 - F_V(s_max) <= 1e-6 of total-variation mass.
 
 The law is fixed by the body and d, so drawing needs no sampler object.
-Two stream layouts exist, both written here: :func:`draw` (bulk draws for
-verification and ``scbandits sample``) and :func:`round_noise_blocks` (the
-per-round noise of one or more runs, which :func:`round_noise` reads for a
-single run); they read the uniform stream in different orders.
+Every stream layout is written here: :func:`draw` (bulk draws for
+verification and ``scbandits sample``), and the per-round randomness of one
+or more runs in blocks, :func:`round_noise_blocks` (the perturbations, in
+another order than :func:`draw`) and :func:`pole_draw_blocks` (the
+Dikin-pole indices).
 
 A bulk draw of many rows may run part of its work on other threads, one
 per usable CPU (:func:`_split_rows`): the ball's Box-Muller, direction
@@ -427,11 +428,13 @@ def round_noise_blocks(aset: ActionSetModel, rngs, n: int):
         yield normal / np.where(norms > 0.0, norms, 1.0)[..., None] * speeds[..., None]
 
 
-def round_noise(aset: ActionSetModel, rng: np.random.Generator, n: int):
-    """The perturbations of one run's n rounds, one (d,) row per round:
-    :func:`round_noise_blocks` for the single seed ``rng``."""
-    for block in round_noise_blocks(aset, (rng,), n):
-        yield from block[:, 0]
+def pole_draw_blocks(aset: ActionSetModel, rngs, n: int):
+    """The Dikin-pole indices of n rounds of runs on seeds ``rngs``, as (m, S) blocks
+    of as many rounds as the hypercube's noise blocks: one draw uniform on [0, 2d)
+    per round, bit for bit ``rng.integers(0, 2 * d)`` round by round."""
+    d = aset.dimension
+    for m in block_rows(n, len(rngs) * d):
+        yield np.stack([rng.integers(0, 2 * d, size=m) for rng in rngs], axis=1)
 
 
 # ---------------------------------------------------------------------------

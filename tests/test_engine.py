@@ -245,15 +245,20 @@ def _ball_noise_per_round(d, rng, n):
         yield direction * radial_table.inverse(np.array([max(u, 2.0**-54)]))[0]
 
 
-def _round_noise_per_round(aset, rng, n):
+def _noise_blocks_per_round(aset, rngs, n):
+    (rng,) = rngs
     if aset.kind == geom.HYPERCUBE:
-        return _hypercube_noise_per_round(aset, rng, n)
-    return _ball_noise_per_round(aset.dimension, rng, n)
+        rows = _hypercube_noise_per_round(aset, rng, n)
+    else:
+        rows = _ball_noise_per_round(aset.dimension, rng, n)
+    for row in rows:
+        yield row[None, None]
 
 
-def _pole_draws_per_round(d, rng, n):
+def _pole_blocks_per_round(aset, rngs, n):
+    (rng,) = rngs
     for _ in range(n):
-        yield int(rng.integers(0, 2 * d))
+        yield np.array([[int(rng.integers(0, 2 * aset.dimension))]])
 
 
 @functools.cache
@@ -271,8 +276,8 @@ def _assert_blocks_match_per_round(kind, variant, d, n, seed, chunk):
         rng = make_rng(seed)
         blocks = engine.run(spec, losses, rng, k_cache)
         blocks_next = rng.random()
-    with mock.patch.multiple(engine, round_noise=_round_noise_per_round,
-                             _pole_draws=_pole_draws_per_round):
+    with mock.patch.multiple(engine, round_noise_blocks=_noise_blocks_per_round,
+                             pole_draw_blocks=_pole_blocks_per_round):
         rng = make_rng(seed)
         replay = engine.run(spec, losses, rng, k_cache)
         replay_next = rng.random()
@@ -307,19 +312,21 @@ def test_block_noise_matches_per_round_draws_random(kind, variant, d, n, seed, c
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(kind=st.sampled_from([geom.HYPERCUBE, geom.BALL]), d=st.sampled_from([1, 2, 5, 33]),
+@given(kind=st.sampled_from([geom.HYPERCUBE, geom.BALL]),
+       variant=st.sampled_from([engine.SCFTPL, engine.SCRIBBLE]), d=st.sampled_from([1, 2, 5, 33]),
        n=st.integers(1, 90), rate=st.sampled_from([0.05, 0.5]),
        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6, unique=True),
        chunk=st.sampled_from([7, _SMALL_CHUNK, streams.CHUNK_UNIFORMS]))
-def test_run_seeds_matches_per_seed_runs(kind, d, n, rate, seeds, chunk):
-    # the batched recurrence against one run per seed, with blocks that end
-    # mid-run wherever a block holds fewer than n rounds
+def test_run_seeds_matches_per_seed_runs(kind, variant, d, n, rate, seeds, chunk):
+    # the batched recurrence, and the blocks of seeds run alone, against one
+    # run per seed, with blocks that end mid-run wherever a block holds fewer
+    # than n rounds
     aset = geom.ActionSetModel(dimension=d, kind=kind)
     losses = generate(AdversarySpec(kind="seeded_random", geometry=kind, seed=seeds[0] % 1000),
                       d, n)
     competitor = best_in_hindsight(aset, losses)
-    spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=rate)
-    k_cache = _ball_k_cache(d) if kind == geom.BALL else None
+    spec = engine.AlgorithmSpec(variant=variant, action_set=aset, learning_rate=rate)
+    k_cache = _ball_k_cache(d) if (kind, variant) == (geom.BALL, engine.SCFTPL) else None
     with mock.patch.object(streams, "CHUNK_UNIFORMS", chunk):
         increments, violations = engine.run_seeds(spec, losses, [make_rng(s) for s in seeds],
                                                   competitor, k_cache)
@@ -331,17 +338,19 @@ def test_run_seeds_matches_per_seed_runs(kind, d, n, rate, seeds, chunk):
         assert violations[j] == trace.step_violation.sum()
 
 
-@pytest.mark.parametrize("kind,d,rate,adversary,seeds,decider", [
+@pytest.mark.parametrize("kind,d,rate,adversary,seeds,decider,variant", [
     # seed 1 aborts in round 93, seed 2 in round 41
-    (geom.HYPERCUBE, 2, 1e9, "rotating_direction", [1, 2], 1),
+    (geom.HYPERCUBE, 2, 1e9, "rotating_direction", [1, 2], 1, engine.SCFTPL),
     # seed 1 finishes, seed 2 aborts in round 52, seed 3 in round 19
-    (geom.BALL, 2, 1e8, "seeded_random", [1, 2, 3], 2),
+    (geom.BALL, 2, 1e8, "seeded_random", [1, 2, 3], 2, engine.SCFTPL),
+    # seeds run alone: seed 1 aborts in round 22, seed 5 in round 14
+    (geom.HYPERCUBE, 2, 10.0, "fixed_vector", [1, 5], 1, engine.SCRIBBLE),
 ])
 def test_run_seeds_first_aborting_seed_in_order_decides(kind, d, rate, adversary, seeds,
-                                                        decider):
+                                                        decider, variant):
     aset = geom.ActionSetModel(dimension=d, kind=kind)
     losses = generate(AdversarySpec(kind=adversary, geometry=kind, seed=3), d, 200)
-    spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=rate)
+    spec = engine.AlgorithmSpec(variant=variant, action_set=aset, learning_rate=rate)
     with pytest.raises(engine.AbortedRunError) as alone:
         engine.run(spec, losses, make_rng(decider))
     with pytest.raises(engine.AbortedRunError) as earlier:
@@ -351,7 +360,9 @@ def test_run_seeds_first_aborting_seed_in_order_decides(kind, d, rate, adversary
         engine.run_seeds(spec, losses, [make_rng(s) for s in seeds],
                          best_in_hindsight(aset, losses))
     assert str(batched.value) == str(alone.value)
-    assert np.array_equal(batched.value.trace.action, alone.value.trace.action)
+    for field in dataclasses.fields(engine.Trace):
+        assert np.array_equal(getattr(batched.value.trace, field.name),
+                              getattr(alone.value.trace, field.name)), field.name
 
 
 @pytest.mark.parametrize("d", [2, 5])
@@ -649,6 +660,23 @@ def test_empty_losses_give_an_empty_trace(kind, variant):
                                 action_set=geom.ActionSetModel(dimension=2, kind=kind))
     trace = engine.run(spec, np.empty((0, 2)), make_rng(69))
     assert len(trace) == 0 and trace.action.shape == (0, 2)
+
+
+@pytest.mark.parametrize("kind,variant", _ALL_PAIRS)
+@pytest.mark.parametrize("seeds", [1, 3])
+def test_completing_run_seeds_builds_no_trace(kind, variant, seeds):
+    # every block is reduced as it comes: no run, no (n, d) trace, also for
+    # one seed and for the Dikin-pole seeds that run one at a time
+    aset = geom.ActionSetModel(dimension=3, kind=kind)
+    losses = generate(AdversarySpec(kind="seeded_random", geometry=kind, seed=5), 3, 200)
+    spec = engine.AlgorithmSpec(variant=variant, action_set=aset)
+    refuse = mock.Mock(side_effect=AssertionError("a Trace was built"))
+    with mock.patch.object(engine, "run", refuse), \
+            mock.patch.object(engine.Trace, "empty", refuse):
+        increments, violations = engine.run_seeds(spec, losses,
+                                                  [make_rng(s) for s in range(seeds)],
+                                                  best_in_hindsight(aset, losses))
+    assert increments.shape == (200, seeds) and violations.shape == (seeds,)
 
 
 def test_k_cache_for_prebuilds_the_reach_of_a_ball_run():

@@ -26,7 +26,6 @@ bit-reproducible, however seeds are batched.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, fields
 
@@ -75,8 +74,8 @@ class AlgorithmSpec:
         if isinstance(self.learning_rate, str):
             if self.learning_rate != "auto":
                 raise ValueError(f"learning_rate must be positive or 'auto', got {self.learning_rate!r}")
-        elif not (float(self.learning_rate) > 0.0):
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        elif not (0.0 < float(self.learning_rate) < math.inf):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
 
 
 def resolve_learning_rate(spec: AlgorithmSpec, horizon: int) -> float:
@@ -95,10 +94,14 @@ def resolve_learning_rate(spec: AlgorithmSpec, horizon: int) -> float:
     return math.sqrt(theta * log_n / n) / spec.action_set.dimension
 
 
+_K_GRIDS: dict[int, KFunctionCache] = {}  # the process's K grid for each d
+
+
 def k_cache_for(spec: AlgorithmSpec, horizon: int) -> KFunctionCache | None:
     """The K grid a perturbed-leader ball run over ``horizon`` rounds reads, or None.
 
-    It is prebuilt past the drift norm an aligned adversary can reach
+    K depends on the drift norm and d alone, so a process keeps one grid per
+    d, built or extended past the drift norm an aligned adversary can reach
     (eta * n), so a run rarely extends it, but not past 2 / SINGULARITY_FLOOR:
     1 - ||x||^2 = 2 / (1 + sqrt(1 + ||theta||^2)), so a round at a larger
     drift aborts before it looks K up. Other runs read no K.
@@ -106,8 +109,12 @@ def k_cache_for(spec: AlgorithmSpec, horizon: int) -> KFunctionCache | None:
     aset = spec.action_set
     if spec.variant != SCFTPL or aset.kind != BALL or aset.dimension < 2:
         return None
-    reach = max(8.0, 1.25 * resolve_learning_rate(spec, horizon) * horizon)
-    return KFunctionCache(aset.dimension, x_max=min(reach, 2.0 / SINGULARITY_FLOOR))
+    x_max = min(max(8.0, 1.25 * resolve_learning_rate(spec, horizon) * horizon),
+                2.0 / SINGULARITY_FLOOR)
+    if aset.dimension not in _K_GRIDS:
+        _K_GRIDS[aset.dimension] = KFunctionCache(aset.dimension, x_max=x_max)
+    _K_GRIDS[aset.dimension].reach(x_max)  # one length comparison after a build
+    return _K_GRIDS[aset.dimension]
 
 
 def theoretical_bound(set_kind: str, d: int, horizon: int) -> np.ndarray:
@@ -189,14 +196,11 @@ def _local_norms(aset: ActionSetModel, variant: str, eta: float, xs, y_hats):
     return norm_sq, 2.0 * eta * np.sqrt(np.maximum(norm_sq, 0.0)) > 1.0
 
 
-def run(spec: AlgorithmSpec, losses, rng: np.random.Generator,
-        k_cache: KFunctionCache | None = None) -> Trace:
+def run(spec: AlgorithmSpec, losses, rng: np.random.Generator) -> Trace:
     """Run the spec's algorithm against an oblivious loss sequence.
 
-    ``losses`` is an (n, d) array fixed before the run. ``k_cache`` is read
-    only by a perturbed-leader ball run and may be shared across runs
-    (read-only here apart from extension); omitted, that run builds
-    ``k_cache_for(spec, n)``.
+    ``losses`` is an (n, d) array fixed before the run. A perturbed-leader
+    ball run reads the process's K grid, ``k_cache_for(spec, n)``.
 
     Each block of rounds from :func:`_blocks` is copied into the trace,
     whose scalar losses, local norms and step violations are computed per
@@ -204,10 +208,10 @@ def run(spec: AlgorithmSpec, losses, rng: np.random.Generator,
     it. The tests pin the rounds against the module-level operations.
     """
     aset = spec.action_set
-    losses, eta, k_cache = _prologue(spec, losses, k_cache)
+    losses, eta = _prologue(spec, losses)
     trace = Trace.empty(*losses.shape)
     try:
-        for rows, (xs, actions, y_hats) in _blocks(spec, losses, eta, [rng], k_cache):
+        for rows, (xs, actions, y_hats) in _blocks(spec, losses, eta, [rng]):
             xs, actions, y_hats = xs[:, 0], actions[:, 0], y_hats[:, 0]
             trace.x[rows], trace.action[rows], trace.y_hat[rows] = xs, actions, y_hats
             trace.scalar_loss[rows] = np.vecdot(losses[rows], actions)
@@ -219,8 +223,8 @@ def run(spec: AlgorithmSpec, losses, rng: np.random.Generator,
     return trace
 
 
-def _prologue(spec: AlgorithmSpec, losses, k_cache: KFunctionCache | None):
-    """The checked (n, d) losses, the learning rate and the K grid (or None) of a run.
+def _prologue(spec: AlgorithmSpec, losses):
+    """The checked (n, d) losses and the learning rate of a run.
 
     The losses are checked whole before any draw: every row must satisfy
     sup_a |<y, a>| <= 1 (up to float slack), so every scalar loss the learner
@@ -235,16 +239,10 @@ def _prologue(spec: AlgorithmSpec, losses, k_cache: KFunctionCache | None):
         raise ValueError(
             f"losses break the [-1, 1] normalization: max_t sup_a |<y_t, a>| - 1 "
             f"is {excess!r}, not <= {LOSS_SLACK:g}")
-    n = losses.shape[0]
-    if k_cache is None:
-        k_cache = k_cache_for(spec, n)
-    elif k_cache.d != aset.dimension:
-        raise ValueError(f"K cache was built for d={k_cache.d}, run targets d={aset.dimension}")
-    return losses, resolve_learning_rate(spec, n), k_cache
+    return losses, resolve_learning_rate(spec, losses.shape[0])
 
 
-def run_seeds(spec: AlgorithmSpec, losses, rngs, competitor,
-              k_cache: KFunctionCache | None = None) -> tuple[np.ndarray, np.ndarray]:
+def run_seeds(spec: AlgorithmSpec, losses, rngs, competitor) -> tuple[np.ndarray, np.ndarray]:
     """Run one seed per generator in ``rngs``, keeping only what regret outputs read.
 
     Returns the (n, S) per-round regret increments <y_t, A_t - u> of the S
@@ -258,17 +256,17 @@ def run_seeds(spec: AlgorithmSpec, losses, rngs, competitor,
     order of ``rngs``.
     """
     aset = spec.action_set
-    losses, eta, k_cache = _prologue(spec, losses, k_cache)
+    losses, eta = _prologue(spec, losses)
     competitor = np.asarray(competitor, dtype=float)
     rngs = list(rngs)
-    snapshots = copy.deepcopy(rngs)  # to replay an aborting seed through run
+    states = [rng.bit_generator.state for rng in rngs]  # to replay an aborting seed through run
     increments = np.empty((losses.shape[0], len(rngs)))
     violations = np.zeros(len(rngs), dtype=np.int64)
     together = spec.variant == SCFTPL and len(rngs) > 1
     batches = [slice(0, len(rngs))] if together else [slice(s, s + 1) for s in range(len(rngs))]
     for seeds in batches:
         try:
-            for rows, (xs, actions, y_hats) in _blocks(spec, losses, eta, rngs[seeds], k_cache):
+            for rows, (xs, actions, y_hats) in _blocks(spec, losses, eta, rngs[seeds]):
                 increments[rows, seeds] = np.vecdot(losses[rows, None, :], actions - competitor)
                 _, violated = _local_norms(aset, spec.variant, eta, xs, y_hats)
                 violations[seeds] += violated.sum(axis=0)
@@ -276,13 +274,17 @@ def run_seeds(spec: AlgorithmSpec, losses, rngs, competitor,
             # the seeds batched before it may abort in a later round than it
             # did, so they run again first; then it replays alone and raises
             first = seeds.start + abort.seed
-            run_seeds(spec, losses, snapshots[seeds.start:first], competitor, k_cache)
-            run(spec, losses, snapshots[first], k_cache)
+            replays = [np.random.Generator(type(rng.bit_generator)())
+                       for rng in rngs[seeds.start:first + 1]]
+            for replay, state in zip(replays, states[seeds.start:]):
+                replay.bit_generator.state = state
+            run_seeds(spec, losses, replays[:-1], competitor)
+            run(spec, losses, replays[-1])
             raise RuntimeError(f"seed {first} aborted in a batch but not alone") from None
     return increments, violations
 
 
-def _blocks(spec: AlgorithmSpec, losses, eta: float, rngs, k_cache):
+def _blocks(spec: AlgorithmSpec, losses, eta: float, rngs):
     """The rounds of runs on the seeds ``rngs``: per block, its slice of rounds
     and a (3, m, S, d) array of expected actions, played actions and estimates.
 
@@ -305,7 +307,7 @@ def _blocks(spec: AlgorithmSpec, losses, eta: float, rngs, k_cache):
             step = _ball_round if single else _ball_rounds
         else:
             step = _cube_round if single else _cube_rounds
-        state = k_cache
+        state = k_cache_for(spec, n)
         draws = round_noise_blocks(aset, rngs, n)
         if single:
             draws = (block[:, 0] for block in draws)

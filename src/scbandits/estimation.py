@@ -13,9 +13,9 @@ forms for Q^{-1} A:
 K evaluations are memoized, and the engine path goes through a cubic
 interpolation cache on an asinh-spaced grid (interpolation error budget
 1e-5, inside the slack of the K bounds) that extends itself when the drift
-norm leaves the covered range. The cache is looked up at one drift norm, or
-at the (S,) drift norms of a batch of seeds in one call, bit for bit the
-same values.
+norm leaves the covered range; one such grid per d serves every run of a
+process. The cache is looked up at one drift norm, or at the (S,) drift
+norms of a batch of seeds in one call, bit for bit the same values.
 
 The K quadrature is QUADPACK's adaptive Gauss-Kronrod scheme, ported in
 :mod:`.quadpack` so that a grid's nodes advance together through vectorized
@@ -444,16 +444,16 @@ class KFunctionCache:
     Queries use a Catmull-Rom cubic through four neighbouring nodes; with
     K_GRID_SPACING the interpolation error stays well under the 1e-5
     budget. A query beyond the covered range appends nodes instead of
-    rebuilding.
+    rebuilding, as does :meth:`reach`.
 
-    Node i is K(sinh(i h)), the :func:`k_function_ball` value bit for bit.
-    The nodes of a build, or of an extension, are evaluated in one
-    :func:`_k_values` batch, without the ``k_function_ball`` memo: a ball
-    run at d=5, n=2e4 prebuilds 264 nodes (x up to 90.8) in 0.12-0.2 s on
-    one core of a shared 2-core x86_64 host, against 0.3-0.4 s node by node
-    through ``scipy.integrate.quad``, and every integral of the batch ends
-    within 10 lockstep steps. Node values are bit-identical for every build
-    at the same d; tests pin them.
+    Node i is K(sinh(i h)), the :func:`k_function_ball` value bit for bit
+    (tests pin them), and a lookup reads nodes i - 1 .. i + 2 only, so a grid
+    of any length gives the same values. The nodes of a build, or of an
+    extension, are evaluated in one :func:`_k_values` batch, without the
+    ``k_function_ball`` memo: a ball run at d=5, n=2e4 prebuilds 264 nodes
+    (x up to 90.8) in 0.12-0.2 s on one core of a shared 2-core x86_64 host,
+    against 0.3-0.4 s node by node through ``scipy.integrate.quad``, and
+    every integral of the batch ends within 10 lockstep steps.
     """
 
     def __init__(self, d: int, x_max: float = 8.0):
@@ -461,10 +461,16 @@ class KFunctionCache:
             raise ValueError("K cache requires d >= 2")
         self.d = int(d)
         self._values: list[float] = []
+        self.reach(x_max)
+
+    def reach(self, x_max: float) -> None:
+        """Extend the grid to the nodes a build up to ``x_max`` has, unless it has them."""
         self._extend_to(np.arcsinh(float(x_max)))
 
     def _extend_to(self, t_needed: float) -> None:
         hi = int(np.ceil(t_needed / K_GRID_SPACING)) + 2
+        if hi < len(self._values):
+            return
         xs = [float(np.sinh(i * K_GRID_SPACING)) for i in range(len(self._values), hi + 1)]
         self._values.extend(_k_values(xs, self.d))
         self._array = np.array(self._values)  # the nodes, for array lookups

@@ -288,17 +288,17 @@ class RegretTrace:
 
 def cmd_run(config: ExperimentConfig, quiet: bool = False) -> RegretTrace:
     """Execute the experiment and write CSV + JSON outputs."""
-    # shared by every seed; built before the losses because on the ball it
-    # imports scipy, and importing it after the loss arrays were allocated
-    # raised a d=1024 run's peak RSS by about 1 MB
-    k_cache = k_cache_for(config.algorithm_spec(), config.horizon)
+    # the process's K grid for a ball run, built here as set-up and before the
+    # losses: it imports scipy, and importing it after the loss arrays were
+    # allocated raised a d=1024 run's peak RSS by about 1 MB
+    k_cache_for(config.algorithm_spec(), config.horizon)
     losses = generate(config.adversary, config.dimension, config.horizon)
     aset = config.action_set()
     competitor = best_in_hindsight(aset, losses)
 
     start = time.perf_counter()
     increments, violations = run_seeds(config.algorithm_spec(), losses,
-                                       [make_rng(s) for s in config.seeds], competitor, k_cache)
+                                       [make_rng(s) for s in config.seeds], competitor)
     engine_time = time.perf_counter() - start
     # one C-ordered row per seed, the layout the seed-wise mean and SE reduce
     curves = np.ascontiguousarray(np.cumsum(increments, axis=0).T)
@@ -417,11 +417,11 @@ def cmd_verify(options: VerifyOptions, out_dir: str | Path | None = None,
 # ---------------------------------------------------------------------------
 
 def _bench_case(set_kind: str, d: int, rounds: int) -> tuple:
-    """The perturbed-leader spec, losses and K grid that ``bench`` times at dimension d."""
+    """The perturbed-leader spec and losses that ``bench`` times at dimension d."""
     spec = AlgorithmSpec(variant=SCFTPL, action_set=ActionSetModel(dimension=d, kind=set_kind),
                          learning_rate="auto")
     losses = generate(AdversarySpec(kind=FIXED_VECTOR, geometry=set_kind), d, rounds)
-    return spec, losses, k_cache_for(spec, rounds)
+    return spec, losses
 
 
 def cmd_bench(dims: tuple[int, ...], rounds: int, repeats: int, kinds: tuple[str, ...],
@@ -439,14 +439,14 @@ def cmd_bench(dims: tuple[int, ...], rounds: int, repeats: int, kinds: tuple[str
     rows = []
     for kind in kinds:
         cases = {d: _bench_case(kind, d, rounds) for d in dims}
-        for spec, losses, k_cache in cases.values():
-            run(spec, losses, make_rng(seed), k_cache)
+        for spec, losses in cases.values():
+            run(spec, losses, make_rng(seed))
         timings = {d: [] for d in dims}
         for rep in range(repeats):
-            for d, (spec, losses, k_cache) in cases.items():
+            for d, (spec, losses) in cases.items():
                 rng = make_rng(seed + rep)
                 start = time.perf_counter()
-                run(spec, losses, rng, k_cache)
+                run(spec, losses, rng)
                 timings[d].append((time.perf_counter() - start) / rounds)
         per_round = {d: float(np.median(t)) for d, t in timings.items()}
         for d in dims:

@@ -124,7 +124,7 @@ def _mean_regret(kind, d, n, variant, adversary_kind, seeds):
     losses = env.generate(adv, d, n)
     competitor = env.best_in_hindsight(aset, losses)
     increments, violations = engine.run_seeds(spec, losses, [make_rng(s) for s in seeds],
-                                              competitor, engine.k_cache_for(spec, n))
+                                              competitor)
     totals = np.cumsum(increments, axis=0)[-1]  # each seed's final regret, as the CSV reports it
     return (float(np.mean(totals)), float(np.std(totals, ddof=1) / math.sqrt(len(totals))),
             int(violations.sum()))

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import os
 import subprocess
@@ -49,9 +48,10 @@ def test_auto_learning_rates():
 def test_spec_validation():
     with pytest.raises(ValueError):
         engine.AlgorithmSpec(variant="exp3", action_set=geom.hypercube(2))
-    with pytest.raises(ValueError):
-        engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=geom.hypercube(2),
-                             learning_rate=-0.1)
+    for rate in (-0.1, math.inf):
+        with pytest.raises(ValueError):
+            engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=geom.hypercube(2),
+                                 learning_rate=rate)
     with pytest.raises(ValueError):
         engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=geom.hypercube(2),
                              learning_rate="fast")
@@ -261,25 +261,19 @@ def _pole_blocks_per_round(aset, rngs, n):
         yield np.array([[int(rng.integers(0, 2 * aset.dimension))]])
 
 
-@functools.cache
-def _ball_k_cache(d):
-    return est.KFunctionCache(d) if d >= 2 else None
-
-
 def _assert_blocks_match_per_round(kind, variant, d, n, seed, chunk):
     aset = geom.ActionSetModel(dimension=d, kind=kind)
     losses = generate(AdversarySpec(kind="seeded_random", geometry=kind, seed=seed % 1000),
                       d, n)
     spec = engine.AlgorithmSpec(variant=variant, action_set=aset, learning_rate=0.05)
-    k_cache = _ball_k_cache(d) if (kind, variant) == (geom.BALL, engine.SCFTPL) else None
     with mock.patch.object(streams, "CHUNK_UNIFORMS", chunk):
         rng = make_rng(seed)
-        blocks = engine.run(spec, losses, rng, k_cache)
+        blocks = engine.run(spec, losses, rng)
         blocks_next = rng.random()
     with mock.patch.multiple(engine, round_noise_blocks=_noise_blocks_per_round,
                              pole_draw_blocks=_pole_blocks_per_round):
         rng = make_rng(seed)
-        replay = engine.run(spec, losses, rng, k_cache)
+        replay = engine.run(spec, losses, rng)
         replay_next = rng.random()
     assert (blocks.action == replay.action).all()
     assert (blocks.y_hat == replay.y_hat).all()
@@ -326,11 +320,10 @@ def test_run_seeds_matches_per_seed_runs(kind, variant, d, n, rate, seeds, chunk
                       d, n)
     competitor = best_in_hindsight(aset, losses)
     spec = engine.AlgorithmSpec(variant=variant, action_set=aset, learning_rate=rate)
-    k_cache = _ball_k_cache(d) if (kind, variant) == (geom.BALL, engine.SCFTPL) else None
     with mock.patch.object(streams, "CHUNK_UNIFORMS", chunk):
         increments, violations = engine.run_seeds(spec, losses, [make_rng(s) for s in seeds],
-                                                  competitor, k_cache)
-        traces = [engine.run(spec, losses, make_rng(s), k_cache) for s in seeds]
+                                                  competitor)
+        traces = [engine.run(spec, losses, make_rng(s)) for s in seeds]
     assert increments.shape == (n, len(seeds)) and violations.shape == (len(seeds),)
     for j, trace in enumerate(traces):
         assert (np.cumsum(increments[:, j])
@@ -375,9 +368,9 @@ def test_run_seeds_matches_per_seed_runs_at_32_seeds(d):
     spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=0.2)
     seeds = range(500, 532)
     increments, violations = engine.run_seeds(spec, losses, [make_rng(s) for s in seeds],
-                                              competitor, _ball_k_cache(d))
+                                              competitor)
     for j, seed in enumerate(seeds):
-        trace = engine.run(spec, losses, make_rng(seed), _ball_k_cache(d))
+        trace = engine.run(spec, losses, make_rng(seed))
         assert (np.cumsum(increments[:, j])
                 == engine.cumulative_regret(trace, losses, competitor)).all()
         assert violations[j] == trace.step_violation.sum()
@@ -394,13 +387,12 @@ def test_overflowing_drift_aborts_in_its_round(kind, message):
     aset = geom.ActionSetModel(dimension=2, kind=kind)
     losses = generate(AdversarySpec(kind="seeded_random", geometry=kind, seed=3), 2, 50)
     spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=1e160)
-    k_cache = _ball_k_cache(2) if kind == geom.BALL else None
     with pytest.raises(engine.AbortedRunError) as alone:
-        engine.run(spec, losses, make_rng(1), k_cache)
+        engine.run(spec, losses, make_rng(1))
     assert str(alone.value) == message and len(alone.value.trace) == 1
     with pytest.raises(engine.AbortedRunError) as batched:
         engine.run_seeds(spec, losses, [make_rng(1), make_rng(2)],
-                         best_in_hindsight(aset, losses), k_cache)
+                         best_in_hindsight(aset, losses))
     assert str(batched.value) == message
 
 
@@ -679,19 +671,50 @@ def test_completing_run_seeds_builds_no_trace(kind, variant, seeds):
     assert increments.shape == (200, seeds) and violations.shape == (seeds,)
 
 
-def test_k_cache_for_prebuilds_the_reach_of_a_ball_run():
-    # one grid per perturbed-leader ball run; the others read no K
+def test_k_cache_for_prebuilds_the_reach_of_a_ball_run(empty_k_grids):
+    # one grid per d for the process, extended to the reach of a longer run;
+    # the runs that read no K get none
     ball5 = geom.ball(5)
     spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=ball5)
-    cache = engine.k_cache_for(spec, 20_000)
-    assert cache.d == 5 and len(cache._values) == 264  # x up to 90.8, past 1.25 eta n
-    assert engine.k_cache_for(spec, 2)._values == est.KFunctionCache(5, x_max=8.0)._values
+    cache = engine.k_cache_for(spec, 2)
+    assert cache.d == 5 and len(cache._values) == 142  # the default reach, x up to 8
+    assert engine.k_cache_for(spec, 20_000) is cache
+    assert len(cache._values) == 264  # x up to 90.8, past 1.25 eta n
+    reach = 1.25 * engine.resolve_learning_rate(spec, 20_000) * 20_000
+    assert cache._values == est.KFunctionCache(5, x_max=reach)._values
+    assert empty_k_grids == {5: cache}
     for variant, aset in ((engine.SCRIBBLE, ball5), (engine.SCFTPL, geom.hypercube(5)),
                           (engine.SCFTPL, geom.ball(1))):
         assert engine.k_cache_for(engine.AlgorithmSpec(variant=variant, action_set=aset),
                                   20_000) is None
-    with pytest.raises(ValueError, match="K cache was built for d=3"):
-        engine.run(spec, ball_losses(5, 10), make_rng(70), est.KFunctionCache(3))
+
+
+def test_run_seeds_at_one_d_build_one_k_grid(empty_k_grids):
+    # two horizons at d = 3: the second call extends the first call's grid
+    aset = geom.ball(3)
+    spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=0.5)
+    builds = mock.Mock(wraps=est.KFunctionCache)
+    with mock.patch.object(engine, "KFunctionCache", builds):
+        for n in (50, 400):
+            losses = ball_losses(3, n, seed=n)
+            engine.run_seeds(spec, losses, [make_rng(1), make_rng(2)],
+                             best_in_hindsight(aset, losses))
+    assert builds.call_count == 1
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_ball_run_on_a_far_extended_grid_matches_a_fresh_grid(d, empty_k_grids):
+    # node i is K(sinh(i h)) at any grid length, and a lookup reads four nodes
+    aset = geom.ball(d)
+    losses = ball_losses(d, 400, kind="rotating_direction", seed=d)
+    spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=0.5)
+    fresh = engine.run(spec, losses, make_rng(17))
+    far = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=1e12)
+    grid = engine.k_cache_for(far, 400)
+    assert math.sinh((len(grid._values) - 3) * est.K_GRID_SPACING) >= 2.0 / est.SINGULARITY_FLOOR
+    extended = engine.run(spec, losses, make_rng(17))
+    for field in dataclasses.fields(engine.Trace):
+        assert np.array_equal(getattr(extended, field.name), getattr(fresh, field.name)), field.name
 
 
 def test_runs_start_no_thread():

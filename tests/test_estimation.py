@@ -1,3 +1,5 @@
+import copy
+import functools
 import math
 
 import numpy as np
@@ -165,6 +167,11 @@ def test_k_cache_matches_direct_and_extends():
 _NODE_DRIFTS = [float(np.sinh(i * est.K_GRID_SPACING)) for i in (0, 1, 2, 7, 100, 103)]
 
 
+@functools.cache
+def _default_d3_grid():
+    return est.KFunctionCache(3)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(drifts=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e-14),
                                  st.sampled_from(_NODE_DRIFTS), st.floats(0.0, 8.0),
@@ -172,7 +179,7 @@ _NODE_DRIFTS = [float(np.sinh(i * est.K_GRID_SPACING)) for i in (0, 1, 2, 7, 100
 def test_k_cache_array_lookup_equals_float_calls(drifts):
     # drift 0, drifts below 1e-14, exact node positions, and drifts past the
     # covered range, which extend both grids to the same length
-    by_array, by_float = est.KFunctionCache(3), est.KFunctionCache(3)
+    by_array, by_float = copy.deepcopy(_default_d3_grid()), copy.deepcopy(_default_d3_grid())
     assert by_array(np.array(drifts)).tolist() == [by_float(x) for x in drifts]
     assert len(by_array._values) == len(by_float._values)
 
@@ -283,7 +290,7 @@ def _ball_grid(d, n):
 
 
 @pytest.mark.parametrize("d", sorted(_KGRID_EVERY_8TH_HEX))
-def test_k_grid_bit_identical_to_pinned_values(d):
+def test_k_grid_bit_identical_to_pinned_values(d, empty_k_grids):
     cache = _ball_grid(d, _KGRID_HORIZONS[d])
     assert [v.hex() for v in cache._values[::8]] == list(_KGRID_EVERY_8TH_HEX[d])
 
@@ -344,7 +351,7 @@ def _outcome(f):
 
 
 @pytest.mark.parametrize("d", sorted(_KGRID_EVERY_8TH_HEX))
-def test_k_grid_nodes_equal_quad_reference(d):
+def test_k_grid_nodes_equal_quad_reference(d, empty_k_grids):
     cache = _ball_grid(d, _KGRID_HORIZONS[d])
     xs = [float(np.sinh(i * est.K_GRID_SPACING)) for i in range(len(cache._values))]
     assert cache._values == [_k_by_quad(x, d) for x in xs]
@@ -382,7 +389,7 @@ def test_k_cache_raises_the_first_failing_nodes_quad_error(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [2, 8, 33, 256, 4096])
-def test_k_cache_budget_and_bounds_across_reach(d):
+def test_k_cache_budget_and_bounds_across_reach(d, empty_k_grids):
     # every branch of the angular evaluator (recursion, small-u rule, the
     # d > 32 window) over the drift range an n = 2e4 run prebuilds
     cache = _ball_grid(d, 20_000)

@@ -17,7 +17,6 @@ from scbandits import action_sets as geom
 from scbandits import cli, engine, harness, verify
 from scbandits import perturbations as pert
 from scbandits.cli import main as cli_main
-from scbandits.estimation import KFunctionCache
 from scbandits.verify import VerifyOptions, run_verify_suite
 
 
@@ -226,19 +225,24 @@ def test_bound_column_is_analytic(tmp_path):
     assert np.max(np.abs(bound_col - expected)) <= 1e-9
 
 
-def test_cmd_run_builds_one_k_grid_before_the_first_run(tmp_path, monkeypatch):
+def test_cmd_run_builds_one_k_grid_before_the_first_run(tmp_path, monkeypatch, empty_k_grids):
     # the grid is set-up: built once in the harness, then shared by every seed
-    grids = []
-    real_run_seeds = harness.run_seeds
+    calls = []
+    real_grid, real_run_seeds = engine.KFunctionCache, harness.run_seeds
 
-    def spy(spec, losses, rngs, competitor, k_cache=None):
-        grids.append((len(rngs), k_cache))
-        return real_run_seeds(spec, losses, rngs, competitor, k_cache)
+    def build(*args, **kwargs):
+        calls.append("grid")
+        return real_grid(*args, **kwargs)
 
+    def spy(spec, losses, rngs, competitor):
+        calls.append(("run_seeds", len(rngs)))
+        return real_run_seeds(spec, losses, rngs, competitor)
+
+    monkeypatch.setattr(engine, "KFunctionCache", build)
     monkeypatch.setattr(harness, "run_seeds", spy)
     raw = base_config(set="ball", out_dir=str(tmp_path), seeds=[1, 2])
     harness.cmd_run(harness.config_from_dict(raw), quiet=True)
-    assert len(grids) == 1 and grids[0][0] == 2 and isinstance(grids[0][1], KFunctionCache)
+    assert calls == ["grid", ("run_seeds", 2)] and len(empty_k_grids) == 1
 
 
 def _timeless(summary: Path) -> list[str]:
@@ -588,7 +592,7 @@ def test_cli_numeric_error_exit_code(tmp_path):
     assert cli_main(["run", "--config", str(cfg), "--quiet"]) == 3
 
 
-def test_cli_k_quadrature_failure_exit_code(tmp_path, capsys, monkeypatch):
+def test_cli_k_quadrature_failure_exit_code(tmp_path, capsys, monkeypatch, empty_k_grids):
     # a K node whose radial integral cannot converge maps to exit code 3
     from scbandits import estimation
 

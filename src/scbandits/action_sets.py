@@ -42,7 +42,8 @@ class ActionSetModel:
     def __post_init__(self) -> None:
         if self.kind not in (HYPERCUBE, BALL):
             raise ValueError(f"unknown action-set kind {self.kind!r}")
-        if not isinstance(self.dimension, (int, np.integer)) or self.dimension < 1:
+        if (isinstance(self.dimension, bool) or not isinstance(self.dimension, (int, np.integer))
+                or self.dimension < 1):
             raise ValueError(f"dimension must be a positive integer, got {self.dimension!r}")
 
     @property

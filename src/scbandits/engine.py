@@ -71,11 +71,14 @@ class AlgorithmSpec:
     def __post_init__(self) -> None:
         if self.variant not in (SCFTPL, SCRIBBLE):
             raise ValueError(f"unknown algorithm variant {self.variant!r}")
-        if isinstance(self.learning_rate, str):
-            if self.learning_rate != "auto":
-                raise ValueError(f"learning_rate must be positive or 'auto', got {self.learning_rate!r}")
-        elif not (0.0 < float(self.learning_rate) < math.inf):
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
+        rate = self.learning_rate
+        if isinstance(rate, str):
+            if rate != "auto":
+                raise ValueError(f"learning_rate must be positive or 'auto', got {rate!r}")
+        # a bool is an int, and would run at eta = 1.0
+        elif (isinstance(rate, bool) or not isinstance(rate, (int, float, np.integer, np.floating))
+              or not 0.0 < float(rate) < math.inf):
+            raise ValueError(f"learning_rate must be finite and positive, got {rate!r}")
 
 
 def resolve_learning_rate(spec: AlgorithmSpec, horizon: int) -> float:

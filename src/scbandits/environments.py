@@ -25,7 +25,7 @@ PIECEWISE_SWITCHING = "piecewise_switching"
 ROTATING_DIRECTION = "rotating_direction"
 SEEDED_RANDOM = "seeded_random"
 
-_KINDS = (FIXED_VECTOR, PIECEWISE_SWITCHING, ROTATING_DIRECTION, SEEDED_RANDOM)
+ADVERSARY_KINDS = (FIXED_VECTOR, PIECEWISE_SWITCHING, ROTATING_DIRECTION, SEEDED_RANDOM)
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,9 @@ class AdversarySpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown adversary kind {self.kind!r}; expected one of {_KINDS}")
+        if self.kind not in ADVERSARY_KINDS:
+            raise ValueError(
+                f"unknown adversary kind {self.kind!r}; expected one of {ADVERSARY_KINDS}")
 
 
 def _support_norms(aset: ActionSetModel, rows: np.ndarray) -> np.ndarray:

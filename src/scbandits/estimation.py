@@ -10,12 +10,13 @@ forms for Q^{-1} A:
   double quadrature over (radius, angle), bounded in
   [(d-1)/(d(x+2)), (d-1)/d].
 
-K evaluations are memoized, and the engine path goes through a cubic
-interpolation cache on an asinh-spaced grid (interpolation error budget
-1e-5, inside the slack of the K bounds) that extends itself when the drift
-norm leaves the covered range; one such grid per d serves every run of a
-process. The cache is looked up at one drift norm, or at the (S,) drift
-norms of a batch of seeds in one call, bit for bit the same values.
+Runs read K through a cubic interpolation cache on an asinh-spaced grid
+(interpolation error budget 1e-5, inside the slack of the K bounds) that
+extends itself when the drift norm leaves the covered range; one such grid
+per d serves every run of a process. The cache is looked up at one drift
+norm, or at the (S,) drift norms of a batch of seeds in one call, bit for
+bit the same values. :func:`k_function_ball` evaluates one value afresh on
+each call, for ``verify`` and the tests.
 
 The K quadrature is QUADPACK's adaptive Gauss-Kronrod scheme, ported in
 :mod:`.quadpack` so that a grid's nodes advance together through vectorized
@@ -42,7 +43,6 @@ from .action_sets import (
     HYPERCUBE,
     LocalNormContext,
     barrier_hessian,
-    hessian_inv_matvec,
     hessian_matvec,
 )
 from .perturbations import log_sphere_surface, radial_beta, radial_density_ball
@@ -182,37 +182,8 @@ def dense_covariance(model: CovarianceModel) -> np.ndarray:
 # The K function (ball covariance factor)
 # ---------------------------------------------------------------------------
 
-_GL_NODES = {n: np.polynomial.legendre.leggauss(n) for n in (24, 48, 64)}
-
-def _gl_segment(u: float, d: int, order: int, lo: float, hi: float) -> float:
-    nodes, weights = _GL_NODES[order]
-    half = 0.5 * (hi - lo)
-    phi = 0.5 * (hi + lo) + half * nodes
-    vals = np.sin(phi) ** d / (1.0 + u * u + 2.0 * u * np.cos(phi))
-    return half * float(weights @ vals)
-
-
-def angular_integral_quadrature(u: float, d: int, lo: float = 0.0, hi: float = np.pi,
-                                depth: int = 0) -> float:
-    """integral_0^pi sin^d(phi) / (1 + u^2 + 2u cos(phi)) dphi, by adaptive
-    bisected Gauss-Legendre (24- vs 48-node comparison, absolute floor
-    1e-12 per segment). Reference route; the production evaluator below is
-    checked against it.
-    """
-    if u * u == np.inf:
-        return 0.0
-    coarse = _gl_segment(u, d, 24, lo, hi)
-    fine = _gl_segment(u, d, 48, lo, hi)
-    if abs(fine - coarse) <= max(1e-10 * abs(fine), 1e-12):
-        return fine
-    if depth >= 16:
-        raise QuadratureError(
-            f"angular integral did not converge (u={u!r}, d={d}, "
-            f"estimate gap {abs(fine - coarse):.3e})"
-        )
-    mid = 0.5 * (lo + hi)
-    return (angular_integral_quadrature(u, d, lo, mid, depth + 1)
-            + angular_integral_quadrature(u, d, mid, hi, depth + 1))
+# The 64-node Gauss-Legendre rule on [-1, 1] of the angular window
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 class _AngularRule(NamedTuple):
@@ -243,11 +214,11 @@ def _angular_rule(d: int) -> _AngularRule:
         lo, hi = np.pi / 2 - w, np.pi / 2 + w
     else:
         lo, hi = 0.0, np.pi
-    nodes, weights = _GL_NODES[64]
     half = 0.5 * (hi - lo)
-    phi = 0.5 * (hi + lo) + half * nodes
+    phi = 0.5 * (hi + lo) + half * _GL_NODES
     if d > 32:
-        return _AngularRule(half, weights, np.sin(phi) ** d, np.cos(phi), math.inf, math.nan, ())
+        return _AngularRule(half, _GL_WEIGHTS, np.sin(phi) ** d, np.cos(phi),
+                            math.inf, math.nan, ())
     # W_m by the two-term recurrence W_m = (m-1)/m W_{m-2}, W_0 = pi, W_1 = 2
     w_terms = []
     w_m = float(np.pi) if d % 2 == 0 else 2.0
@@ -256,7 +227,7 @@ def _angular_rule(d: int) -> _AngularRule:
             w_m = (m - 1) / m * w_m
         w_terms.append(w_m)
     return _AngularRule(
-        half, weights, np.sin(phi) ** d, np.cos(phi),
+        half, _GL_WEIGHTS, np.sin(phi) ** d, np.cos(phi),
         u_cut=max(0.05, 10.0 ** (-6.0 / d)),
         at_one=float(2.0 ** (d - 2) * np.exp(betaln((d + 1) / 2.0, (d - 1) / 2.0))),
         w_terms=tuple(w_terms),
@@ -264,8 +235,8 @@ def _angular_rule(d: int) -> _AngularRule:
 
 
 def _angular_integral(u, d: int):
-    """Fast evaluator for the angular integral above, at a float or at each
-    entry of an array; a float gives a float.
+    """J(u) = integral_0^pi sin^d(phi)/(1 + u^2 + 2u cos(phi)) dphi, at a float
+    or at each entry of an array; a float gives a float.
 
     Splitting sin^d = sin^{d-2} (1 - cos^2) and eliminating cos(phi) through
     the denominator yields the exact two-term recursion
@@ -389,7 +360,6 @@ def _k_values(xs: list[float], d: int) -> list[float]:
     return values
 
 
-@functools.lru_cache(maxsize=65536)
 def k_function_ball(x: float, d: int) -> float:
     """Transverse covariance mass K(x) for the ball at drift norm x.
 
@@ -405,7 +375,7 @@ def k_function_ball(x: float, d: int) -> float:
     bit; the angular level uses the exact reduction in
     :func:`_angular_integral` (checked against the adaptive rule in tests).
     Satisfies K(0) = (d-1)/d and (d-1)/(d(x+2)) <= K(x) <= (d-1)/d.
-    Memoized per (x, d); raises QuadratureError on non-convergence.
+    Raises QuadratureError on non-convergence.
 
     Up to x = 240 (16 for d > 32) the radial integral is split once, at
     max(4, 4x), and the piece [4x, inf) is mapped onto (0, 1]. Further out
@@ -449,11 +419,11 @@ class KFunctionCache:
     Node i is K(sinh(i h)), the :func:`k_function_ball` value bit for bit
     (tests pin them), and a lookup reads nodes i - 1 .. i + 2 only, so a grid
     of any length gives the same values. The nodes of a build, or of an
-    extension, are evaluated in one :func:`_k_values` batch, without the
-    ``k_function_ball`` memo: a ball run at d=5, n=2e4 prebuilds 264 nodes
-    (x up to 90.8) in 0.12-0.2 s on one core of a shared 2-core x86_64 host,
-    against 0.3-0.4 s node by node through ``scipy.integrate.quad``, and
-    every integral of the batch ends within 10 lockstep steps.
+    extension, are evaluated in one :func:`_k_values` batch: a ball run at
+    d=5, n=2e4 prebuilds 264 nodes (x up to 90.8) in 0.12-0.2 s on one core
+    of a shared 2-core x86_64 host, against 0.3-0.4 s node by node through
+    ``scipy.integrate.quad``, and every integral of the batch ends within 10
+    lockstep steps.
     """
 
     def __init__(self, d: int, x_max: float = 8.0):
@@ -517,17 +487,15 @@ def _catmull_rom(p0, p1, p2, p3, frac):
 # Dikin-pole estimator and local norms
 # ---------------------------------------------------------------------------
 
-def scribble_estimate(aset: ActionSetModel, x, action, observed_loss,
-                      ctx: LocalNormContext | None = None) -> np.ndarray:
+def scribble_estimate(aset: ActionSetModel, x, action, observed_loss) -> np.ndarray:
     """Pole-sampling estimator d * H(x) (A - x) * observed scalar loss,
     vectorized over leading axes of ``action`` and ``observed_loss``."""
     loss = np.asarray(observed_loss, dtype=float)
     if np.any(np.abs(loss) > 1.0 + LOSS_SLACK):
         raise ValueError(f"observed loss must lie in [-1, 1], got {observed_loss!r}")
-    if ctx is None:
-        ctx = barrier_hessian(aset, x)
-    return _scribble_estimate(aset.dimension, ctx, np.asarray(x, dtype=float),
-                              np.asarray(action, dtype=float), loss[..., None])
+    return _scribble_estimate(aset.dimension, barrier_hessian(aset, x),
+                              np.asarray(x, dtype=float), np.asarray(action, dtype=float),
+                              loss[..., None])
 
 
 def _scribble_estimate(d: int, ctx: LocalNormContext, x: np.ndarray, action: np.ndarray,
@@ -537,8 +505,7 @@ def _scribble_estimate(d: int, ctx: LocalNormContext, x: np.ndarray, action: np.
     return d * loss * hessian_matvec(ctx, action - x)
 
 
-def local_norm_sq(ctx: LocalNormContext, v, inverse: bool = False) -> float:
-    """v^T M v with M the barrier Hessian at the context point or its inverse."""
+def local_norm_sq(ctx: LocalNormContext, v) -> float:
+    """v^T H v with H the barrier Hessian at the context point."""
     v = np.asarray(v, dtype=float)
-    mv = hessian_inv_matvec(ctx, v) if inverse else hessian_matvec(ctx, v)
-    return float(v @ mv)
+    return float(v @ hessian_matvec(ctx, v))

@@ -42,10 +42,9 @@ from .engine import (
     theoretical_bound,
 )
 from .environments import (
+    ADVERSARY_KINDS,
     FIXED_VECTOR,
-    PIECEWISE_SWITCHING,
     ROTATING_DIRECTION,
-    SEEDED_RANDOM,
     AdversarySpec,
     best_in_hindsight,
     generate,
@@ -57,9 +56,6 @@ from .verify import CheckResult, VerifyOptions, verify_groups
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the offending key."""
-
-
-_ADVERSARY_KINDS = (FIXED_VECTOR, PIECEWISE_SWITCHING, ROTATING_DIRECTION, SEEDED_RANDOM)
 
 
 @dataclass(frozen=True)
@@ -166,8 +162,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _expect(isinstance(adv_raw, dict), "$.adversary", "must be an object")
     _expect_known_keys(adv_raw, {"kind", "base", "period", "angle", "seed"}, "$.adversary")
     adv_kind = adv_raw.get("kind", FIXED_VECTOR)
-    _expect(adv_kind in _ADVERSARY_KINDS, "$.adversary.kind",
-            f"must be one of {_ADVERSARY_KINDS}, got {adv_kind!r}")
+    _expect(adv_kind in ADVERSARY_KINDS, "$.adversary.kind",
+            f"must be one of {ADVERSARY_KINDS}, got {adv_kind!r}")
     _expect(adv_kind != ROTATING_DIRECTION or d >= 2, "$.adversary.kind",
             f"'{ROTATING_DIRECTION}' needs a dimension of at least 2, got {d}")
     base_vec = adv_raw.get("base")
@@ -265,36 +261,14 @@ def load_verify_options(path: str | Path | None, scale: float) -> VerifyOptions:
 # Regret curves
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RegretTrace:
-    """Aggregated regret curves for one experiment."""
-
-    mean_regret: np.ndarray
-    se: np.ndarray
-    bound: np.ndarray
-    violation_count: int
-    per_seed_final: dict[int, float]
-    wall_time_per_round: float
-    warnings: list[str]
-
-    @property
-    def final_mean(self) -> float:
-        return float(self.mean_regret[-1])
-
-    @property
-    def final_bound(self) -> float:
-        return float(self.bound[-1])
-
-
-def cmd_run(config: ExperimentConfig, quiet: bool = False) -> RegretTrace:
-    """Execute the experiment and write CSV + JSON outputs."""
+def cmd_run(config: ExperimentConfig, quiet: bool = False) -> dict:
+    """Execute the experiment, write CSV + JSON outputs and return the summary."""
     # the process's K grid for a ball run, built here as set-up and before the
     # losses: it imports scipy, and importing it after the loss arrays were
     # allocated raised a d=1024 run's peak RSS by about 1 MB
     k_cache_for(config.algorithm_spec(), config.horizon)
     losses = generate(config.adversary, config.dimension, config.horizon)
-    aset = config.action_set()
-    competitor = best_in_hindsight(aset, losses)
+    competitor = best_in_hindsight(config.action_set(), losses)
 
     start = time.perf_counter()
     increments, violations = run_seeds(config.algorithm_spec(), losses,
@@ -308,21 +282,15 @@ def cmd_run(config: ExperimentConfig, quiet: bool = False) -> RegretTrace:
     else:
         se = np.zeros_like(mean)
     bound = theoretical_bound(config.set_kind, config.dimension, config.horizon)
-    violations = int(violations.sum())
-    trace = RegretTrace(
-        mean_regret=mean, se=se, bound=bound, violation_count=violations,
-        per_seed_final={s: float(curve[-1]) for s, curve in zip(config.seeds, curves)},
-        wall_time_per_round=engine_time / (config.horizon * len(config.seeds)),
-        warnings=config.warnings(),
-    )
-    _write_outputs(config, trace, curves)
+    summary = _write_outputs(config, curves, mean, se, bound, int(violations.sum()),
+                             engine_time / (config.horizon * len(config.seeds)))
     if not quiet:
-        print(f"{config.label}: final mean regret {trace.final_mean:.3f} "
-              f"(bound {trace.final_bound:.3f}), {violations} step violations, "
-              f"{trace.wall_time_per_round * 1e6:.1f} us/round")
-        for note in trace.warnings:
+        print(f"{config.label}: final mean regret {summary['final_mean_regret']:.3f} "
+              f"(bound {summary['final_bound']:.3f}), {summary['step_violations']} step "
+              f"violations, {summary['wall_time_per_round_seconds'] * 1e6:.1f} us/round")
+        for note in summary["warnings"]:
             print(f"  warning: {note}")
-    return trace
+    return summary
 
 
 def _float_rows(*columns):
@@ -337,11 +305,14 @@ def _format_row(values) -> str:
     return ",".join(map(repr, values))
 
 
-def _write_outputs(config: ExperimentConfig, trace: RegretTrace, curves: np.ndarray) -> None:
+def _write_outputs(config: ExperimentConfig, curves: np.ndarray, mean: np.ndarray,
+                   se: np.ndarray, bound: np.ndarray, violations: int,
+                   wall_time_per_round: float) -> dict:
+    """Write the CSVs and the summary JSON of a run; return the summary."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["t,mean_regret,se,bound"]
-    rows = _float_rows(trace.mean_regret, trace.se, trace.bound)
+    rows = _float_rows(mean, se, bound)
     lines.extend(f"{t}," + _format_row(row) for t, row in enumerate(rows, 1))
     (out_dir / f"{config.label}.csv").write_text("\n".join(lines) + "\n")
 
@@ -365,17 +336,18 @@ def _write_outputs(config: ExperimentConfig, trace: RegretTrace, curves: np.ndar
         "learning_rate": resolve_learning_rate(config.algorithm_spec(), config.horizon),
         "seeds": list(config.seeds),
         "adversary": config.adversary.kind,
-        "final_mean_regret": trace.final_mean,
-        "final_se": float(trace.se[-1]),
-        "final_bound": trace.final_bound,
-        "under_bound": bool(trace.final_mean <= trace.final_bound),
-        "step_violations": trace.violation_count,
-        "violation_rate": trace.violation_count / (config.horizon * len(config.seeds)),
-        "per_seed_final_regret": {str(k): v for k, v in trace.per_seed_final.items()},
-        "wall_time_per_round_seconds": trace.wall_time_per_round,
-        "warnings": trace.warnings,
+        "final_mean_regret": float(mean[-1]),
+        "final_se": float(se[-1]),
+        "final_bound": float(bound[-1]),
+        "under_bound": bool(mean[-1] <= bound[-1]),
+        "step_violations": violations,
+        "violation_rate": violations / (config.horizon * len(config.seeds)),
+        "per_seed_final_regret": {str(s): float(c[-1]) for s, c in zip(config.seeds, curves)},
+        "wall_time_per_round_seconds": wall_time_per_round,
+        "warnings": config.warnings(),
     }
     (out_dir / f"{config.label}_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +458,6 @@ def cmd_sample(set_kind: str, dimension: int, count: int, seed: int,
     path.parent.mkdir(parents=True, exist_ok=True)
     header = ",".join(f"xi_{i + 1}" for i in range(dimension))
     lines = [header]
-    lines.extend(_format_row(row) for row in _float_rows(*np.atleast_2d(draws).T))
+    lines.extend(_format_row(row) for row in _float_rows(*draws.T))
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -242,7 +242,6 @@ class RadialTable:
     """Monotone (s, CDF) grid for inverse-transform speed sampling."""
 
     d: int
-    node_count: int
     nodes: np.ndarray
     cdf: np.ndarray
 
@@ -264,7 +263,7 @@ class RadialTable:
         first = int(np.argmax(cdf_grid > 1e-30))
         nodes = np.concatenate([[0.0], grid[first:]])
         cdf = np.concatenate([[0.0], cdf_grid[first:]])
-        table = cls(d=int(d), node_count=int(nodes.size), nodes=nodes, cdf=cdf)
+        table = cls(d=int(d), nodes=nodes, cdf=cdf)
         table.validate()
         return table
 
@@ -280,7 +279,7 @@ class RadialTable:
         final cell, i.e. the tail is truncated at s_max.
         """
         u = np.asarray(u, dtype=float)
-        idx = np.clip(np.searchsorted(self.cdf, u, side="right"), 1, self.node_count - 1)
+        idx = np.clip(np.searchsorted(self.cdf, u, side="right"), 1, self.nodes.size - 1)
         lo, hi = self.nodes[idx - 1], self.nodes[idx]
         clo, chi = self.cdf[idx - 1], self.cdf[idx]
         frac = np.clip((u - clo) / (chi - clo), 0.0, 1.0)
@@ -347,26 +346,22 @@ def _split_rows(n: int, width: int, work, row_ns: float) -> None:
         future.result()
 
 
-def sample_hypercube(d: int, rng: np.random.Generator, size: int | None = None):
-    """Draw from the hypercube perturbation: d i.i.d. inverse-CDF coordinates.
-
-    Returns shape (d,) for ``size=None`` and (size, d) otherwise. Consumes
-    exactly d (resp. size*d) uniforms from ``rng``.
-    """
-    shape = (d,) if size is None else (int(size), d)
-    u = np.maximum(rng.random(shape), _U_FLOOR)
+def sample_hypercube(d: int, rng: np.random.Generator, size: int):
+    """``size`` draws, shape (size, d), of d i.i.d. inverse-CDF coordinates from
+    the hypercube perturbation; they consume exactly size*d uniforms of ``rng``."""
+    u = np.maximum(rng.random((int(size), d)), _U_FLOOR)
     return inverse_cdf_hypercube(u)
 
 
-def sample_ball(d: int, rng: np.random.Generator, size: int | None = None):
-    """Draw from the ball perturbation as direction x speed.
+def sample_ball(d: int, rng: np.random.Generator, size: int):
+    """``size`` draws, shape (size, d), from the ball perturbation as direction x speed.
 
     Direction: d Box-Muller gaussians normalized to the sphere. Speed: one
     uniform pushed through the radial table inverse. All draws' gaussians
     come first, 2*ceil(d/2) uniforms per draw, then one speed uniform per
     draw.
     """
-    n = 1 if size is None else int(size)
+    n = int(size)
     pairs = (d + 1) // 2
     # the stream and the normals of gaussians(rng, 2 * n * pairs): the u1
     # block, then the u2 block; Box-Muller's cosine block, then its sine
@@ -390,11 +385,11 @@ def sample_ball(d: int, rng: np.random.Generator, size: int | None = None):
         out[a:b] = rows[a:b] / np.where(norms > 0.0, norms, 1.0) * speeds[:, None]
 
     _split_rows(n, 2 * pairs, direction_times_speed, _SPEED_NS)
-    return out[0] if size is None else out
+    return out
 
 
-def draw(aset: ActionSetModel, rng: np.random.Generator, size: int | None = None):
-    """One draw, shape (d,), or ``size`` draws, shape (size, d), from the body's perturbation."""
+def draw(aset: ActionSetModel, rng: np.random.Generator, size: int):
+    """``size`` draws, shape (size, d), from the body's perturbation."""
     sample = sample_hypercube if aset.kind == HYPERCUBE else sample_ball
     return sample(aset.dimension, rng, size)
 

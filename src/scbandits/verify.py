@@ -524,8 +524,3 @@ def verify_groups(opts: VerifyOptions):
         if opts.checks is not None:
             rows = [r for r in rows if any(r.name.startswith(p) for p in opts.checks)]
         yield group.__name__, rows, seconds
-
-
-def run_verify_suite(opts: VerifyOptions) -> list[CheckResult]:
-    """Run every check group the filter can select and return the rows it selects."""
-    return [row for _, rows, _ in verify_groups(opts) for row in rows]

@@ -328,6 +328,9 @@ def test_dikin_poles_are_orthogonal_eigendirections():
 
 
 def test_model_validation():
+    for dimension in (0, True, 2.0):  # a bool would be accepted as d = 1
+        with pytest.raises(ValueError):
+            geom.ActionSetModel(dimension=dimension, kind=geom.BALL)
     with pytest.raises(ValueError):
         geom.ActionSetModel(dimension=0, kind=geom.HYPERCUBE)
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scbandits import action_sets as geom
@@ -48,7 +48,8 @@ def test_auto_learning_rates():
 def test_spec_validation():
     with pytest.raises(ValueError):
         engine.AlgorithmSpec(variant="exp3", action_set=geom.hypercube(2))
-    for rate in (-0.1, math.inf):
+    # a bool would run at eta = 1.0; the others are no real number
+    for rate in (-0.1, math.inf, True, False, [0.5], None, 1 + 0j):
         with pytest.raises(ValueError):
             engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=geom.hypercube(2),
                                  learning_rate=rate)
@@ -134,7 +135,7 @@ def test_scftpl_hypercube_matches_module_replay():
     y_cum = np.zeros(d)
     for t in range(1, n + 1):
         theta = -0.2 * y_cum
-        xi = pert.draw(aset, rng)
+        xi = pert.draw(aset, rng, 1)[0]
         action = geom.linear_minimizer(aset, -theta - xi)
         x = geom.conjugate_gradient(aset, theta)
         scalar = float(losses[t - 1] @ action)
@@ -146,7 +147,7 @@ def test_scftpl_hypercube_matches_module_replay():
         assert trace.scalar_loss[t - 1] == scalar
         assert np.allclose(trace.y_hat[t - 1], y_hat, rtol=1e-12, atol=1e-14)
         assert math.isclose(trace.local_norm_sq[t - 1],
-                            est.local_norm_sq(ctx, y_hat, inverse=True),
+                            float(y_hat @ geom.hessian_inv_matvec(ctx, y_hat)),
                             rel_tol=1e-9, abs_tol=1e-12)
         y_cum = y_cum + trace.y_hat[t - 1]
 
@@ -162,7 +163,7 @@ def test_scftpl_ball_matches_module_replay():
     y_cum = np.zeros(d)
     for t in range(1, n + 1):
         theta = -0.05 * y_cum
-        xi = pert.draw(aset, rng)
+        xi = pert.draw(aset, rng, 1)[0]
         action = geom.linear_minimizer(aset, -theta - xi)
         x = geom.conjugate_gradient(aset, theta)
         scalar = float(losses[t - 1] @ action)
@@ -204,7 +205,7 @@ def _assert_scribble_replays_module_ops(kind, d):
         assert np.array_equal(trace.action[t - 1], action)
         assert trace.scalar_loss[t - 1] == scalar
         assert np.array_equal(trace.y_hat[t - 1], y_hat)
-        assert trace.local_norm_sq[t - 1] == est.local_norm_sq(ctx, y_hat, inverse=True)
+        assert trace.local_norm_sq[t - 1] == float(y_hat @ geom.hessian_inv_matvec(ctx, y_hat))
         y_cum = y_cum + y_hat
 
 
@@ -311,6 +312,9 @@ def test_block_noise_matches_per_round_draws_random(kind, variant, d, n, seed, c
        n=st.integers(1, 90), rate=st.sampled_from([0.05, 0.5]),
        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6, unique=True),
        chunk=st.sampled_from([7, _SMALL_CHUNK, streams.CHUNK_UNIFORMS]))
+# a batched ball run on the line, which none of the generated examples draws
+@example(kind=geom.BALL, variant=engine.SCFTPL, d=1, n=60, rate=0.5, seeds=[3, 8, 21],
+         chunk=_SMALL_CHUNK)
 def test_run_seeds_matches_per_seed_runs(kind, variant, d, n, rate, seeds, chunk):
     # the batched recurrence, and the blocks of seeds run alone, against one
     # run per seed, with blocks that end mid-run wherever a block holds fewer

@@ -17,7 +17,8 @@ from scbandits import action_sets as geom
 from scbandits import cli, engine, harness, verify
 from scbandits import perturbations as pert
 from scbandits.cli import main as cli_main
-from scbandits.verify import VerifyOptions, run_verify_suite
+from scbandits.environments import AdversarySpec, generate
+from scbandits.verify import VerifyOptions
 
 
 def base_config(**overrides):
@@ -172,8 +173,8 @@ def test_auto_rate_precondition_warnings():
 
 def test_cmd_run_outputs_and_determinism(tmp_path):
     raw = base_config(out_dir=str(tmp_path / "a"), write_per_seed=True)
-    trace = harness.cmd_run(harness.config_from_dict(raw), quiet=True)
-    assert trace.mean_regret.shape == (300,)
+    summary = harness.cmd_run(harness.config_from_dict(raw), quiet=True)
+    assert len((tmp_path / "a" / "t.csv").read_text().splitlines()) == 1 + 300
 
     csv_a = (tmp_path / "a" / "t.csv").read_bytes()
     raw_b = base_config(out_dir=str(tmp_path / "b"), write_per_seed=True)
@@ -181,9 +182,41 @@ def test_cmd_run_outputs_and_determinism(tmp_path):
     csv_b = (tmp_path / "b" / "t.csv").read_bytes()
     assert csv_a == csv_b  # byte-identical reruns
 
-    summary = json.loads((tmp_path / "a" / "t_summary.json").read_text())
-    assert summary["final_mean_regret"] == trace.final_mean
+    assert json.loads((tmp_path / "a" / "t_summary.json").read_text()) == summary
     assert summary["under_bound"] in (True, False)
+
+
+def test_cmd_run_prints_its_summary_and_warnings(tmp_path, capsys):
+    # n = 100 < 24 d ln n: the auto rate's hypercube guarantee does not cover it
+    raw = base_config(out_dir=str(tmp_path), horizon=100)
+    harness.cmd_run(harness.config_from_dict(raw), quiet=False)
+    summary = json.loads((tmp_path / "t_summary.json").read_text())
+    assert summary["warnings"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"t: final mean regret {summary['final_mean_regret']:.3f} "
+        f"(bound {summary['final_bound']:.3f}), {summary['step_violations']} step violations, "
+        f"{summary['wall_time_per_round_seconds'] * 1e6:.1f} us/round",
+    ] + [f"  warning: {note}" for note in summary["warnings"]]
+
+
+def test_cli_run_out_overrides_the_config_out_dir(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base_config(out_dir=str(tmp_path / "from_config"), seeds=[1])))
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "from_flag"),
+                     "--quiet"]) == 0
+    written = sorted(p.name for p in (tmp_path / "from_flag").iterdir())
+    assert written == ["t.csv", "t_summary.json"]
+    assert not (tmp_path / "from_config").exists()
+
+
+def test_config_adversary_angle_sets_the_rotation():
+    raw = base_config(adversary={"kind": "rotating_direction", "angle": 0.3})
+    cfg = harness.config_from_dict(raw)
+    rows = generate(cfg.adversary, cfg.dimension, cfg.horizon)
+    spec = AdversarySpec(kind="rotating_direction", geometry="hypercube", angle=0.3)
+    assert np.array_equal(rows, generate(spec, 2, 300))
+    default = AdversarySpec(kind="rotating_direction", geometry="hypercube")
+    assert not np.array_equal(rows, generate(default, 2, 300))
 
 
 def test_cmd_run_aggregation_matches_per_seed_files(tmp_path):
@@ -296,16 +329,21 @@ def test_verify_suite_passes_at_reduced_scale(tmp_path, monkeypatch):
         assert names and all(n.startswith(verify.ROW_PREFIXES[group.__name__]) for n in names)
 
 
+def _suite_rows(opts):
+    """The rows of every check group that ``opts`` selects, in suite order."""
+    return [row for _, rows, _ in verify.verify_groups(opts) for row in rows]
+
+
 def _scaled_draws(monkeypatch, factor):
     """A draw-scale fault: every perturbation draw comes out ``factor`` times too large."""
     draw = pert.draw
-    monkeypatch.setattr(pert, "draw", lambda aset, rng, size=None: factor * draw(aset, rng, size))
+    monkeypatch.setattr(pert, "draw", lambda aset, rng, size: factor * draw(aset, rng, size))
 
 
 def test_verify_replication_fault_injection(monkeypatch):
     # a 10% draw-scale fault must trip the replication checks
     _scaled_draws(monkeypatch, 1.10)
-    results = run_verify_suite(VerifyOptions(scale=0.1, checks=("replication",)))
+    results = _suite_rows(VerifyOptions(scale=0.1, checks=("replication",)))
     assert results, "replication checks must run"
     assert not all(r.passed for r in results)
 
@@ -322,7 +360,7 @@ def test_verify_runs_only_the_groups_a_filter_selects(monkeypatch):
     expected = [r for r in verify.check_k_function(opts) if r.name.startswith("k_function")]
     monkeypatch.setattr(verify, "CHECK_GROUPS", tuple(
         g if g is verify.check_k_function else _raising(g) for g in verify.CHECK_GROUPS))
-    results = run_verify_suite(opts)
+    results = _suite_rows(opts)
     assert results == expected and len(results) == 2 * len(verify.BALL_DIMENSIONS)
 
 
@@ -416,6 +454,18 @@ def test_cmd_bench_rows_shape():
     assert rows[0]["per_round_us"] > 0.0
     assert rows[0]["rounds_per_sec"] > 0.0
     assert rows[0]["ratio_4d"] is not None and rows[1]["ratio_4d"] is None
+
+
+def test_cmd_bench_prints_one_line_per_row(capsys):
+    rows = harness.cmd_bench(dims=(4, 16), rounds=8, repeats=1, seed=3,
+                             kinds=("hypercube", "ball"), quiet=False)
+    assert [(r["set"], r["dimension"]) for r in rows] == [
+        ("hypercube", 4), ("hypercube", 16), ("ball", 4), ("ball", 16)]
+    assert capsys.readouterr().out.splitlines() == [
+        f"{r['set']:>9} d={r['dimension']:<5} {r['per_round_us']:9.1f} us/round "
+        f"{r['rounds_per_sec']:10.0f} rounds/s  time(4d)/time(d)="
+        + (f"{r['ratio_4d']:.2f}" if r["dimension"] == 4 else "-")
+        for r in rows]
 
 
 def test_cmd_sample_csv(tmp_path):

@@ -83,7 +83,7 @@ def test_heavy_tail_truncated_moment_growth():
 # ---------------------------------------------------------------------------
 
 def test_sample_hypercube_pinned_fixture():
-    draw = pert.sample_hypercube(2, make_rng(2024))
+    draw = pert.sample_hypercube(2, make_rng(2024), 1)[0]
     assert np.allclose(draw, [1.3689629576361675, 0.678707262094362], rtol=0, atol=1e-15)
 
 
@@ -152,7 +152,7 @@ def test_radial_closed_forms_match_quadrature(d):
 
 def test_radial_table_invariants():
     table = pert.RadialTable.build(3)
-    assert table.node_count == pert.RADIAL_TABLE_NODES
+    assert table.nodes.size == pert.RADIAL_TABLE_NODES
     assert np.all(np.diff(table.cdf) > 0.0)
     assert table.cdf[-1] >= 1.0 - 1e-6
     assert table.nodes[0] == 0.0 and table.cdf[0] == 0.0
@@ -198,7 +198,7 @@ def _two_call_law(s, d):
 
 
 def _two_call_inverse(table, u):
-    idx = np.clip(np.searchsorted(table.cdf, u, side="right"), 1, table.node_count - 1)
+    idx = np.clip(np.searchsorted(table.cdf, u, side="right"), 1, table.nodes.size - 1)
     lo, hi = table.nodes[idx - 1], table.nodes[idx]
     clo, chi = table.cdf[idx - 1], table.cdf[idx]
     s = lo + np.clip((u - clo) / (chi - clo), 0.0, 1.0) * (hi - lo)
@@ -230,7 +230,7 @@ def test_radial_cdf_keeps_the_two_call_bits(d):
 # ---------------------------------------------------------------------------
 
 def test_sample_ball_pinned_fixture():
-    draw = pert.sample_ball(3, make_rng(2024))
+    draw = pert.sample_ball(3, make_rng(2024), 1)[0]
     assert np.allclose(draw, [0.8692093440869205, 0.7354293450870318, -1.5691266782732827],
                        rtol=0, atol=1e-15)
 
@@ -317,7 +317,7 @@ def test_replication_detects_perturbed_distribution(monkeypatch):
     # scaling the draws by 1% is a different distribution; the check must fail
     aset = geom.hypercube(1)
     draw = pert.draw
-    monkeypatch.setattr(pert, "draw", lambda aset, rng, size=None: 1.01 * draw(aset, rng, size))
+    monkeypatch.setattr(pert, "draw", lambda aset, rng, size: 1.01 * draw(aset, rng, size))
     report = pert.verify_replication(aset, np.array([1.3]), 6 * 10**6, make_rng(39))
     assert report.max_sigma > 4.0
 
@@ -344,17 +344,15 @@ def test_draws_are_reproducible():
 
 def _serial_ball_draw(d, rng, size):
     """The ball's bulk draw written out on whole arrays, as one thread computes it."""
-    n = 1 if size is None else size
     pairs = (d + 1) // 2
-    normal = gaussians(rng, n * 2 * pairs).reshape(n, 2 * pairs)[:, :d]
+    normal = gaussians(rng, size * 2 * pairs).reshape(size, 2 * pairs)[:, :d]
     norms = np.linalg.norm(normal, axis=1, keepdims=True)
-    speeds = pert.RadialTable.build(d).inverse(np.maximum(rng.random(n), 2.0**-54))
-    out = normal / np.where(norms > 0.0, norms, 1.0) * speeds[:, None]
-    return out[0] if size is None else out
+    speeds = pert.RadialTable.build(d).inverse(np.maximum(rng.random(size), 2.0**-54))
+    return normal / np.where(norms > 0.0, norms, 1.0) * speeds[:, None]
 
 
 _PART = pert._MIN_SHARE_ROWS
-_SPLIT_SIZES = [None, 1, 7, _PART - 1, _PART + 1, 2 * _PART - 1, 2 * _PART, 3 * _PART + 5]
+_SPLIT_SIZES = [1, 7, _PART - 1, _PART + 1, 2 * _PART - 1, 2 * _PART, 3 * _PART + 5]
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3])

@@ -7,8 +7,9 @@ Subcommands:
   sample  dump perturbation draws as CSV
 
 Exit codes: 0 success (``--help`` included), 1 invalid configuration or
-arguments (argparse usage errors included), 2 verification check failure,
-3 numeric failure (quadrature non-convergence, aborted run).
+arguments (argparse usage errors included, and sizes whose arrays cannot be
+allocated), 2 verification check failure, 3 numeric failure (quadrature
+non-convergence, aborted run).
 """
 
 from __future__ import annotations
@@ -171,7 +172,8 @@ def main(argv: list[str] | None = None) -> int:
             cmd_sample(**_sample_arguments(args))
             return EXIT_OK
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ValueError) as exc:
+    # numpy refuses an array larger than memory with a MemoryError before touching it
+    except (ConfigError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (QuadratureError, AbortedRunError) as exc:

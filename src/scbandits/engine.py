@@ -27,6 +27,7 @@ bit-reproducible, however seeds are batched.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -75,9 +76,10 @@ class AlgorithmSpec:
         if isinstance(rate, str):
             if rate != "auto":
                 raise ValueError(f"learning_rate must be positive or 'auto', got {rate!r}")
-        # a bool is an int, and would run at eta = 1.0
+        # a bool is an int, and would run at eta = 1.0; an int past the float
+        # range compares exactly, so it fails here and not in float()
         elif (isinstance(rate, bool) or not isinstance(rate, (int, float, np.integer, np.floating))
-              or not 0.0 < float(rate) < math.inf):
+              or not 0.0 < rate <= sys.float_info.max):
             raise ValueError(f"learning_rate must be finite and positive, got {rate!r}")
 
 
@@ -184,18 +186,17 @@ def _local_norms(aset: ActionSetModel, variant: str, eta: float, xs, y_hats):
     2 eta ||y_hat||_x > 1 of rounds with expected actions ``xs`` and estimates
     ``y_hats``, vectorized over their leading axes.
 
-    A perturbed-leader ball run keeps its own expansion of the norm,
-    ||y||^2 / a - c <x, y>^2; every other run applies the barrier Hessian's
-    inverse, as :func:`estimation.local_norm_sq` does.
+    A perturbed-leader ball run expands the norm in the barrier Hessian's
+    coefficients, ||y||^2 / a - c <x, y>^2 with c = b / (a (a + b ||x||^2));
+    every other run applies its inverse, as :func:`estimation.local_norm_sq` does.
     """
+    hessian = _barrier_hessian(aset, xs)
     if variant == SCFTPL and aset.kind == BALL:
-        x_sq = np.vecdot(xs, xs)
-        hess_a = 2.0 / (1.0 - x_sq)
-        hess_b = 4.0 / ((1.0 - x_sq) * (1.0 - x_sq))
-        correction = hess_b / (hess_a * (hess_a + hess_b * x_sq))
-        norm_sq = np.vecdot(y_hats, y_hats) / hess_a - correction * np.vecdot(xs, y_hats) ** 2
+        a, b = hessian.coeff_identity, hessian.coeff_outer
+        correction = b / (a * (a + b * np.vecdot(xs, xs)))
+        norm_sq = np.vecdot(y_hats, y_hats) / a - correction * np.vecdot(xs, y_hats) ** 2
     else:
-        norm_sq = np.vecdot(y_hats, hessian_inv_matvec(_barrier_hessian(aset, xs), y_hats))
+        norm_sq = np.vecdot(y_hats, hessian_inv_matvec(hessian, y_hats))
     return norm_sq, 2.0 * eta * np.sqrt(np.maximum(norm_sq, 0.0)) > 1.0
 
 

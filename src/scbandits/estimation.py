@@ -189,15 +189,15 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 class _AngularRule(NamedTuple):
     """Per-dimension constants of :func:`_angular_integral`.
 
-    ``half``, ``weights``, ``sin_pow`` = sin^d(phi) and ``cos`` = cos(phi)
-    describe its fixed 64-node Gauss-Legendre window. ``u_cut``, ``at_one``
-    = J_d(1) and ``w_terms`` = (W_{d mod 2}, W_{d mod 2 + 2}, ..., W_{d-2})
-    serve the recursion, with W_m = integral_0^pi sin^m(phi) dphi; for
-    d > 32 the window covers every u <= 1 and these are unused.
+    ``half``, ``sin_pow`` = sin^d(phi) and ``cos`` = cos(phi) describe its
+    fixed 64-node Gauss-Legendre window, whose weights are ``_GL_WEIGHTS``
+    at every d. ``u_cut``, ``at_one`` = J_d(1) and ``w_terms`` =
+    (W_{d mod 2}, W_{d mod 2 + 2}, ..., W_{d-2}) serve the recursion, with
+    W_m = integral_0^pi sin^m(phi) dphi; for d > 32 the window covers every
+    u <= 1 and these are unused.
     """
 
     half: float
-    weights: np.ndarray
     sin_pow: np.ndarray
     cos: np.ndarray
     u_cut: float
@@ -217,8 +217,7 @@ def _angular_rule(d: int) -> _AngularRule:
     half = 0.5 * (hi - lo)
     phi = 0.5 * (hi + lo) + half * _GL_NODES
     if d > 32:
-        return _AngularRule(half, _GL_WEIGHTS, np.sin(phi) ** d, np.cos(phi),
-                            math.inf, math.nan, ())
+        return _AngularRule(half, np.sin(phi) ** d, np.cos(phi), math.inf, math.nan, ())
     # W_m by the two-term recurrence W_m = (m-1)/m W_{m-2}, W_0 = pi, W_1 = 2
     w_terms = []
     w_m = float(np.pi) if d % 2 == 0 else 2.0
@@ -227,7 +226,7 @@ def _angular_rule(d: int) -> _AngularRule:
             w_m = (m - 1) / m * w_m
         w_terms.append(w_m)
     return _AngularRule(
-        half, _GL_WEIGHTS, np.sin(phi) ** d, np.cos(phi),
+        half, np.sin(phi) ** d, np.cos(phi),
         u_cut=max(0.05, 10.0 ** (-6.0 / d)),
         at_one=float(2.0 ** (d - 2) * np.exp(betaln((d + 1) / 2.0, (d - 1) / 2.0))),
         w_terms=tuple(w_terms),
@@ -258,7 +257,7 @@ def _angular_integral(u, d: int):
 
     An entry's bits do not depend on the other entries, so an array gives
     what float calls give: the rule is one ``vecdot`` per row, which sums as
-    ``weights @ row`` does (a matrix product rounds differently), and the
+    ``_GL_WEIGHTS @ row`` does (a matrix product rounds differently), and the
     odd-d logarithm is ``math.log`` per entry (``np.log`` can differ in the
     last bit).
     """
@@ -273,7 +272,7 @@ def _angular_integral(u, d: int):
         rows = window[start:start + _WINDOW_ROWS]
         w = v[rows, None]
         out[rows] = rule.half * np.vecdot(rule.sin_pow / (1.0 + w * w + 2.0 * w * rule.cos),
-                                          rule.weights)
+                                          _GL_WEIGHTS)
     if window.size < v.size:
         rest = np.flatnonzero(v >= rule.u_cut)
         r = v[rest]

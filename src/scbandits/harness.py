@@ -60,38 +60,28 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    set_kind: str
-    dimension: int
+    spec: AlgorithmSpec
     horizon: int
-    algorithm: str
-    learning_rate: float | str
     adversary: AdversarySpec
     seeds: tuple[int, ...]
     out_dir: str
     label: str
     write_per_seed: bool
 
-    def action_set(self) -> ActionSetModel:
-        return ActionSetModel(dimension=self.dimension, kind=self.set_kind)
-
-    def algorithm_spec(self) -> AlgorithmSpec:
-        return AlgorithmSpec(variant=self.algorithm, action_set=self.action_set(),
-                             learning_rate=self.learning_rate)
-
     def warnings(self) -> list[str]:
         """Auto learning-rate preconditions that are advisory, not fatal."""
         notes = []
-        if self.learning_rate == "auto" and self.horizon >= 2:
+        d, kind = self.spec.action_set.dimension, self.spec.action_set.kind
+        if self.spec.learning_rate == "auto" and self.horizon >= 2:
             ratio = self.horizon / math.log(self.horizon)
-            if self.set_kind == HYPERCUBE and ratio < 24 * self.dimension:
+            if kind == HYPERCUBE and ratio < 24 * d:
                 notes.append(
-                    f"n/ln n = {ratio:.1f} < 24 d = {24 * self.dimension}: the hypercube "
+                    f"n/ln n = {ratio:.1f} < 24 d = {24 * d}: the hypercube "
                     f"regret guarantee does not cover this horizon")
-            if self.set_kind == BALL and ratio < max(2 * self.dimension**2, 96):
+            if kind == BALL and ratio < max(2 * d**2, 96):
                 notes.append(
-                    f"n/ln n = {ratio:.1f} < max(2 d^2, 96) = "
-                    f"{max(2 * self.dimension**2, 96)}: the ball regret guarantee "
-                    f"does not cover this horizon")
+                    f"n/ln n = {ratio:.1f} < max(2 d^2, 96) = {max(2 * d**2, 96)}: "
+                    f"the ball regret guarantee does not cover this horizon")
         return notes
 
 
@@ -208,10 +198,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _expect(isinstance(write_per_seed, bool), "$.write_per_seed",
             f"must be true or false, got {write_per_seed!r}")
 
-    return ExperimentConfig(
-        set_kind=kind, dimension=d, horizon=n, algorithm=algorithm, learning_rate=rate,
-        adversary=adversary, seeds=tuple(seeds), out_dir=out_dir, label=label,
-        write_per_seed=write_per_seed)
+    spec = AlgorithmSpec(variant=algorithm, action_set=ActionSetModel(dimension=d, kind=kind),
+                         learning_rate=rate)
+    return ExperimentConfig(spec=spec, horizon=n, adversary=adversary, seeds=tuple(seeds),
+                            out_dir=out_dir, label=label, write_per_seed=write_per_seed)
 
 
 def verify_options_from_dict(raw: dict, scale: float) -> VerifyOptions:
@@ -266,12 +256,13 @@ def cmd_run(config: ExperimentConfig, quiet: bool = False) -> dict:
     # the process's K grid for a ball run, built here as set-up and before the
     # losses: it imports scipy, and importing it after the loss arrays were
     # allocated raised a d=1024 run's peak RSS by about 1 MB
-    k_cache_for(config.algorithm_spec(), config.horizon)
-    losses = generate(config.adversary, config.dimension, config.horizon)
-    competitor = best_in_hindsight(config.action_set(), losses)
+    aset = config.spec.action_set
+    k_cache_for(config.spec, config.horizon)
+    losses = generate(config.adversary, aset.dimension, config.horizon)
+    competitor = best_in_hindsight(aset, losses)
 
     start = time.perf_counter()
-    increments, violations = run_seeds(config.algorithm_spec(), losses,
+    increments, violations = run_seeds(config.spec, losses,
                                        [make_rng(s) for s in config.seeds], competitor)
     engine_time = time.perf_counter() - start
     # one C-ordered row per seed, the layout the seed-wise mean and SE reduce
@@ -281,7 +272,7 @@ def cmd_run(config: ExperimentConfig, quiet: bool = False) -> dict:
         se = curves.std(axis=0, ddof=1) / math.sqrt(curves.shape[0])
     else:
         se = np.zeros_like(mean)
-    bound = theoretical_bound(config.set_kind, config.dimension, config.horizon)
+    bound = theoretical_bound(aset.kind, aset.dimension, config.horizon)
     summary = _write_outputs(config, curves, mean, se, bound, int(violations.sum()),
                              engine_time / (config.horizon * len(config.seeds)))
     if not quiet:
@@ -329,11 +320,11 @@ def _write_outputs(config: ExperimentConfig, curves: np.ndarray, mean: np.ndarra
             "empirical best fixed action (the support minimizer of the summed "
             "losses, exact for linear regret); SE is the seed-wise standard error"
         ),
-        "set": config.set_kind,
-        "dimension": config.dimension,
+        "set": config.spec.action_set.kind,
+        "dimension": config.spec.action_set.dimension,
         "horizon": config.horizon,
-        "algorithm": config.algorithm,
-        "learning_rate": resolve_learning_rate(config.algorithm_spec(), config.horizon),
+        "algorithm": config.spec.variant,
+        "learning_rate": resolve_learning_rate(config.spec, config.horizon),
         "seeds": list(config.seeds),
         "adversary": config.adversary.kind,
         "final_mean_regret": float(mean[-1]),

@@ -53,7 +53,7 @@ first split, so a run starts no thread.
 
 Only the ball's radial law uses scipy (``gammaln``, ``betainc``, and the
 quadrature of :func:`radial_profile_ball`, which only verification reads),
-so this module imports it inside those functions, on first use: a hypercube
+so this module imports it inside the functions that call it: a hypercube
 run, ``sample`` or ``bench`` loads numpy alone, and a ball one loads
 ``scipy.special`` when it builds its radial table or K grid.
 """
@@ -174,18 +174,12 @@ def log_sphere_surface(n: int) -> float:
     return float(np.log(2.0) + ((n + 1) / 2.0) * np.log(np.pi) - gammaln((n + 1) / 2.0))
 
 
-# scipy.special's betainc ufunc, once the first radial-law call has bound it
-_betainc = None
-
-
 def radial_beta(w, d: int):
     """I_w((d+1)/2, d/2), the regularized incomplete beta that the speed law
-    reads, element by element. The binding is made once, by the first
-    call, and not imported per call."""
-    global _betainc
-    if _betainc is None:
-        from scipy.special import betainc as _betainc
-    return _betainc((d + 1) / 2.0, d / 2.0, w)
+    reads, element by element."""
+    from scipy.special import betainc
+
+    return betainc((d + 1) / 2.0, d / 2.0, w)
 
 
 def radial_density_ball(s, d: int):
@@ -213,6 +207,8 @@ def _radial_law(s: np.ndarray, d: int, cdf: bool = True):
     Both read I_w((d+1)/2, d/2) at w = s^2/(1+s^2), computed once here;
     each is rounded as its own formula alone rounds it.
     """
+    from scipy.special import betainc
+
     positive = s > 0.0
     ssq = np.where(positive, s * s, 1.0)
     w = ssq / (1.0 + ssq)
@@ -220,7 +216,7 @@ def _radial_law(s: np.ndarray, d: int, cdf: bool = True):
     density = np.where(positive, upper / ssq, _radial_density_at_zero(d))
     if not cdf:
         return density, None
-    return density, np.where(positive, _betainc(d / 2.0, (d + 1) / 2.0, w)
+    return density, np.where(positive, betainc(d / 2.0, (d + 1) / 2.0, w)
                              - upper / np.where(positive, s, 1.0), 0.0)
 
 

@@ -48,8 +48,8 @@ def test_auto_learning_rates():
 def test_spec_validation():
     with pytest.raises(ValueError):
         engine.AlgorithmSpec(variant="exp3", action_set=geom.hypercube(2))
-    # a bool would run at eta = 1.0; the others are no real number
-    for rate in (-0.1, math.inf, True, False, [0.5], None, 1 + 0j):
+    # a bool would run at eta = 1.0; the others are no finite positive float
+    for rate in (-0.1, math.inf, True, False, [0.5], None, 1 + 0j, 10**400, -10**400):
         with pytest.raises(ValueError):
             engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=geom.hypercube(2),
                                  learning_rate=rate)

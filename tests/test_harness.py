@@ -17,7 +17,8 @@ from scbandits import action_sets as geom
 from scbandits import cli, engine, harness, verify
 from scbandits import perturbations as pert
 from scbandits.cli import main as cli_main
-from scbandits.environments import AdversarySpec, generate
+from scbandits.environments import AdversarySpec, best_in_hindsight, generate
+from scbandits.rng import make_rng
 from scbandits.verify import VerifyOptions
 
 
@@ -42,7 +43,7 @@ def base_config(**overrides):
 
 def test_config_roundtrip():
     cfg = harness.config_from_dict(base_config())
-    assert cfg.dimension == 2 and cfg.horizon == 300
+    assert cfg.spec.action_set.dimension == 2 and cfg.horizon == 300
     assert cfg.adversary.kind == "seeded_random"
 
 
@@ -212,7 +213,7 @@ def test_cli_run_out_overrides_the_config_out_dir(tmp_path):
 def test_config_adversary_angle_sets_the_rotation():
     raw = base_config(adversary={"kind": "rotating_direction", "angle": 0.3})
     cfg = harness.config_from_dict(raw)
-    rows = generate(cfg.adversary, cfg.dimension, cfg.horizon)
+    rows = generate(cfg.adversary, cfg.spec.action_set.dimension, cfg.horizon)
     spec = AdversarySpec(kind="rotating_direction", geometry="hypercube", angle=0.3)
     assert np.array_equal(rows, generate(spec, 2, 300))
     default = AdversarySpec(kind="rotating_direction", geometry="hypercube")
@@ -653,6 +654,52 @@ def test_cli_k_quadrature_failure_exit_code(tmp_path, capsys, monkeypatch, empty
     assert cli_main(["run", "--config", str(cfg), "--quiet"]) == 3
     assert capsys.readouterr().err.startswith(
         "numeric error: radial integral failed for K(0.04001066752003251, d=5): ")
+
+
+def test_cli_k_quadrature_failure_mid_run_exit_code(tmp_path, capsys, monkeypatch,
+                                                    empty_k_grids):
+    # the grid is built whole during set-up; the run's drift then leaves it
+    # inside the round loop, and that extension's failing node still exits 3
+    from scbandits import estimation
+
+    raw = base_config(set="ball", dimension=5, horizon=8, learning_rate=0.8, seeds=[1],
+                      adversary={"kind": "fixed_vector"}, out_dir=str(tmp_path))
+    config = harness.config_from_dict(raw)
+    assert len(engine.k_cache_for(config.spec, 8)._values) == 142
+    monkeypatch.setattr(estimation, "_K_LIMIT", 4)
+    cfg = tmp_path / "k.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli_main(["run", "--config", str(cfg), "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numeric error: radial integral failed for K(8.528669935590687, d=5): ")
+    losses = generate(config.adversary, 5, 8)
+    competitor = best_in_hindsight(config.spec.action_set, losses)
+    with pytest.raises(estimation.QuadratureError) as failure:
+        engine.run_seeds(config.spec, losses, [make_rng(1)], competitor)
+    assert not isinstance(failure.value, engine.AbortedRunError)
+
+
+# numpy refuses each of these arrays when it is requested, before any memory
+# is touched: every size is past 128 PiB, the largest user address space a
+# 64-bit host maps (57 bits), so no overcommit setting can grant it
+@pytest.mark.parametrize("command", ["run", "sample", "verify"])
+def test_cli_unallocatable_size_exits_1(tmp_path, capsys, command):
+    cfg = tmp_path / "c.json"
+    if command == "run":
+        cfg.write_text(json.dumps(base_config(dimension=10**17, horizon=10, seeds=[1],
+                                              adversary={"kind": "fixed_vector"},
+                                              out_dir=str(tmp_path / "out"))))
+        argv = ["run", "--config", str(cfg), "--quiet"]
+    elif command == "sample":
+        argv = ["sample", "--set", "hypercube", "--dimension", str(10**17), "--count", "2",
+                "--out", str(tmp_path / "out" / "s.csv")]
+    else:
+        cfg.write_text(json.dumps({"checks": ["ball_radial_ks"], "scale": 1e11}))
+        argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("rate", [1e5, 1e3, 1e12, 1e160])

@@ -7,9 +7,9 @@ Subcommands:
   sample  dump perturbation draws as CSV
 
 Exit codes: 0 success (``--help`` included), 1 invalid configuration or
-arguments (argparse usage errors included, and sizes whose arrays cannot be
-allocated), 2 verification check failure, 3 numeric failure (quadrature
-non-convergence, aborted run).
+arguments (argparse usage errors included, output paths that cannot be
+written, and sizes whose arrays cannot be allocated), 2 verification check
+failure, 3 numeric failure (quadrature non-convergence, aborted run).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .engine import AbortedRunError
 from .estimation import QuadratureError
 from .harness import (
     ConfigError,
+    check_output_path,
     check_seeds,
     cmd_bench,
     cmd_run,
@@ -87,6 +88,7 @@ def _bench_arguments(args) -> dict:
 
 def _sample_arguments(args) -> dict:
     """The ``sample`` flags under the ``--seeds`` digit rule, all checked before any draw."""
+    check_output_path(args.out, "--out", directory=False)
     return {"set_kind": args.set,
             "dimension": _digits(args.dimension.strip(" "), "--dimension",
                                  "a positive integer", minimum=1),
@@ -159,10 +161,14 @@ def main(argv: list[str] | None = None) -> int:
                 config = replace(config, out_dir=args.out)
             if args.seeds is not None:
                 config = replace(config, seeds=tuple(_parse_seed_list(args.seeds)))
+            check_output_path(config.out_dir, "$.out_dir" if args.out is None else "--out",
+                              directory=True)
             cmd_run(config, quiet=args.quiet)
             return EXIT_OK
         if args.command == "verify":
             options = load_verify_options(args.config, scale=_scale(args.scale))
+            if args.out is not None:
+                check_output_path(args.out, "--out", directory=True)
             ok, _ = cmd_verify(options, out_dir=args.out, quiet=args.quiet)
             return EXIT_OK if ok else EXIT_CHECK_FAILED
         if args.command == "bench":
@@ -172,8 +178,9 @@ def main(argv: list[str] | None = None) -> int:
             cmd_sample(**_sample_arguments(args))
             return EXIT_OK
         raise ConfigError(f"unknown command {args.command!r}")
-    # numpy refuses an array larger than memory with a MemoryError before touching it
-    except (ConfigError, ValueError, MemoryError) as exc:
+    # numpy refuses an array larger than memory with a MemoryError before touching it;
+    # an OSError is a write the path checks could not foresee (a full disk, say)
+    except (ConfigError, ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (QuadratureError, AbortedRunError) as exc:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -115,6 +116,22 @@ def check_seeds(seeds, path: str) -> None:
     _expect(len(set(seeds)) == len(seeds), path, "seeds must be distinct")
 
 
+def check_output_path(path: str, where: str, directory: bool) -> None:
+    """A ConfigError at ``where`` if writing to ``path`` would fail; creates nothing.
+
+    An existing path must be a directory if ``directory`` and must not be one
+    otherwise; a new one must have a directory as its nearest existing
+    ancestor.
+    """
+    target = Path(path)
+    if target.exists():
+        ok = target.is_dir() == directory
+    else:
+        ok = next(p for p in target.absolute().parents if p.exists()).is_dir()
+    kind = "a directory" if directory else "a file"
+    _expect(ok, where, f"must be {kind} or a new path under a directory, got {path!r}")
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a JSON-shaped dict into an ExperimentConfig.
 
@@ -197,6 +214,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     write_per_seed = raw.get("write_per_seed", False)
     _expect(isinstance(write_per_seed, bool), "$.write_per_seed",
             f"must be true or false, got {write_per_seed!r}")
+    try:
+        size = len(os.fsencode(label))
+    except UnicodeEncodeError:
+        raise ConfigError(f"$.label: must encode as a file name, got {label!r}") from None
+    # the longest name written is <label>_seed<20 digits>.csv per seed, else
+    # <label>_summary.json, and a file name holds at most 255 bytes
+    limit = 255 - (29 if write_per_seed else 13)
+    _expect(size <= limit, "$.label", f"must encode in at most {limit} bytes, got {size}")
 
     spec = AlgorithmSpec(variant=algorithm, action_set=ActionSetModel(dimension=d, kind=kind),
                          learning_rate=rate)
@@ -284,16 +309,14 @@ def cmd_run(config: ExperimentConfig, quiet: bool = False) -> dict:
     return summary
 
 
-def _float_rows(*columns):
-    """The rows of equal-length float arrays as tuples of Python floats,
-    converted by ``tolist`` a bounded number of rows at a time."""
-    for lo in range(0, len(columns[0]), 1024):
-        yield from zip(*(column[lo:lo + 1024].tolist() for column in columns))
-
-
-def _format_row(values) -> str:
-    """Comma-separated ``repr`` of Python floats."""
-    return ",".join(map(repr, values))
+def _write_csv(path: Path, header: str, *columns: np.ndarray) -> None:
+    """Write equal-length columns under ``header``, 1024 rows at a time, as the ``repr``
+    of each value ``tolist`` gives: ints as ``1``, floats in shortest round-trip form."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), 1024):
+            values = (map(repr, column[lo:lo + 1024].tolist()) for column in columns)
+            fh.write("\n".join(map(",".join, zip(*values))) + "\n")
 
 
 def _write_outputs(config: ExperimentConfig, curves: np.ndarray, mean: np.ndarray,
@@ -302,16 +325,11 @@ def _write_outputs(config: ExperimentConfig, curves: np.ndarray, mean: np.ndarra
     """Write the CSVs and the summary JSON of a run; return the summary."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["t,mean_regret,se,bound"]
-    rows = _float_rows(mean, se, bound)
-    lines.extend(f"{t}," + _format_row(row) for t, row in enumerate(rows, 1))
-    (out_dir / f"{config.label}.csv").write_text("\n".join(lines) + "\n")
-
+    t = np.arange(1, config.horizon + 1)
+    _write_csv(out_dir / f"{config.label}.csv", "t,mean_regret,se,bound", t, mean, se, bound)
     if config.write_per_seed:
         for seed, curve in zip(config.seeds, curves):
-            lines = ["t,regret"]
-            lines.extend(f"{t},{value!r}" for t, (value,) in enumerate(_float_rows(curve), 1))
-            (out_dir / f"{config.label}_seed{seed}.csv").write_text("\n".join(lines) + "\n")
+            _write_csv(out_dir / f"{config.label}_seed{seed}.csv", "t,regret", t, curve)
 
     summary = {
         "label": config.label,
@@ -447,8 +465,5 @@ def cmd_sample(set_kind: str, dimension: int, count: int, seed: int,
     draws = perturbations.draw(aset, make_rng(seed), size=count)
     path = Path(out_path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = ",".join(f"xi_{i + 1}" for i in range(dimension))
-    lines = [header]
-    lines.extend(_format_row(row) for row in _float_rows(*draws.T))
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, ",".join(f"xi_{i + 1}" for i in range(dimension)), *draws.T)
     return path

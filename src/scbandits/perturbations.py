@@ -189,12 +189,6 @@ def radial_density_ball(s, d: int):
     return float(out) if out.ndim == 0 else out
 
 
-def _radial_density_at_zero(d: int) -> float:
-    # lim_{s->0} p_V(s): positive only in dimension one, where the speed is
-    # |xi| for a scalar xi with the hypercube marginal density.
-    return 0.5 if d == 1 else 0.0
-
-
 def radial_cdf_ball(s, d: int):
     """Speed CDF F_V(s) = I_w(d/2, (d+1)/2) - I_w((d+1)/2, d/2) / s."""
     out = _radial_law(np.asarray(s, dtype=float), d)[1]
@@ -213,7 +207,9 @@ def _radial_law(s: np.ndarray, d: int, cdf: bool = True):
     ssq = np.where(positive, s * s, 1.0)
     w = ssq / (1.0 + ssq)
     upper = radial_beta(w, d)
-    density = np.where(positive, upper / ssq, _radial_density_at_zero(d))
+    # lim_{s->0} p_V(s): positive only in dimension one, where the speed is
+    # |xi| for a scalar xi with the hypercube marginal density.
+    density = np.where(positive, upper / ssq, 0.5 if d == 1 else 0.0)
     if not cdf:
         return density, None
     return density, np.where(positive, betainc(d / 2.0, (d + 1) / 2.0, w)
@@ -342,22 +338,19 @@ def _split_rows(n: int, width: int, work, row_ns: float) -> None:
         future.result()
 
 
-def sample_hypercube(d: int, rng: np.random.Generator, size: int):
-    """``size`` draws, shape (size, d), of d i.i.d. inverse-CDF coordinates from
-    the hypercube perturbation; they consume exactly size*d uniforms of ``rng``."""
-    u = np.maximum(rng.random((int(size), d)), _U_FLOOR)
-    return inverse_cdf_hypercube(u)
+def draw(aset: ActionSetModel, rng: np.random.Generator, size: int):
+    """``size`` draws, shape (size, d), from the body's perturbation.
 
-
-def sample_ball(d: int, rng: np.random.Generator, size: int):
-    """``size`` draws, shape (size, d), from the ball perturbation as direction x speed.
-
+    A hypercube draw is d i.i.d. inverse-CDF coordinates; the draws consume
+    exactly size*d uniforms of ``rng``. A ball draw is direction x speed.
     Direction: d Box-Muller gaussians normalized to the sphere. Speed: one
     uniform pushed through the radial table inverse. All draws' gaussians
     come first, 2*ceil(d/2) uniforms per draw, then one speed uniform per
     draw.
     """
-    n = int(size)
+    d, n = aset.dimension, int(size)
+    if aset.kind == HYPERCUBE:
+        return inverse_cdf_hypercube(np.maximum(rng.random((n, d)), _U_FLOOR))
     pairs = (d + 1) // 2
     # the stream and the normals of gaussians(rng, 2 * n * pairs): the u1
     # block, then the u2 block; Box-Muller's cosine block, then its sine
@@ -382,12 +375,6 @@ def sample_ball(d: int, rng: np.random.Generator, size: int):
 
     _split_rows(n, 2 * pairs, direction_times_speed, _SPEED_NS)
     return out
-
-
-def draw(aset: ActionSetModel, rng: np.random.Generator, size: int):
-    """``size`` draws, shape (size, d), from the body's perturbation."""
-    sample = sample_hypercube if aset.kind == HYPERCUBE else sample_ball
-    return sample(aset.dimension, rng, size)
 
 
 def round_noise_blocks(aset: ActionSetModel, rngs, n: int):

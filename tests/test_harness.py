@@ -93,6 +93,9 @@ BAD_ENTRIES = [
     ({"adversary": {"kind": "fixed_vector", "base": [0.0, 0.0]}}, "$.adversary.base"),
     ({"adversary": {"kind": "seeded_random", "seed": 2**64}}, "$.adversary.seed"),
     ({"set": "ball", "dimension": 10**400}, "$.dimension"),
+    # label names the file system cannot take: too long beside "_summary.json", or not encodable
+    ({"label": "a" * 250}, "$.label"),
+    ({"label": "x\ud800"}, "$.label"),
 ]
 
 
@@ -114,7 +117,7 @@ def test_cli_bad_label_rejected_before_any_compute(tmp_path, capsys, monkeypatch
     def forbidden(*args, **kwargs):
         raise AssertionError("engine ran before the label was validated")
 
-    monkeypatch.setattr(harness, "run", forbidden)
+    monkeypatch.setattr(harness, "run_seeds", forbidden)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(base_config(out_dir=str(tmp_path), label="sub/dir")))
     assert cli_main(["run", "--config", str(cfg), "--quiet"]) == 1
@@ -469,6 +472,34 @@ def test_cmd_bench_prints_one_line_per_row(capsys):
         for r in rows]
 
 
+@pytest.mark.parametrize("name,digest", [
+    ("hypercube.csv", "edb49924b170d7766f4a1629505c5d38e4b30cb59c227db07db340b5429da1fb"),
+    ("hypercube_seed1.csv", "f5b34e5c3829c0fd3b917fd0ea666e82f8e1a9189db7a498bc67002161b39d50"),
+    ("hypercube_seed2.csv", "c3ed718e0b34cd72bdfbdb11499b832e7412a39a18bda908f18054879d6e8efc"),
+])
+def test_cli_run_csv_bytes_pinned(tmp_path, name, digest):
+    # the main and per-seed CSV formats, frozen until they are changed on purpose
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"set": "hypercube", "dimension": 3, "horizon": 300,
+                               "adversary": {"kind": "seeded_random", "seed": 3},
+                               "seeds": [1, 2], "label": "hypercube", "write_per_seed": True,
+                               "out_dir": str(tmp_path / "out")}))
+    assert cli_main(["run", "--config", str(cfg), "--quiet"]) == 0
+    assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+
+
+def test_label_bound_fits_the_longest_output_name(tmp_path):
+    # 226 bytes plus "_seed" and the 20 digits of the largest seed plus ".csv" is 255
+    label = "\u00e9" * 113
+    raw = base_config(out_dir=str(tmp_path), label=label, write_per_seed=True, horizon=20,
+                      seeds=[2**64 - 1])
+    harness.cmd_run(harness.config_from_dict(raw), quiet=True)
+    assert max(len(os.fsencode(p.name)) for p in tmp_path.iterdir()) == 255
+    with pytest.raises(harness.ConfigError, match=r"\$\.label: must encode in at most 226"):
+        harness.config_from_dict(dict(raw, label=label + "x"))
+    assert harness.config_from_dict(dict(raw, label=label + "x" * 16, write_per_seed=False))
+
+
 def test_cmd_sample_csv(tmp_path):
     path = harness.cmd_sample("hypercube", 3, 10, 5, tmp_path / "draws.csv")
     lines = path.read_text().splitlines()
@@ -700,6 +731,44 @@ def test_cli_unallocatable_size_exits_1(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_cli_run_bad_out_dir_exits_1_before_any_compute(tmp_path, capsys, monkeypatch, out):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the engine ran before the output directory was checked")
+
+    monkeypatch.setattr(harness, "run_seeds", forbidden)
+    (tmp_path / "file").write_text("")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base_config(out_dir=str(tmp_path / out))))
+    assert cli_main(["run", "--config", str(cfg), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: $.out_dir: must be a directory")
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: --out: must be a directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_cli_verify_bad_out_exits_1_before_any_check(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.setattr(verify, "CHECK_GROUPS", tuple(map(_raising, verify.CHECK_GROUPS)))
+    (tmp_path / "file").write_text("")
+    assert cli_main(["verify", "--out", str(tmp_path / out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: --out: must be a directory")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize("out", [".", "file/xi.csv"])
+def test_cli_sample_bad_out_exits_1_before_any_draw(tmp_path, capsys, monkeypatch, out):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("draws started before --out was checked")
+
+    monkeypatch.setattr(pert, "draw", forbidden)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    assert cli_main(["sample", "--set", "ball", "--dimension", "2", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: --out: must be a file")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 @pytest.mark.parametrize("rate", [1e5, 1e3, 1e12, 1e160])

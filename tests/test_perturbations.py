@@ -83,13 +83,13 @@ def test_heavy_tail_truncated_moment_growth():
 # ---------------------------------------------------------------------------
 
 def test_sample_hypercube_pinned_fixture():
-    draw = pert.sample_hypercube(2, make_rng(2024), 1)[0]
+    draw = pert.draw(geom.hypercube(2), make_rng(2024), 1)[0]
     assert np.allclose(draw, [1.3689629576361675, 0.678707262094362], rtol=0, atol=1e-15)
 
 
 def test_sample_hypercube_statistics():
     rng = make_rng(31)
-    draws = pert.sample_hypercube(2, rng, size=10**5)
+    draws = pert.draw(geom.hypercube(2), rng, size=10**5)
     assert draws.shape == (10**5, 2)
     # symmetric median
     med = np.median(draws, axis=0)
@@ -230,7 +230,7 @@ def test_radial_cdf_keeps_the_two_call_bits(d):
 # ---------------------------------------------------------------------------
 
 def test_sample_ball_pinned_fixture():
-    draw = pert.sample_ball(3, make_rng(2024), 1)[0]
+    draw = pert.draw(geom.ball(3), make_rng(2024), 1)[0]
     assert np.allclose(draw, [0.8692093440869205, 0.7354293450870318, -1.5691266782732827],
                        rtol=0, atol=1e-15)
 

@@ -24,6 +24,7 @@ from .action_sets import BALL, HYPERCUBE
 from .engine import AbortedRunError
 from .estimation import QuadratureError
 from .harness import (
+    VERIFY_REPORT,
     ConfigError,
     check_output_path,
     check_seeds,
@@ -33,6 +34,7 @@ from .harness import (
     cmd_verify,
     load_config,
     load_verify_options,
+    output_paths,
 )
 
 EXIT_OK = 0
@@ -161,14 +163,17 @@ def main(argv: list[str] | None = None) -> int:
                 config = replace(config, out_dir=args.out)
             if args.seeds is not None:
                 config = replace(config, seeds=tuple(_parse_seed_list(args.seeds)))
-            check_output_path(config.out_dir, "$.out_dir" if args.out is None else "--out",
-                              directory=True)
+            where = "$.out_dir" if args.out is None else "--out"
+            check_output_path(config.out_dir, where, directory=True)
+            for path in output_paths(config):
+                check_output_path(str(path), where, directory=False)
             cmd_run(config, quiet=args.quiet)
             return EXIT_OK
         if args.command == "verify":
             options = load_verify_options(args.config, scale=_scale(args.scale))
             if args.out is not None:
                 check_output_path(args.out, "--out", directory=True)
+                check_output_path(str(Path(args.out) / VERIFY_REPORT), "--out", directory=False)
             ok, _ = cmd_verify(options, out_dir=args.out, quiet=args.quiet)
             return EXIT_OK if ok else EXIT_CHECK_FAILED
         if args.command == "bench":

@@ -15,9 +15,12 @@ unbiased loss-vector estimate back into the accumulator.
 That loop is written once, in :func:`_blocks`, which plays each round by
 one of five per-round functions (one seed or S seeds on each body, and the
 Dikin pole, which calls the unchecked geometry and estimator kernels) and
-yields blocks of rounds. The learner's randomness does not depend on its
-state, so it comes from :mod:`perturbations` ahead of the rounds, bit for
-bit the draws taken round by round. :func:`run` copies the blocks into one
+yields blocks of rounds. Each call fills its round's rows of the block in
+place; a perturbed-leader ball round leaves theta in its expected-action
+row, and the loop maps the block's rows to x at once. The learner's
+randomness does not depend on its state, so it comes from
+:mod:`perturbations` ahead of the rounds, bit for bit the draws taken
+round by round. :func:`run` copies the blocks into one
 seed's :class:`Trace`; :func:`run_seeds` reduces them to regret increments
 and step-violation counts, running two or more perturbed-leader seeds
 together on (S, d) arrays. Given (seed, config, losses) a run is
@@ -295,19 +298,22 @@ def _blocks(spec: AlgorithmSpec, losses, eta: float, rngs):
     The one round loop. It keeps each seed's cumulative estimate, takes the
     learner's randomness from :mod:`perturbations` in blocks of at most 2^15
     values (the noise, or the Dikin-pole indices: index draw % d, sign +1
-    iff draw < d), and plays each round of all seeds by one per-round call.
-    Where a seed aborts, the rounds before it come as a last, shorter block,
-    then :class:`_Abort` is raised with the round t. A Dikin-pole run plays
-    one seed.
+    iff draw < d), and plays each round of all seeds by one per-round call,
+    which fills the round's rows of the block. A perturbed-leader ball round
+    leaves theta in its x row, and :func:`_ball_x` maps a block's rows to x
+    at once. Where a seed aborts, the rounds before it come as a last,
+    shorter block, then :class:`_Abort` is raised with the round t. A
+    Dikin-pole run plays one seed.
     """
     aset = spec.action_set
     n, d = losses.shape
     single = len(rngs) == 1
+    ball = spec.variant == SCFTPL and aset.kind == BALL
     if spec.variant == SCRIBBLE:
         step, state = _pole_round, aset
         draws = (block[:, 0].tolist() for block in pole_draw_blocks(aset, rngs, n))
     else:
-        if aset.kind == BALL:
+        if ball:
             step = _ball_round if single else _ball_rounds
         else:
             step = _cube_round if single else _cube_rounds
@@ -322,24 +328,30 @@ def _blocks(spec: AlgorithmSpec, losses, eta: float, rngs):
         xs, actions, y_hats = out[:, :, 0] if single else out
         try:
             with np.errstate(over="ignore"):  # an overflowing theta^2 aborts its round
-                for i, draw in enumerate(block):
-                    x, action, y_hat = step(-eta * y_hat_cum, draw, losses[t0 + i], state)
-                    xs[i], actions[i], y_hats[i] = x, action, y_hat
-                    y_hat_cum = y_hat_cum + y_hat
+                for i, (x, action, y_hat, draw, loss) in enumerate(
+                        zip(xs, actions, y_hats, block, losses[t0:t0 + len(block)])):
+                    step(np.multiply(y_hat_cum, -eta, out=x), action, y_hat, draw, loss, state)
+                    y_hat_cum += y_hat
         except _Abort as abort:
             abort.t = t0 + i + 1
+            if ball:
+                _ball_x(xs[:i], xs[:i])
             yield slice(t0, t0 + i), out[:, :i]
             raise abort
+        if ball:
+            _ball_x(xs, xs)
         yield slice(t0, t0 + len(block)), out
         t0 += len(block)
 
 
-# The per-round functions play one round of one seed on (d,) arrays, or of S
-# seeds on (S, d) arrays, from theta = -eta * (cumulative estimate), the
-# round's draw and loss row and the run's K grid or body, and return
-# (x, action, y_hat) or raise _Abort. The one-seed twins keep Python floats:
-# at S = 1 the (S, d) code took 1.2-1.5x (hypercube) and 3.4-4x (ball) as
-# long per round on a 2-core x86_64 host.
+# The per-round functions play one round of one seed on (d,) rows, or of S
+# seeds on (S, d) rows, of the block: they get theta = -eta * (cumulative
+# estimate) in the x row, the action and estimate rows, the round's draw and
+# loss row and the run's K grid or body, and fill the three rows in place or
+# raise _Abort. A ball round leaves theta in the x row for _blocks to map.
+# The one-seed twins keep Python floats: at S = 1 and d = 5 the (S, d) code
+# took 1.3-1.4x (hypercube) and 4.7-5.5x (ball) as long per round on a
+# 2-core x86_64 host.
 # Where theta^2 would overflow (|theta| > 1.34e154) x would round to 0, so a
 # hypercube round caps it at the largest double, which puts |x_i| at or
 # past 1, and a ball round aborts on an infinite ||theta||^2.
@@ -348,95 +360,135 @@ _CUBE_ABORT = (f"expected action within {SINGULARITY_FLOOR:g} of a vertex; "
                f"covariance numerically singular")
 _BALL_ABORT = (f"expected action within {SINGULARITY_FLOOR:g} of the sphere; "
                f"local geometry numerically singular")
+# A ball round runs its abort test only past this drift norm, or at a NaN
+# one. 1 - ||x||^2 = 2 / (1 + sqrt(1 + ||theta||^2)), so at ||theta|| <= 1e6
+# it is at least 2e-6: 2e4 times SINGULARITY_FLOOR, and more than the d * 2^-53
+# by which x @ x can round for any d below 1e10, so the test cannot hold.
+_BALL_GUARD = 1e6
 
 
-def _cube_round(theta, xi, loss, _):
-    x = theta / (1.0 + np.sqrt(1.0 + np.minimum(theta * theta, _FLOAT_MAX)))
-    residual = 1.0 - x * x
+def _ball_x(theta, out):
+    """Write x = theta / (1 + sqrt(1 + ||theta||^2)) of each row theta to ``out``,
+    which may be ``theta``, and return where the ball's abort test holds:
+    1 - ||x||^2 < SINGULARITY_FLOOR, or ||theta||^2 overflows. Rows lie along
+    the last axis, and each row's values are those of the row alone."""
+    theta_norm = np.sqrt(np.vecdot(theta, theta))
+    norm_sq = theta_norm * theta_norm
+    x = np.divide(theta, (1.0 + np.sqrt(1.0 + norm_sq))[..., None], out=out)
+    return (1.0 - np.vecdot(x, x) < SINGULARITY_FLOOR) | (norm_sq == math.inf)
+
+
+def _cube_x(x, residual):
+    """Map theta in ``x`` to x = theta / (1 + sqrt(1 + theta^2)) in place, theta^2
+    capped at the largest double, and write 1 - x^2 to ``residual``."""
+    np.multiply(x, x, out=residual)
+    np.minimum(residual, _FLOAT_MAX, out=residual)
+    residual += 1.0
+    np.sqrt(residual, out=residual)
+    residual += 1.0
+    x /= residual
+    np.multiply(x, x, out=residual)
+    np.subtract(1.0, residual, out=residual)
+
+
+def _cube_round(x, action, y_hat, xi, loss, _):
+    # argmin_a <a, eta Yhat - xi> = sign(theta + xi) coordinatewise (+1 at ties)
+    action[...] = np.where(np.add(x, xi, out=action) >= 0.0, 1.0, -1.0)
+    residual = y_hat  # the estimate's row holds 1 - x^2 until the estimate is written
+    _cube_x(x, residual)
     if residual.min() < SINGULARITY_FLOOR:
         raise _Abort(0, _CUBE_ABORT)
-    # argmin_a <a, eta Yhat - xi> = sign(theta + xi) coordinatewise (+1 at ties)
-    action = np.where(theta + xi >= 0.0, 1.0, -1.0)
-    scalar_loss = float(loss @ action)
+    scalar_loss = float(loss.dot(action))
     weighted = x / residual
-    alpha = float(x @ weighted)
-    cross = float(action @ weighted)
-    return x, action, (action / residual - weighted * (cross / (1.0 + alpha))) * scalar_loss
+    alpha = float(x.dot(weighted))
+    cross = float(action.dot(weighted))
+    weighted *= cross / (1.0 + alpha)
+    np.divide(action, residual, out=y_hat)
+    y_hat -= weighted
+    y_hat *= scalar_loss
 
 
-def _cube_rounds(theta, xi, loss, _):
-    x = theta / (1.0 + np.sqrt(1.0 + np.minimum(theta * theta, _FLOAT_MAX)))
-    residual = 1.0 - x * x
+def _cube_rounds(x, action, y_hat, xi, loss, _):
+    action[...] = np.where(np.add(x, xi, out=action) >= 0.0, 1.0, -1.0)
+    residual = y_hat
+    _cube_x(x, residual)
     aborted = residual.min(axis=1) < SINGULARITY_FLOOR
     if aborted.any():
         raise _Abort(int(np.argmax(aborted)), _CUBE_ABORT)
-    action = np.where(theta + xi >= 0.0, 1.0, -1.0)
     scalar_loss = np.vecdot(loss, action)
     weighted = x / residual
     alpha = np.vecdot(x, weighted)
     cross = np.vecdot(action, weighted)
-    y_hat = (action / residual - weighted * (cross / (1.0 + alpha))[:, None]) * scalar_loss[:, None]
-    return x, action, y_hat
+    weighted *= (cross / (1.0 + alpha))[:, None]
+    np.divide(action, residual, out=y_hat)
+    y_hat -= weighted
+    y_hat *= scalar_loss[:, None]
 
 
-def _ball_round(theta, xi, loss, k_cache):
-    theta_norm = math.sqrt(float(theta @ theta))
-    norm_sq = theta_norm * theta_norm
-    x = theta / (1.0 + math.sqrt(1.0 + norm_sq))
-    if 1.0 - float(x @ x) < SINGULARITY_FLOOR or norm_sq == math.inf:
+def _ball_round(theta, action, y_hat, xi, loss, k_cache):
+    theta_norm = math.sqrt(float(theta.dot(theta)))
+    if not theta_norm <= _BALL_GUARD and _ball_x(theta, np.empty_like(theta)):
         raise _Abort(0, _BALL_ABORT)
-    drifted = theta + xi
-    drift_norm = math.sqrt(float(drifted @ drifted))
+    norm_sq = theta_norm * theta_norm
+    drifted = np.add(theta, xi, out=action)
+    drift_norm = math.sqrt(float(drifted.dot(drifted)))
     d = len(theta)
-    action = drifted / drift_norm if drift_norm > 0.0 else np.eye(1, d)[0]
-    scalar_loss = float(loss @ action)
+    if drift_norm > 0.0:
+        action /= drift_norm
+    else:
+        action[...] = np.eye(1, d)[0]
+    scalar_loss = float(loss.dot(action))
     if d == 1 or theta_norm < FLAT_DRIFT:  # at d = 1, d * scalar_loss is scalar_loss
-        return x, action, (d * scalar_loss) * action
+        np.multiply(action, d * scalar_loss, out=y_hat)
+        return
     k = k_cache(theta_norm)
     coeff = 1.0 / (1.0 - k) - (d - 1.0) / k
-    proj = float(action @ theta) / norm_sq
-    return x, action, ((d - 1.0) / k * action + (coeff * proj) * theta) * scalar_loss
+    proj = float(action.dot(theta)) / norm_sq
+    np.multiply(action, (d - 1.0) / k, out=y_hat)
+    y_hat += (coeff * proj) * theta
+    y_hat *= scalar_loss
 
 
-def _ball_rounds(theta, xi, loss, k_cache):
+def _ball_rounds(theta, action, y_hat, xi, loss, k_cache):
     d = theta.shape[1]
     theta_norm = np.sqrt(np.vecdot(theta, theta))
+    if not theta_norm.max() <= _BALL_GUARD:
+        aborted = _ball_x(theta, np.empty_like(theta))
+        if aborted.any():
+            raise _Abort(int(np.argmax(aborted)), _BALL_ABORT)
     norm_sq = theta_norm * theta_norm
-    x = theta / (1.0 + np.sqrt(1.0 + norm_sq))[:, None]
-    aborted = (1.0 - np.vecdot(x, x) < SINGULARITY_FLOOR) | (norm_sq == math.inf)
-    if aborted.any():
-        raise _Abort(int(np.argmax(aborted)), _BALL_ABORT)
-    drifted = theta + xi
+    drifted = np.add(theta, xi, out=action)
     drift_norm = np.sqrt(np.vecdot(drifted, drifted))
     still = ~(drift_norm > 0.0)
-    action = drifted / np.where(still, 1.0, drift_norm)[:, None]
+    action /= np.where(still, 1.0, drift_norm)[:, None]
     if still.any():
         action[still] = np.eye(1, d)
     scalar_loss = np.vecdot(loss, action)
     if d == 1:
-        return x, action, action * scalar_loss[:, None]
+        np.multiply(action, scalar_loss[:, None], out=y_hat)
+        return
     # K is looked up once for the (S,) drift norms; each row rounds as _ball_round's
     flat = theta_norm < FLAT_DRIFT
     k = np.where(flat, 0.5, k_cache(theta_norm))
     coeff = 1.0 / (1.0 - k) - (d - 1.0) / k
     proj = np.vecdot(action, theta) / np.where(flat, 1.0, norm_sq)
-    y_hat = ((d - 1.0) / k)[:, None] * action + (coeff * proj)[:, None] * theta
+    np.multiply(((d - 1.0) / k)[:, None], action, out=y_hat)
+    y_hat += (coeff * proj)[:, None] * theta
     y_hat *= scalar_loss[:, None]
     if flat.any():
         y_hat[flat] = (d * scalar_loss[flat])[:, None] * action[flat]
-    return x, action, y_hat
 
 
-def _pole_round(theta, draw, loss, aset):
-    x = _conjugate_gradient(aset, theta)
+def _pole_round(x, action, y_hat, draw, loss, aset):
+    x[...] = _conjugate_gradient(aset, x)
     try:
         _require_interior(aset, x)
     except BoundaryError as exc:
         raise _Abort(0, str(exc)) from None
     d = aset.dimension
-    action = _dikin_pole(aset, x, draw % d, 1 if draw < d else -1)
-    scalar_loss = float(loss @ action)
-    return x, action, _scribble_estimate(d, _barrier_hessian(aset, x), x, action, scalar_loss)
+    action[...] = _dikin_pole(aset, x, draw % d, 1 if draw < d else -1)
+    scalar_loss = float(loss.dot(action))
+    y_hat[...] = _scribble_estimate(d, _barrier_hessian(aset, x), x, action, scalar_loss)
 
 
 def regret(trace: Trace, losses, competitor) -> float:

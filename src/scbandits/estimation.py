@@ -443,6 +443,7 @@ class KFunctionCache:
         xs = [float(np.sinh(i * K_GRID_SPACING)) for i in range(len(self._values), hi + 1)]
         self._values.extend(_k_values(xs, self.d))
         self._array = np.array(self._values)  # the nodes, for array lookups
+        self._t_max = (len(self._values) - 3) * K_GRID_SPACING  # the last t a lookup covers
 
     def __call__(self, x):
         """K at drift norm ``x``, a float, or at each entry of an (S,) array.
@@ -450,19 +451,20 @@ class KFunctionCache:
         An array gives, entry by entry, the floats that calls in its order
         give, and leaves the grid as long as they leave it.
         """
-        if isinstance(x, np.ndarray) and x.ndim == 1:
-            t = np.arcsinh(x.astype(float, copy=False))
-            if not (t.min() >= 0.0 and t.max() <= (len(self._values) - 3) * K_GRID_SPACING):
-                for x_i in x.tolist():  # extend, or raise, as float calls do
-                    self(x_i)
-            q = t / K_GRID_SPACING
-            i = q.astype(np.intp)
-            return _catmull_rom(*self._array[abs(i + _NEIGHBOURS)], q - i)
-        x = float(x)
-        if x < 0.0 or not math.isfinite(x):
+        if type(x) is not float:  # a Python float, a one-seed round's, goes straight on
+            if isinstance(x, np.ndarray) and x.ndim == 1:
+                t = np.arcsinh(x.astype(float, copy=False))
+                if not (t.min() >= 0.0 and t.max() <= self._t_max):
+                    for x_i in x.tolist():  # extend, or raise, as float calls do
+                        self(x_i)
+                q = t / K_GRID_SPACING
+                i = q.astype(np.intp)
+                return _catmull_rom(*self._array[abs(i + _NEIGHBOURS)], q - i)
+            x = float(x)
+        if not 0.0 <= x < math.inf:
             raise ValueError(f"drift norm must be finite and nonnegative, got {x!r}")
         t = float(np.arcsinh(x))
-        if t > (len(self._values) - 3) * K_GRID_SPACING:
+        if t > self._t_max:
             self._extend_to(t + 1.0)
         q = t / K_GRID_SPACING
         i = int(q)

@@ -38,7 +38,6 @@ from .engine import (
     AlgorithmSpec,
     k_cache_for,
     resolve_learning_rate,
-    run,
     run_seeds,
     theoretical_bound,
 )
@@ -319,17 +318,26 @@ def _write_csv(path: Path, header: str, *columns: np.ndarray) -> None:
             fh.write("\n".join(map(",".join, zip(*values))) + "\n")
 
 
+def output_paths(config: ExperimentConfig) -> list[Path]:
+    """The files :func:`cmd_run` writes, in order: the mean-curve CSV, each
+    seed's CSV if it writes them, then the summary JSON."""
+    out_dir = Path(config.out_dir)
+    seeds = config.seeds if config.write_per_seed else ()
+    return [out_dir / f"{config.label}.csv",
+            *(out_dir / f"{config.label}_seed{seed}.csv" for seed in seeds),
+            out_dir / f"{config.label}_summary.json"]
+
+
 def _write_outputs(config: ExperimentConfig, curves: np.ndarray, mean: np.ndarray,
                    se: np.ndarray, bound: np.ndarray, violations: int,
                    wall_time_per_round: float) -> dict:
     """Write the CSVs and the summary JSON of a run; return the summary."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path, *seed_paths, summary_path = output_paths(config)
+    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     t = np.arange(1, config.horizon + 1)
-    _write_csv(out_dir / f"{config.label}.csv", "t,mean_regret,se,bound", t, mean, se, bound)
-    if config.write_per_seed:
-        for seed, curve in zip(config.seeds, curves):
-            _write_csv(out_dir / f"{config.label}_seed{seed}.csv", "t,regret", t, curve)
+    _write_csv(csv_path, "t,mean_regret,se,bound", t, mean, se, bound)
+    for path, curve in zip(seed_paths, curves):
+        _write_csv(path, "t,regret", t, curve)
 
     summary = {
         "label": config.label,
@@ -355,13 +363,16 @@ def _write_outputs(config: ExperimentConfig, curves: np.ndarray, mean: np.ndarra
         "wall_time_per_round_seconds": wall_time_per_round,
         "warnings": config.warnings(),
     }
-    (out_dir / f"{config.label}_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 
 
 # ---------------------------------------------------------------------------
 # Verify command
 # ---------------------------------------------------------------------------
+
+VERIFY_REPORT = "verify_report.json"  # the file cmd_verify writes in its out_dir
+
 
 def cmd_verify(options: VerifyOptions, out_dir: str | Path | None = None,
                quiet: bool = False) -> tuple[bool, list[CheckResult]]:
@@ -389,7 +400,7 @@ def cmd_verify(options: VerifyOptions, out_dir: str | Path | None = None,
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
         report = {"passed": ok, "checks": [r.as_dict() for r in results]}
-        (path / "verify_report.json").write_text(json.dumps(report, indent=2) + "\n")
+        (path / VERIFY_REPORT).write_text(json.dumps(report, indent=2) + "\n")
     return ok, results
 
 
@@ -398,11 +409,11 @@ def cmd_verify(options: VerifyOptions, out_dir: str | Path | None = None,
 # ---------------------------------------------------------------------------
 
 def _bench_case(set_kind: str, d: int, rounds: int) -> tuple:
-    """The perturbed-leader spec and losses that ``bench`` times at dimension d."""
-    spec = AlgorithmSpec(variant=SCFTPL, action_set=ActionSetModel(dimension=d, kind=set_kind),
-                         learning_rate="auto")
+    """The perturbed-leader spec, losses and competitor that ``bench`` times at dimension d."""
+    aset = ActionSetModel(dimension=d, kind=set_kind)
+    spec = AlgorithmSpec(variant=SCFTPL, action_set=aset, learning_rate="auto")
     losses = generate(AdversarySpec(kind=FIXED_VECTOR, geometry=set_kind), d, rounds)
-    return spec, losses
+    return spec, losses, best_in_hindsight(aset, losses)
 
 
 def cmd_bench(dims: tuple[int, ...], rounds: int, repeats: int, kinds: tuple[str, ...],
@@ -410,6 +421,7 @@ def cmd_bench(dims: tuple[int, ...], rounds: int, repeats: int, kinds: tuple[str
               json_path: str | Path | None = None) -> list[dict]:
     """Per-round timing across dimensions; the scaling table for the O(d) claim.
 
+    It times :func:`engine.run_seeds` on one seed, the call ``scbandits run`` makes.
     Each dimension gets one untimed warm-up run, so that lazily built state
     (the radial table, the K grid) is paid for outside the measurement. Each
     repeat then times every dimension in turn, so a change in host speed
@@ -420,14 +432,14 @@ def cmd_bench(dims: tuple[int, ...], rounds: int, repeats: int, kinds: tuple[str
     rows = []
     for kind in kinds:
         cases = {d: _bench_case(kind, d, rounds) for d in dims}
-        for spec, losses in cases.values():
-            run(spec, losses, make_rng(seed))
+        for spec, losses, competitor in cases.values():
+            run_seeds(spec, losses, [make_rng(seed)], competitor)
         timings = {d: [] for d in dims}
         for rep in range(repeats):
-            for d, (spec, losses) in cases.items():
+            for d, (spec, losses, competitor) in cases.items():
                 rng = make_rng(seed + rep)
                 start = time.perf_counter()
-                run(spec, losses, rng)
+                run_seeds(spec, losses, [rng], competitor)
                 timings[d].append((time.perf_counter() - start) / rounds)
         per_round = {d: float(np.median(t)) for d, t in timings.items()}
         for d in dims:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -378,6 +379,66 @@ def test_run_seeds_matches_per_seed_runs_at_32_seeds(d):
         assert (np.cumsum(increments[:, j])
                 == engine.cumulative_regret(trace, losses, competitor)).all()
         assert violations[j] == trace.step_violation.sum()
+
+
+def _assert_ball_x_rows_exact(eta, xs, y_hats):
+    """Each row of ``xs`` is x = theta / (1 + sqrt(1 + ||theta||^2)) at theta =
+    -eta * (the estimates before it), bit for bit, and fails the abort test
+    1 - x @ x < 1e-10 (or an overflowing ||theta||^2); return whether the
+    round after the rows passes it, and the largest drift norm of the rows."""
+    thetas = -eta * np.cumsum(np.vstack([np.zeros_like(y_hats[:1]), y_hats]), axis=0)
+    norms = []
+    for row, theta in itertools.zip_longest(xs, thetas):
+        norm = math.sqrt(float(theta @ theta))
+        x = theta / (1.0 + math.sqrt(1.0 + norm * norm))
+        singular = 1.0 - float(x @ x) < 1e-10 or norm * norm == math.inf
+        if row is None:
+            return singular, max(norms, default=0.0)
+        assert np.array_equal(row, x) and not singular
+        norms.append(norm)
+
+
+@pytest.mark.parametrize("d", [2, 5, 1024])
+@pytest.mark.parametrize("rate,case", [(1e2, "below"), (1e5, "across"), (1e9, "aborts")])
+def test_ball_x_rows_exact_across_the_guard_bound(d, rate, case):
+    # a ball round tests for its abort only past a drift norm of 1e6, and the
+    # x rows are mapped per block; both must keep the per-round map's bits
+    aset = geom.ball(d)
+    losses = ball_losses(d, 40, seed=3)
+    spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=rate)
+    seeds = [4, 9]
+    ends = []  # each seed's abort round, or 41
+    for seed in seeds:
+        try:
+            trace = engine.run(spec, losses, make_rng(seed))
+        except engine.AbortedRunError as info:
+            trace = info.trace
+            assert str(info).startswith(f"round {len(trace) + 1}: ")
+        ends.append(len(trace) + 1)
+        singular_next, largest = _assert_ball_x_rows_exact(rate, trace.x, trace.y_hat)
+        assert singular_next == (len(trace) < 40)
+        assert (largest <= 1e6) == (case == "below") and (len(trace) < 40) == (case == "aborts")
+    # run_seeds plays both seeds together on (S, d) rows
+    blocks = []
+    local_norms = engine._local_norms
+
+    def recording(aset, variant, eta, xs, y_hats):
+        if xs.shape[1:] == (2, d):  # the batch, not the replay of its aborting seed
+            blocks.append((xs.copy(), y_hats.copy()))
+        return local_norms(aset, variant, eta, xs, y_hats)
+
+    with mock.patch.object(engine, "_local_norms", recording):
+        try:
+            engine.run_seeds(spec, losses, [make_rng(s) for s in seeds],
+                             best_in_hindsight(aset, losses))
+        except engine.AbortedRunError as info:
+            # the batch stops at the earliest abort; the first aborting seed raises
+            assert str(info).startswith(f"round {ends[0]}: ")
+    xs, y_hats = (np.concatenate(parts) for parts in zip(*blocks))
+    assert len(xs) == min(ends) - 1
+    singular_next = [_assert_ball_x_rows_exact(rate, xs[:, j], y_hats[:, j])[0]
+                     for j in range(2)]
+    assert any(singular_next) == (case == "aborts")
 
 
 @pytest.mark.parametrize("kind,message", [

@@ -771,6 +771,41 @@ def test_cli_sample_bad_out_exits_1_before_any_draw(tmp_path, capsys, monkeypatc
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
+@pytest.mark.parametrize("name,seeds", [("t.csv", None), ("t_summary.json", None),
+                                        ("t_seed7.csv", "5,7")])
+def test_cli_run_output_name_held_by_a_directory_exits_1_before_any_compute(
+        tmp_path, capsys, monkeypatch, name, seeds):
+    # the config's own seeds write t_seed1.csv and t_seed2.csv; t_seed7.csv
+    # is a name only the --seeds override writes
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the engine ran before the output names were checked")
+
+    monkeypatch.setattr(harness, "run_seeds", forbidden)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base_config(seeds=[1, 2], write_per_seed=True, out_dir=str(out))))
+    argv = ["run", "--config", str(cfg), "--quiet"] + ([f"--seeds={seeds}"] if seeds else [])
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == ("error: $.out_dir: must be a file or a new path under "
+                                       f"a directory, got {str(out / name)!r}\n")
+    assert [p.name for p in out.iterdir()] == [name]
+
+
+def test_cli_verify_report_name_held_by_a_directory_exits_1_before_any_check(
+        tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a check ran before the report name was checked")
+
+    monkeypatch.setattr(harness, "verify_groups", forbidden)
+    report = tmp_path / "verify_report.json"
+    report.mkdir()
+    assert cli_main(["verify", "--out", str(tmp_path), "--scale", "0.01", "--quiet"]) == 1
+    assert capsys.readouterr().err == ("error: --out: must be a file or a new path under a "
+                                       f"directory, got {str(report)!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["verify_report.json"]
+
+
 @pytest.mark.parametrize("rate", [1e5, 1e3, 1e12, 1e160])
 def test_cli_ball_run_at_extreme_drift_never_fails_quadrature(tmp_path, capsys, rate):
     # a fixed direction drives ||theta|| far past any prebuilt K grid; the run

@@ -285,7 +285,8 @@ def conjugate_gradient(aset: ActionSetModel, theta) -> np.ndarray:
 
 
 def _conjugate_gradient(aset: ActionSetModel, theta: np.ndarray) -> np.ndarray:
-    """:func:`conjugate_gradient` without the checks."""
+    """:func:`conjugate_gradient` without the checks, vectorized over leading axes
+    of theta; each row rounds as it would alone."""
     if aset.kind == HYPERCUBE:
         big = np.abs(theta) > _CONJUGATE_OVERFLOW
         if big.any():
@@ -294,16 +295,35 @@ def _conjugate_gradient(aset: ActionSetModel, theta: np.ndarray) -> np.ndarray:
         else:
             out = theta / (1.0 + np.sqrt(1.0 + theta * theta))
         return np.minimum(np.maximum(out, -_INTERIOR_LIMIT), _INTERIOR_LIMIT)
-    scale = float(np.max(np.abs(theta), initial=0.0))
-    if scale > _CONJUGATE_OVERFLOW:
-        w = theta / scale
-        out = w / float(np.sqrt(w @ w))
+    # each row's scalars, as 1-d code would compute them: vecdot rounds each
+    # row as a 1-d dot does
+    scale = np.abs(theta).max(axis=-1, initial=0.0)
+    if scale.max(initial=0.0) > _CONJUGATE_OVERFLOW:
+        big = (scale > _CONJUGATE_OVERFLOW)[..., None]
+        w = theta / np.where(big, scale[..., None], 1.0)
+        small = np.where(big, 0.0, theta)  # so that no row's theta @ theta overflows
+        with np.errstate(invalid="ignore"):  # 0 / 0 in a zero row, which reads small
+            out = np.where(big, w / np.sqrt(np.vecdot(w, w))[..., None],
+                           theta / (1.0 + np.sqrt(1.0 + np.vecdot(small, small)))[..., None])
     else:
-        out = theta / (1.0 + np.sqrt(1.0 + theta @ theta))
-    norm = float(np.sqrt(out @ out))
-    if norm >= _INTERIOR_LIMIT:
-        out = out * (_INTERIOR_LIMIT / norm)
+        out = theta / (1.0 + np.sqrt(1.0 + np.vecdot(theta, theta)))[..., None]
+    norm = np.sqrt(np.vecdot(out, out))
+    if norm.max(initial=0.0) >= _INTERIOR_LIMIT:
+        out = np.where((norm >= _INTERIOR_LIMIT)[..., None],
+                       out * (_INTERIOR_LIMIT / np.maximum(norm, _INTERIOR_LIMIT))[..., None], out)
     return out
+
+
+def _cube_coordinate(t: float) -> float:
+    """:func:`_conjugate_gradient`'s hypercube map of one coordinate theta_i = t,
+    in Python floats, which round each operation as numpy's float64 does."""
+    if abs(t) > _CONJUGATE_OVERFLOW:
+        x = 1.0 if t > 0.0 else -1.0
+    else:
+        x = t / (1.0 + math.sqrt(1.0 + t * t))
+    # np.minimum(np.maximum(x, -limit), limit): NaN and -0.0 pass unchanged
+    return -_INTERIOR_LIMIT if x < -_INTERIOR_LIMIT else (
+        _INTERIOR_LIMIT if x > _INTERIOR_LIMIT else x)
 
 
 def conjugate_value(aset: ActionSetModel, theta) -> float:
@@ -313,16 +333,18 @@ def conjugate_value(aset: ActionSetModel, theta) -> float:
     per coordinate (resp. radially) to t^2/(1+s) - log1p(t^2 / (2(1+s))) with
     s = sqrt(1 + t^2). Exact and O(d); no numeric optimization involved.
     """
-    theta = _as_vector(aset, theta, "theta")
+    return float(_conjugate_value(aset, _as_vector(aset, theta, "theta")))
+
+
+def _conjugate_value(aset: ActionSetModel, theta: np.ndarray) -> np.ndarray:
+    """:func:`conjugate_value` without the checks, vectorized over leading axes
+    of theta; each row rounds as it would alone."""
     if aset.kind == HYPERCUBE:
         mags = np.abs(theta)
     else:
-        scale = float(np.max(np.abs(theta), initial=0.0))
-        if scale > 0.0:
-            w = theta / scale
-            mags = np.array([scale * float(np.sqrt(w @ w))])
-        else:
-            mags = np.array([0.0])
+        scale = np.max(np.abs(theta), axis=-1, initial=0.0, keepdims=True)
+        w = theta / np.where(scale > 0.0, scale, 1.0)
+        mags = scale * np.sqrt(np.vecdot(w, w))[..., None]  # 0.0 * 0.0 at theta = 0
     big = mags > _CONJUGATE_OVERFLOW
     tsq = np.where(big, 0.0, mags) ** 2
     onep = 1.0 + np.sqrt(1.0 + tsq)
@@ -331,7 +353,7 @@ def conjugate_value(aset: ActionSetModel, theta) -> float:
         # asymptote |t| - 1 + ln 2 - ln |t|, error O(1/t)
         terms = np.where(big, mags - 1.0 + np.log(2.0) - np.log(np.where(big, mags, 1.0)),
                          terms)
-    return float(np.sum(terms))
+    return np.sum(terms, axis=-1)
 
 
 # ---------------------------------------------------------------------------

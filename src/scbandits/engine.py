@@ -13,11 +13,14 @@ unbiased loss-vector estimate back into the accumulator.
   estimate is d * H(x) (A - x) times the scalar loss.
 
 That loop is written once, in :func:`_blocks`, which plays each round by
-one of five per-round functions (one seed or S seeds on each body, and the
-Dikin pole, which calls the unchecked geometry and estimator kernels) and
-yields blocks of rounds. Each call fills its round's rows of the block in
-place; a perturbed-leader ball round leaves theta in its expected-action
-row, and the loop maps the block's rows to x at once. The learner's
+one of six per-round functions (one seed or S seeds on each body, and the
+Dikin pole on each body) and yields blocks of rounds. Each call fills its
+round's rows of the block in place; a perturbed-leader ball round leaves
+theta in its expected-action row, and the loop maps the block's rows to x
+at once. The ball's Dikin pole calls the unchecked geometry and estimator
+kernels. On the hypercube a pole's estimate is nonzero in one coordinate
+only, so that round keeps x from the round before and re-maps the one
+coordinate the last estimate moved, in Python floats. The learner's
 randomness does not depend on its state, so it comes from
 :mod:`perturbations` ahead of the rounds, bit for bit the draws taken
 round by round. :func:`run` copies the blocks into one
@@ -36,17 +39,19 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .action_sets import (
+    INTERIOR_MARGIN,
     ActionSetModel,
     BALL,
     BoundaryError,
     HYPERCUBE,
     _barrier_hessian,
     _conjugate_gradient,
+    _cube_coordinate,
     _dikin_pole,
     _require_interior,
-    conjugate_gradient,
-    conjugate_value,
+    _conjugate_value,
     hessian_inv_matvec,
+    interior_gap,
 )
 from .environments import boundedness_violation
 from .estimation import (FLAT_DRIFT, LOSS_SLACK, SINGULARITY_FLOOR, KFunctionCache,
@@ -310,7 +315,10 @@ def _blocks(spec: AlgorithmSpec, losses, eta: float, rngs):
     single = len(rngs) == 1
     ball = spec.variant == SCFTPL and aset.kind == BALL
     if spec.variant == SCRIBBLE:
-        step, state = _pole_round, aset
+        if aset.kind == HYPERCUBE:
+            step, state = _cube_pole_round, _CubePole(aset)
+        else:
+            step, state = _pole_round, aset
         draws = (block[:, 0].tolist() for block in pole_draw_blocks(aset, rngs, n))
     else:
         if ball:
@@ -347,8 +355,10 @@ def _blocks(spec: AlgorithmSpec, losses, eta: float, rngs):
 # The per-round functions play one round of one seed on (d,) rows, or of S
 # seeds on (S, d) rows, of the block: they get theta = -eta * (cumulative
 # estimate) in the x row, the action and estimate rows, the round's draw and
-# loss row and the run's K grid or body, and fill the three rows in place or
-# raise _Abort. A ball round leaves theta in the x row for _blocks to map.
+# loss row and the run's K grid, its body or, for the hypercube's Dikin
+# pole, the _CubePole it keeps between rounds, and fill the three rows in
+# place or raise _Abort. A ball round leaves theta in the x row for _blocks
+# to map.
 # The one-seed twins keep Python floats: at S = 1 and d = 5 the (S, d) code
 # took 1.3-1.4x (hypercube) and 4.7-5.5x (ball) as long per round on a
 # 2-core x86_64 host.
@@ -491,6 +501,47 @@ def _pole_round(x, action, y_hat, draw, loss, aset):
     y_hat[...] = _scribble_estimate(d, _barrier_hessian(aset, x), x, action, scalar_loss)
 
 
+class _CubePole:
+    """What a hypercube Dikin-pole round keeps for the next one: the expected
+    action x (None before round 1) and the coordinate its estimate moved."""
+
+    def __init__(self, aset: ActionSetModel):
+        self.aset, self.x, self.moved = aset, None, 0
+
+
+def _cube_pole_round(x, action, y_hat, draw, loss, pole):
+    # The hypercube's Hessian is diagonal and a pole leaves x in one axis,
+    # so an estimate d H(x) (A - x) l has one nonzero coordinate, the pole's
+    # index; the others are (d l) * 0.0, which leave the cumulative estimate
+    # and so theta and x as they were. The round re-maps only the coordinate
+    # the last estimate moved, and computes the pole and estimate in Python
+    # floats as _dikin_pole and _scribble_estimate(_barrier_hessian) round.
+    aset = pole.aset
+    if pole.x is None:  # round 1 maps every coordinate
+        pole.x = _conjugate_gradient(aset, x)
+        gap = interior_gap(aset, pole.x)
+    else:
+        x_i = pole.x[pole.moved] = _cube_coordinate(float(x[pole.moved]))
+        gap = 1.0 - abs(x_i)  # the other coordinates passed in their rounds
+    x[...] = pole.x
+    if gap < INTERIOR_MARGIN:
+        try:
+            _require_interior(aset, x)
+        except BoundaryError as exc:
+            raise _Abort(0, str(exc)) from None
+    d = aset.dimension
+    i = pole.moved = draw % d
+    x_i = float(pole.x[i])
+    resid = 1.0 - x_i * x_i
+    offset = resid / math.sqrt(2.0 * (1.0 + x_i * x_i))
+    a_i = x_i + offset if draw < d else x_i - offset
+    action[...] = pole.x
+    action[i] = a_i
+    scaled = d * float(loss.dot(action))
+    y_hat.fill(scaled * 0.0)
+    y_hat[i] = scaled * (2.0 * (1.0 + x_i * x_i) / (resid * resid) * (a_i - x_i))
+
+
 def regret(trace: Trace, losses, competitor) -> float:
     """Realized regret of a trace against a fixed competitor point.
 
@@ -517,16 +568,16 @@ def bregman_diagnostic(aset: ActionSetModel, eta: float, trace: Trace) -> np.nda
     """Per-round conjugate Bregman divergence along the trace.
 
     B(-eta Yhat_t, -eta Yhat_{t-1}) computed through the closed-form
-    conjugate value and gradient; each term is nonnegative by convexity, and
-    whenever the round satisfied the step condition it is bounded by
+    conjugate value and gradient, for all rounds at once, each rounded as
+    it would be alone; each term is nonnegative by convexity, and whenever
+    the round satisfied the step condition it is bounded by
     eta^2 * ||y_hat||^2 in the round's local norm.
     """
     eta = float(eta)
-    out = np.empty(len(trace))
-    for i, (y_hat_cum, y_hat) in enumerate(zip(trace.y_hat_cum, trace.y_hat)):
-        prev = -eta * y_hat_cum
-        curr = prev - eta * y_hat
-        grad_prev = conjugate_gradient(aset, prev)
-        out[i] = (conjugate_value(aset, curr) - conjugate_value(aset, prev)
-                  + eta * float(y_hat @ grad_prev))
-    return out
+    prev = -eta * trace.y_hat_cum
+    curr = prev - eta * trace.y_hat
+    if prev.shape[1:] != (aset.dimension,) or not (np.isfinite(prev).all()
+                                                   and np.isfinite(curr).all()):
+        raise ValueError(f"the drifts must be finite rows of length {aset.dimension}")
+    return (_conjugate_value(aset, curr) - _conjugate_value(aset, prev)
+            + eta * np.vecdot(trace.y_hat, _conjugate_gradient(aset, prev)))

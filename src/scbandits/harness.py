@@ -11,6 +11,8 @@ regret against the empirical best fixed action, and writes
   counts, and wall-clock per round;
 * optionally one ``<label>_seed<seed>.csv`` per seed for re-aggregation.
 
+Every command writes its files whole or not at all (:func:`_write_whole`).
+
 All seeds run in this process, in one :func:`engine.run_seeds` call, which
 batches the perturbed-leader seeds into one recurrence and runs the
 Dikin-pole seeds one by one; the summary's wall time per round is that
@@ -308,6 +310,26 @@ def cmd_run(config: ExperimentConfig, quiet: bool = False) -> dict:
     return summary
 
 
+def _write_whole(writes) -> None:
+    """Write every output or none. ``writes`` holds a ``(path, write, *args)``
+    per output: ``write(temporary, *args)`` writes the file to a new temporary
+    name in the output's directory, short whatever the output's name, and the
+    files move into place with ``os.replace`` only after every write has
+    succeeded. If any write fails, the temporary files are deleted."""
+    moves = []
+    try:
+        for i, (path, write, *args) in enumerate(writes):
+            temporary = path.with_name(f".scbandits-{os.getpid()}-{i}.tmp")
+            moves.append((temporary, path))
+            write(temporary, *args)
+        for temporary, path in moves:
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary, _ in moves:
+            temporary.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, header: str, *columns: np.ndarray) -> None:
     """Write equal-length columns under ``header``, 1024 rows at a time, as the ``repr``
     of each value ``tolist`` gives: ints as ``1``, floats in shortest round-trip form."""
@@ -332,13 +354,6 @@ def _write_outputs(config: ExperimentConfig, curves: np.ndarray, mean: np.ndarra
                    se: np.ndarray, bound: np.ndarray, violations: int,
                    wall_time_per_round: float) -> dict:
     """Write the CSVs and the summary JSON of a run; return the summary."""
-    csv_path, *seed_paths, summary_path = output_paths(config)
-    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    t = np.arange(1, config.horizon + 1)
-    _write_csv(csv_path, "t,mean_regret,se,bound", t, mean, se, bound)
-    for path, curve in zip(seed_paths, curves):
-        _write_csv(path, "t,regret", t, curve)
-
     summary = {
         "label": config.label,
         "regret_definition": (
@@ -363,7 +378,13 @@ def _write_outputs(config: ExperimentConfig, curves: np.ndarray, mean: np.ndarra
         "wall_time_per_round_seconds": wall_time_per_round,
         "warnings": config.warnings(),
     }
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+    csv_path, *seed_paths, summary_path = output_paths(config)
+    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    t = np.arange(1, config.horizon + 1)
+    _write_whole([(csv_path, _write_csv, "t,mean_regret,se,bound", t, mean, se, bound),
+                  *((path, _write_csv, "t,regret", t, curve)
+                    for path, curve in zip(seed_paths, curves)),
+                  (summary_path, Path.write_text, json.dumps(summary, indent=2) + "\n")])
     return summary
 
 
@@ -400,7 +421,8 @@ def cmd_verify(options: VerifyOptions, out_dir: str | Path | None = None,
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
         report = {"passed": ok, "checks": [r.as_dict() for r in results]}
-        (path / VERIFY_REPORT).write_text(json.dumps(report, indent=2) + "\n")
+        _write_whole([(path / VERIFY_REPORT, Path.write_text,
+                       json.dumps(report, indent=2) + "\n")])
     return ok, results
 
 
@@ -462,7 +484,7 @@ def cmd_bench(dims: tuple[int, ...], rounds: int, repeats: int, kinds: tuple[str
                       f"{row['rounds_per_sec']:10.0f} rounds/s  time(4d)/time(d)={ratio}")
     if json_path is not None:
         report = {"rounds": rounds, "repeats": repeats, "rows": rows}
-        Path(json_path).write_text(json.dumps(report, indent=2) + "\n")
+        _write_whole([(Path(json_path), Path.write_text, json.dumps(report, indent=2) + "\n")])
     return rows
 
 
@@ -477,5 +499,6 @@ def cmd_sample(set_kind: str, dimension: int, count: int, seed: int,
     draws = perturbations.draw(aset, make_rng(seed), size=count)
     path = Path(out_path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(path, ",".join(f"xi_{i + 1}" for i in range(dimension)), *draws.T)
+    _write_whole([(path, _write_csv, ",".join(f"xi_{i + 1}" for i in range(dimension)),
+                   *draws.T)])
     return path

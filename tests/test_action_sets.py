@@ -158,6 +158,22 @@ def test_conjugate_gradient_is_interior():
             assert geom.interior_gap(aset, x) > 0.0
 
 
+_COORDINATE_CASES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 0.5, -3.0,
+                     1e150, -1e150, math.nextafter(1e150, 0.0), math.nextafter(1e150, math.inf),
+                     -math.nextafter(1e150, math.inf), 1.34e154, -1.34e154, 1e300, -1e300,
+                     4.5e15, 1e16, math.inf, -math.inf, math.nan]
+
+
+def test_cube_coordinate_map_equals_the_dense_map():
+    # the hypercube's Dikin-pole round maps one coordinate at a time: signed
+    # zeros, subnormals, both sides of the 1e150 asymptote, past where t * t
+    # overflows (1.34e154), infinities and NaN round as the kernel's do
+    aset = geom.hypercube(len(_COORDINATE_CASES))
+    dense = geom._conjugate_gradient(aset, np.array(_COORDINATE_CASES))
+    sparse = np.array([geom._cube_coordinate(t) for t in _COORDINATE_CASES])
+    assert dense.tobytes() == sparse.tobytes()
+
+
 def test_conjugacy_roundtrip_tight():
     rng = make_rng(15)
     for aset in all_sets():

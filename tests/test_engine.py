@@ -210,6 +210,77 @@ def _assert_scribble_replays_module_ops(kind, d):
         y_cum = y_cum + y_hat
 
 
+def _cube_scribble_replay(losses, eta, seed):
+    """A hypercube Dikin-pole run replayed through the dense kernels, every
+    coordinate re-mapped each round, and the checked pole and estimate: its
+    (x, action, y_hat) rows before any abort, and the abort message or None.
+    The map is the unchecked kernel, which takes an overflowing theta."""
+    d = losses.shape[1]
+    aset = geom.hypercube(d)
+    rng = make_rng(seed)
+    y_cum = np.zeros(d)
+    rows = []
+    for t, loss in enumerate(losses, 1):
+        with np.errstate(over="ignore"):
+            x = geom._conjugate_gradient(aset, -eta * y_cum)
+        draw = int(rng.integers(0, 2 * d))
+        try:
+            action = geom.dikin_pole(aset, x, draw % d, 1 if draw < d else -1)
+        except geom.BoundaryError as exc:
+            return rows, f"round {t}: {exc}"
+        y_hat = est.scribble_estimate(aset, x, action, float(loss @ action))
+        rows.append((x, action, y_hat))
+        y_cum = y_cum + y_hat
+    return rows, None
+
+
+def _assert_cube_scribble_replays(d, losses, rate, seed):
+    spec = engine.AlgorithmSpec(variant=engine.SCRIBBLE, action_set=geom.hypercube(d),
+                                learning_rate=rate)
+    rows, message = _cube_scribble_replay(losses, engine.resolve_learning_rate(
+        spec, len(losses)), seed)
+    try:
+        trace = engine.run(spec, losses, make_rng(seed))
+        assert message is None
+    except engine.AbortedRunError as info:
+        assert str(info) == message
+        trace = info.trace
+    assert len(trace) == len(rows)
+    for t, fields in enumerate(rows):
+        for got, want in zip((trace.x[t], trace.action[t], trace.y_hat[t]), fields):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                                np.signbit(want))
+    return message
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.sampled_from([1, 2, 5, 33]), n=st.integers(2, 160),
+       adversary=st.sampled_from(["fixed_vector", "seeded_random", "piecewise_switching"]),
+       rate=st.sampled_from(["auto", 0.05, 0.5]), seed=st.integers(0, 2**64 - 1),
+       chunk=st.sampled_from([7, 64]))
+def test_cube_scribble_rounds_match_the_dense_kernels(d, n, adversary, rate, seed, chunk):
+    # the sparse hypercube pole round keeps x between rounds and re-maps one
+    # coordinate; its rows, signs of zeros included, are those of the full
+    # map, pole and estimate, across blocks of 7 or 64 uniforms
+    period = {"period": 10} if adversary == "piecewise_switching" else {}
+    losses = cube_losses(d, n, kind=adversary, seed=seed % 1000, **period)
+    with mock.patch.object(streams, "CHUNK_UNIFORMS", chunk):
+        _assert_cube_scribble_replays(d, losses, rate, seed)
+
+
+@pytest.mark.parametrize("d,rate,seed,abort_round,gap", [
+    (1, 10.0, 66, 14, "1.543e-13"), (2, 10.0, 1, 22, "1.125e-13"), (5, 1e3, 4, 16, "1.110e-15"),
+    # x at the clip, 1 - 2^-53, from a finite theta, from one past the 1e150
+    # asymptote, and from one overflowed to -inf
+    (33, 1e4, 9, 38, "1.110e-16"), (5, 1e300, 4, 3, "1.110e-16"), (2, 1.7e308, 1, 4, "1.110e-16")])
+def test_cube_scribble_aborts_where_the_dense_kernels_do(d, rate, seed, abort_round, gap):
+    # the same round, partial trace and message of the whole x's interior check
+    losses = cube_losses(d, 100, kind="fixed_vector", seed=3)
+    message = _assert_cube_scribble_replays(d, losses, rate, seed)
+    assert message == (f"round {abort_round}: x is within 1e-12 of the boundary of the "
+                       f"hypercube (gap={gap}); barrier operations need a strictly interior point")
+
+
 @pytest.mark.parametrize("kind", [geom.HYPERCUBE, geom.BALL])
 def test_scribble_rounds_skip_the_argument_checks(kind):
     # a round checks its expected action once and calls the unchecked
@@ -636,6 +707,40 @@ def test_bregman_diagnostic_bounds(kind):
     for norm_sq, div in zip(trace.local_norm_sq, divergences):
         if eta * math.sqrt(norm_sq) <= 0.5:
             assert div <= eta * eta * norm_sq + 1e-12
+
+
+def _bregman_round_loop(aset, eta, trace):
+    """The Bregman diagnostic round by round through the checked public operations."""
+    out = []
+    for y_hat_cum, y_hat in zip(trace.y_hat_cum, trace.y_hat):
+        prev = -eta * y_hat_cum
+        curr = prev - eta * y_hat
+        out.append(geom.conjugate_value(aset, curr) - geom.conjugate_value(aset, prev)
+                   + eta * float(y_hat @ geom.conjugate_gradient(aset, prev)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", [geom.HYPERCUBE, geom.BALL])
+@pytest.mark.parametrize("d", [1, 2, 5, 33, 300])
+def test_bregman_diagnostic_equals_the_round_loop(kind, d):
+    # estimates from 1e-3 to 1e160 put drifts past the 1e150 asymptote and
+    # the conjugate gradient's clip; d = 300 sums its terms pairwise
+    aset = geom.ActionSetModel(dimension=d, kind=kind)
+    n = 80
+    y_hat = np.random.default_rng(d).standard_normal((n, d)) * np.logspace(-3, 160, n)[:, None]
+    y_hat[[0, 7]] = 0.0
+    traces = [engine.Trace(x=np.zeros((n, d)), action=np.zeros((n, d)), y_hat=y_hat,
+                           scalar_loss=np.zeros(n), local_norm_sq=np.zeros(n),
+                           step_violation=np.zeros(n, dtype=bool))]
+    if d <= 33:
+        losses = generate(AdversarySpec(kind="seeded_random", geometry=kind, seed=d), d, 300)
+        spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=0.3)
+        traces.append(engine.run(spec, losses, make_rng(d)))
+    for trace in traces:
+        for eta in (0.3, 1e-3):
+            assert (engine.bregman_diagnostic(aset, eta, trace)
+                    == _bregman_round_loop(aset, eta, trace)).all()
+    assert engine.bregman_diagnostic(aset, 0.3, traces[0].head(0)).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

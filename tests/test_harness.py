@@ -806,6 +806,50 @@ def test_cli_verify_report_name_held_by_a_directory_exits_1_before_any_check(
     assert [p.name for p in tmp_path.iterdir()] == ["verify_report.json"]
 
 
+def _failing_after_writing(write, calls_to_fail):
+    """``write``, whose call number ``calls_to_fail`` (from 1) writes its file and
+    then fails as a full disk would."""
+    calls = []
+
+    def failing(path, *args):
+        calls.append(path)
+        write(path, *args)
+        if len(calls) == calls_to_fail:
+            raise OSError(28, "No space left on device")
+    return failing
+
+
+def test_cli_run_failed_write_leaves_no_new_file(tmp_path, capsys, monkeypatch):
+    # the third of four files fails; the old t.csv is kept as it was
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "t.csv").write_text("old\n")
+    monkeypatch.setattr(harness, "_write_csv", _failing_after_writing(harness._write_csv, 3))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base_config(seeds=[1, 2], write_per_seed=True, out_dir=str(out))))
+    assert cli_main(["run", "--config", str(cfg), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert [p.name for p in out.iterdir()] == ["t.csv"]
+    assert (out / "t.csv").read_text() == "old\n"
+
+
+def test_cli_verify_failed_write_leaves_no_new_file(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "checks.json"
+    cfg.write_text(json.dumps({"checks": ["hypercube_inverse"], "scale": 0.01}))
+    monkeypatch.setattr(Path, "write_text", _failing_after_writing(Path.write_text, 1))
+    assert cli_main(["verify", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["checks.json"]
+
+
+def test_cli_sample_failed_write_leaves_no_new_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_write_csv", _failing_after_writing(harness._write_csv, 1))
+    argv = ["sample", "--set", "ball", "--dimension", "3", "--out", str(tmp_path / "xi.csv")]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("rate", [1e5, 1e3, 1e12, 1e160])
 def test_cli_ball_run_at_extreme_drift_never_fails_quadrature(tmp_path, capsys, rate):
     # a fixed direction drives ||theta|| far past any prebuilt K grid; the run

@@ -29,7 +29,8 @@ INTERIOR_MARGIN = 1e-12
 
 
 class BoundaryError(ValueError):
-    """A barrier operation was evaluated at a non-interior point."""
+    """A barrier operation was evaluated at a non-interior point, or a round's
+    expected action is too close to the boundary to play."""
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,10 @@ theta in its expected-action row, and the loop maps the block's rows to x
 at once. The ball's Dikin pole calls the unchecked geometry and estimator
 kernels. On the hypercube a pole's estimate is nonzero in one coordinate
 only, so that round keeps x from the round before and re-maps the one
-coordinate the last estimate moved, in Python floats. The learner's
+coordinate the last estimate moved, in Python floats. A round whose
+expected action is too close to the boundary raises
+:class:`~scbandits.action_sets.BoundaryError`, and :func:`_blocks`, which
+alone knows the round's number, turns it into an abort. The learner's
 randomness does not depend on its state, so it comes from
 :mod:`perturbations` ahead of the rounds, bit for bit the draws taken
 round by round. :func:`run` copies the blocks into one
@@ -183,10 +186,10 @@ class AbortedRunError(RuntimeError):
 
 
 class _Abort(Exception):
-    """Seed ``seed`` of a batch stops in round ``t``, which :func:`_blocks` sets."""
+    """A run stops in round ``t``: the round's ``BoundaryError``, numbered by :func:`_blocks`."""
 
-    def __init__(self, seed: int, reason: str):
-        self.seed, self.reason, self.t = seed, reason, 0
+    def __init__(self, t: int, reason: str):
+        self.t, self.reason = t, reason
 
 
 def _local_norms(aset: ActionSetModel, variant: str, eta: float, xs, y_hats):
@@ -205,7 +208,9 @@ def _local_norms(aset: ActionSetModel, variant: str, eta: float, xs, y_hats):
         norm_sq = np.vecdot(y_hats, y_hats) / a - correction * np.vecdot(xs, y_hats) ** 2
     else:
         norm_sq = np.vecdot(y_hats, hessian_inv_matvec(hessian, y_hats))
-    return norm_sq, 2.0 * eta * np.sqrt(np.maximum(norm_sq, 0.0)) > 1.0
+    # the halved test, which is exact, since 2 eta overflows near the largest double
+    with np.errstate(over="ignore"):
+        return norm_sq, eta * np.sqrt(np.maximum(norm_sq, 0.0)) > 0.5
 
 
 def run(spec: AlgorithmSpec, losses, rng: np.random.Generator) -> Trace:
@@ -265,13 +270,15 @@ def run_seeds(spec: AlgorithmSpec, losses, rngs, competitor) -> tuple[np.ndarray
     one seed, and each Dikin-pole seed, runs alone. Every block of rounds is
     reduced as it comes, so no (n, d) array is kept. An abort raises the
     per-seed run's ``AbortedRunError`` of the first aborting seed in the
-    order of ``rngs``.
+    order of ``rngs``: runs give the same bits however seeds are batched, so
+    an aborted batch replays its seeds alone, in order, from their saved
+    states, and the first of them to abort raises.
     """
     aset = spec.action_set
     losses, eta = _prologue(spec, losses)
     competitor = np.asarray(competitor, dtype=float)
     rngs = list(rngs)
-    states = [rng.bit_generator.state for rng in rngs]  # to replay an aborting seed through run
+    states = [rng.bit_generator.state for rng in rngs]  # to replay an aborted batch through run
     increments = np.empty((losses.shape[0], len(rngs)))
     violations = np.zeros(len(rngs), dtype=np.int64)
     together = spec.variant == SCFTPL and len(rngs) > 1
@@ -282,17 +289,13 @@ def run_seeds(spec: AlgorithmSpec, losses, rngs, competitor) -> tuple[np.ndarray
                 increments[rows, seeds] = np.vecdot(losses[rows, None, :], actions - competitor)
                 _, violated = _local_norms(aset, spec.variant, eta, xs, y_hats)
                 violations[seeds] += violated.sum(axis=0)
-        except _Abort as abort:
-            # the seeds batched before it may abort in a later round than it
-            # did, so they run again first; then it replays alone and raises
-            first = seeds.start + abort.seed
-            replays = [np.random.Generator(type(rng.bit_generator)())
-                       for rng in rngs[seeds.start:first + 1]]
-            for replay, state in zip(replays, states[seeds.start:]):
+        except _Abort:
+            for rng, state in zip(rngs[seeds], states[seeds]):
+                replay = np.random.Generator(type(rng.bit_generator)())
                 replay.bit_generator.state = state
-            run_seeds(spec, losses, replays[:-1], competitor)
-            run(spec, losses, replays[-1])
-            raise RuntimeError(f"seed {first} aborted in a batch but not alone") from None
+                run(spec, losses, replay)
+            # falling through would return rows the batch never filled
+            raise RuntimeError("a batch aborted but none of its seeds alone") from None
     return increments, violations
 
 
@@ -306,9 +309,10 @@ def _blocks(spec: AlgorithmSpec, losses, eta: float, rngs):
     iff draw < d), and plays each round of all seeds by one per-round call,
     which fills the round's rows of the block. A perturbed-leader ball round
     leaves theta in its x row, and :func:`_ball_x` maps a block's rows to x
-    at once. Where a seed aborts, the rounds before it come as a last,
-    shorter block, then :class:`_Abort` is raised with the round t. A
-    Dikin-pole run plays one seed.
+    at once. A round that cannot be played raises ``BoundaryError``; the
+    loop alone knows its round t, so the rounds before it come as a last,
+    shorter block, then :class:`_Abort` is raised with t. A Dikin-pole run
+    plays one seed.
     """
     aset = spec.action_set
     n, d = losses.shape
@@ -334,22 +338,21 @@ def _blocks(spec: AlgorithmSpec, losses, eta: float, rngs):
     for block in draws:
         out = np.empty((3, len(block), len(rngs), d))
         xs, actions, y_hats = out[:, :, 0] if single else out
+        played, boundary = len(block), None
         try:
             with np.errstate(over="ignore"):  # an overflowing theta^2 aborts its round
                 for i, (x, action, y_hat, draw, loss) in enumerate(
                         zip(xs, actions, y_hats, block, losses[t0:t0 + len(block)])):
                     step(np.multiply(y_hat_cum, -eta, out=x), action, y_hat, draw, loss, state)
                     y_hat_cum += y_hat
-        except _Abort as abort:
-            abort.t = t0 + i + 1
-            if ball:
-                _ball_x(xs[:i], xs[:i])
-            yield slice(t0, t0 + i), out[:, :i]
-            raise abort
+        except BoundaryError as exc:
+            played, boundary = i, exc
         if ball:
-            _ball_x(xs, xs)
-        yield slice(t0, t0 + len(block)), out
-        t0 += len(block)
+            _ball_x(xs[:played], xs[:played])
+        yield slice(t0, t0 + played), out[:, :played]
+        if boundary is not None:
+            raise _Abort(t0 + played + 1, str(boundary))
+        t0 += played
 
 
 # The per-round functions play one round of one seed on (d,) rows, or of S
@@ -357,8 +360,9 @@ def _blocks(spec: AlgorithmSpec, losses, eta: float, rngs):
 # estimate) in the x row, the action and estimate rows, the round's draw and
 # loss row and the run's K grid, its body or, for the hypercube's Dikin
 # pole, the _CubePole it keeps between rounds, and fill the three rows in
-# place or raise _Abort. A ball round leaves theta in the x row for _blocks
-# to map.
+# place or raise BoundaryError, which _blocks numbers with the round; an
+# S-seed round raises it when any seed's expected action is too close to
+# the boundary. A ball round leaves theta in the x row for _blocks to map.
 # The one-seed twins keep Python floats: at S = 1 and d = 5 the (S, d) code
 # took 1.3-1.4x (hypercube) and 4.7-5.5x (ball) as long per round on a
 # 2-core x86_64 host.
@@ -407,7 +411,7 @@ def _cube_round(x, action, y_hat, xi, loss, _):
     residual = y_hat  # the estimate's row holds 1 - x^2 until the estimate is written
     _cube_x(x, residual)
     if residual.min() < SINGULARITY_FLOOR:
-        raise _Abort(0, _CUBE_ABORT)
+        raise BoundaryError(_CUBE_ABORT)
     scalar_loss = float(loss.dot(action))
     weighted = x / residual
     alpha = float(x.dot(weighted))
@@ -422,9 +426,8 @@ def _cube_rounds(x, action, y_hat, xi, loss, _):
     action[...] = np.where(np.add(x, xi, out=action) >= 0.0, 1.0, -1.0)
     residual = y_hat
     _cube_x(x, residual)
-    aborted = residual.min(axis=1) < SINGULARITY_FLOOR
-    if aborted.any():
-        raise _Abort(int(np.argmax(aborted)), _CUBE_ABORT)
+    if residual.min() < SINGULARITY_FLOOR:
+        raise BoundaryError(_CUBE_ABORT)
     scalar_loss = np.vecdot(loss, action)
     weighted = x / residual
     alpha = np.vecdot(x, weighted)
@@ -438,7 +441,7 @@ def _cube_rounds(x, action, y_hat, xi, loss, _):
 def _ball_round(theta, action, y_hat, xi, loss, k_cache):
     theta_norm = math.sqrt(float(theta.dot(theta)))
     if not theta_norm <= _BALL_GUARD and _ball_x(theta, np.empty_like(theta)):
-        raise _Abort(0, _BALL_ABORT)
+        raise BoundaryError(_BALL_ABORT)
     norm_sq = theta_norm * theta_norm
     drifted = np.add(theta, xi, out=action)
     drift_norm = math.sqrt(float(drifted.dot(drifted)))
@@ -462,10 +465,8 @@ def _ball_round(theta, action, y_hat, xi, loss, k_cache):
 def _ball_rounds(theta, action, y_hat, xi, loss, k_cache):
     d = theta.shape[1]
     theta_norm = np.sqrt(np.vecdot(theta, theta))
-    if not theta_norm.max() <= _BALL_GUARD:
-        aborted = _ball_x(theta, np.empty_like(theta))
-        if aborted.any():
-            raise _Abort(int(np.argmax(aborted)), _BALL_ABORT)
+    if not theta_norm.max() <= _BALL_GUARD and _ball_x(theta, np.empty_like(theta)).any():
+        raise BoundaryError(_BALL_ABORT)
     norm_sq = theta_norm * theta_norm
     drifted = np.add(theta, xi, out=action)
     drift_norm = np.sqrt(np.vecdot(drifted, drifted))
@@ -491,10 +492,7 @@ def _ball_rounds(theta, action, y_hat, xi, loss, k_cache):
 
 def _pole_round(x, action, y_hat, draw, loss, aset):
     x[...] = _conjugate_gradient(aset, x)
-    try:
-        _require_interior(aset, x)
-    except BoundaryError as exc:
-        raise _Abort(0, str(exc)) from None
+    _require_interior(aset, x)
     d = aset.dimension
     action[...] = _dikin_pole(aset, x, draw % d, 1 if draw < d else -1)
     scalar_loss = float(loss.dot(action))
@@ -525,10 +523,7 @@ def _cube_pole_round(x, action, y_hat, draw, loss, pole):
         gap = 1.0 - abs(x_i)  # the other coordinates passed in their rounds
     x[...] = pole.x
     if gap < INTERIOR_MARGIN:
-        try:
-            _require_interior(aset, x)
-        except BoundaryError as exc:
-            raise _Abort(0, str(exc)) from None
+        _require_interior(aset, x)
     d = aset.dimension
     i = pole.moved = draw % d
     x_i = float(pole.x[i])

@@ -448,7 +448,7 @@ def check_engine(opts: VerifyOptions) -> list[CheckResult]:
     out.append(_upper("step_condition_hypercube", float(trace.step_violation.sum()), 0.0,
                       f"rounds violating 2 eta ||yhat||_t <= 1 out of {n}"))
 
-    interior = min(1.0 - geom.minkowski_gauge(aset, np.zeros(d), x) for x in trace.x)
+    interior = geom.interior_gap(aset, trace.x)  # the least gap of any round
     out.append(CheckResult("expected_action_interior", interior, 0.0, interior > 0.0, ">"))
 
     eta = resolve_learning_rate(spec, n)

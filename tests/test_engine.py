@@ -281,6 +281,18 @@ def test_cube_scribble_aborts_where_the_dense_kernels_do(d, rate, seed, abort_ro
                        f"hypercube (gap={gap}); barrier operations need a strictly interior point")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_step_test_at_the_largest_rate_warns_nothing():
+    # 2 eta overflows at 1.7e308, and inf times a zero norm is NaN; the
+    # step test halves both sides instead, keeping every flag
+    spec = engine.AlgorithmSpec(variant=engine.SCRIBBLE, action_set=geom.hypercube(2),
+                                learning_rate=1.7e308)
+    with pytest.raises(engine.AbortedRunError) as info:
+        engine.run(spec, cube_losses(2, 100, kind="fixed_vector", seed=3), make_rng(1))
+    assert str(info.value).startswith("round 4: ")
+    assert info.value.trace.step_violation.tolist() == [False, False, True]
+
+
 @pytest.mark.parametrize("kind", [geom.HYPERCUBE, geom.BALL])
 def test_scribble_rounds_skip_the_argument_checks(kind):
     # a round checks its expected action once and calls the unchecked
@@ -381,25 +393,40 @@ def test_block_noise_matches_per_round_draws_random(kind, variant, d, n, seed, c
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(kind=st.sampled_from([geom.HYPERCUBE, geom.BALL]),
        variant=st.sampled_from([engine.SCFTPL, engine.SCRIBBLE]), d=st.sampled_from([1, 2, 5, 33]),
-       n=st.integers(1, 90), rate=st.sampled_from([0.05, 0.5]),
+       n=st.integers(1, 90), rate=st.sampled_from([0.05, 0.5, 1e10]),
        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6, unique=True),
        chunk=st.sampled_from([7, _SMALL_CHUNK, streams.CHUNK_UNIFORMS]))
 # a batched ball run on the line, which none of the generated examples draws
 @example(kind=geom.BALL, variant=engine.SCFTPL, d=1, n=60, rate=0.5, seeds=[3, 8, 21],
          chunk=_SMALL_CHUNK)
+# batches whose first aborting seed aborts after a later one: seed 10 in
+# round 53, seed 110 in round 37; seed 135 in round 62, seed 235 in round 38
+@example(kind=geom.HYPERCUBE, variant=engine.SCFTPL, d=5, n=90, rate=1e10,
+         seeds=[10, 110, 210], chunk=_SMALL_CHUNK)
+@example(kind=geom.BALL, variant=engine.SCFTPL, d=2, n=90, rate=1e8, seeds=[35, 135, 235],
+         chunk=_SMALL_CHUNK)
 def test_run_seeds_matches_per_seed_runs(kind, variant, d, n, rate, seeds, chunk):
     # the batched recurrence, and the blocks of seeds run alone, against one
     # run per seed, with blocks that end mid-run wherever a block holds fewer
-    # than n rounds
+    # than n rounds; where a seed's run aborts, the first such seed in seed
+    # order raises its own error
     aset = geom.ActionSetModel(dimension=d, kind=kind)
     losses = generate(AdversarySpec(kind="seeded_random", geometry=kind, seed=seeds[0] % 1000),
                       d, n)
     competitor = best_in_hindsight(aset, losses)
     spec = engine.AlgorithmSpec(variant=variant, action_set=aset, learning_rate=rate)
     with mock.patch.object(streams, "CHUNK_UNIFORMS", chunk):
+        traces = []
+        for seed in seeds:
+            try:
+                traces.append(engine.run(spec, losses, make_rng(seed)))
+            except engine.AbortedRunError as info:
+                with pytest.raises(engine.AbortedRunError) as batched:
+                    engine.run_seeds(spec, losses, [make_rng(s) for s in seeds], competitor)
+                _assert_same_abort(batched.value, info)
+                return
         increments, violations = engine.run_seeds(spec, losses, [make_rng(s) for s in seeds],
                                                   competitor)
-        traces = [engine.run(spec, losses, make_rng(s)) for s in seeds]
     assert increments.shape == (n, len(seeds)) and violations.shape == (len(seeds),)
     for j, trace in enumerate(traces):
         assert (np.cumsum(increments[:, j])
@@ -428,10 +455,18 @@ def test_run_seeds_first_aborting_seed_in_order_decides(kind, d, rate, adversary
     with pytest.raises(engine.AbortedRunError) as batched:
         engine.run_seeds(spec, losses, [make_rng(s) for s in seeds],
                          best_in_hindsight(aset, losses))
-    assert str(batched.value) == str(alone.value)
+    _assert_same_abort(batched.value, alone.value)
+
+
+def _assert_same_abort(got, want):
+    """Two AbortedRunErrors with the same message and traces."""
+    assert str(got) == str(want)
+    _assert_same_trace(got.trace, want.trace)
+
+
+def _assert_same_trace(got, want):
     for field in dataclasses.fields(engine.Trace):
-        assert np.array_equal(getattr(batched.value.trace, field.name),
-                              getattr(alone.value.trace, field.name)), field.name
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
 
 
 @pytest.mark.parametrize("d", [2, 5])
@@ -783,9 +818,7 @@ def _assert_abort_keeps_cut_run(kind, variant, d, adversary, rate, seed, message
     # the rows kept are the rounds played before the abort, every field
     # filled, identical to a run cut to that horizon at a learning rate
     # fixed to the same value
-    cut = engine.run(spec, losses[:len(trace)], make_rng(seed))
-    for field in dataclasses.fields(engine.Trace):
-        assert np.array_equal(getattr(trace, field.name), getattr(cut, field.name)), field.name
+    _assert_same_trace(trace, engine.run(spec, losses[:len(trace)], make_rng(seed)))
 
 
 def test_loss_normalization_is_enforced():
@@ -882,9 +915,7 @@ def test_ball_run_on_a_far_extended_grid_matches_a_fresh_grid(d, empty_k_grids):
     far = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=aset, learning_rate=1e12)
     grid = engine.k_cache_for(far, 400)
     assert math.sinh((len(grid._values) - 3) * est.K_GRID_SPACING) >= 2.0 / est.SINGULARITY_FLOOR
-    extended = engine.run(spec, losses, make_rng(17))
-    for field in dataclasses.fields(engine.Trace):
-        assert np.array_equal(getattr(extended, field.name), getattr(fresh, field.name)), field.name
+    _assert_same_trace(engine.run(spec, losses, make_rng(17)), fresh)
 
 
 def test_runs_start_no_thread():

@@ -51,18 +51,32 @@ class AdversarySpec:
                 f"unknown adversary kind {self.kind!r}; expected one of {ADVERSARY_KINDS}")
 
 
+# Entries of the (rows, d) temporary that one block of _support_norms makes: 512 KiB
+_NORM_BLOCK = 1 << 16
+
+
 def _support_norms(aset: ActionSetModel, rows: np.ndarray) -> np.ndarray:
-    """sup_a |<y, a>| over the body for each row y: the l1 norm on the hypercube, l2 on the ball."""
-    if aset.kind == HYPERCUBE:
-        return np.sum(np.abs(rows), axis=1)
-    return np.linalg.norm(rows, axis=1)
+    """sup_a |<y, a>| over the body for each row y: the l1 norm on the hypercube, l2 on the ball.
+
+    Taken in blocks of rows, so that no temporary as large as ``rows`` is
+    made; each row's reduction is the one a whole-array call makes, bit for bit.
+    """
+    out = np.empty(rows.shape[0])
+    step = max(_NORM_BLOCK // max(rows.shape[1], 1), 1)
+    for start in range(0, rows.shape[0], step):
+        block = rows[start:start + step]
+        out[start:start + step] = (np.sum(np.abs(block), axis=1) if aset.kind == HYPERCUBE
+                                   else np.linalg.norm(block, axis=1))
+    return out
 
 
 def _normalize_rows(aset: ActionSetModel, rows: np.ndarray) -> np.ndarray:
+    """Divide each row of ``rows`` by its support norm, in place, and return it."""
     scale = _support_norms(aset, rows)
     if np.any(scale == 0.0):
         raise ValueError("adversary produced a zero loss vector; cannot normalize")
-    return rows / scale[:, None]
+    rows /= scale[:, None]
+    return rows
 
 
 def _base_vector(spec: AdversarySpec, d: int) -> np.ndarray:

@@ -115,7 +115,29 @@ def covariance_ball(theta, dimension: int) -> CovarianceModel:
     if d == 1 or norm < FLAT_DRIFT:
         return CovarianceModel(kind=BALL, dimension=d, theta=theta, theta_norm=norm,
                                k=(d - 1.0) / d)
-    k = k_function_ball(norm, d)
+    return _ball_model(theta, d, norm, k_function_ball(norm, d))
+
+
+def covariance_balls(thetas) -> list[CovarianceModel]:
+    """:func:`covariance_ball` of each drift in ``thetas``, at the dimension
+    its length gives: the same models, with the K values of each dimension
+    evaluated in one :func:`_k_values` batch."""
+    thetas = [np.asarray(theta, dtype=float) for theta in thetas]
+    norms = [float(np.linalg.norm(theta)) for theta in thetas]
+    # the degenerate drifts, and the non-finite ones that k_function_ball
+    # rejects, go through covariance_ball
+    models = [covariance_ball(theta, theta.size)
+              if theta.size == 1 or not FLAT_DRIFT <= norm < math.inf else None
+              for theta, norm in zip(thetas, norms)]
+    for d in sorted({theta.size for theta, model in zip(thetas, models) if model is None}):
+        batch = [i for i, model in enumerate(models) if model is None and thetas[i].size == d]
+        for i, k in zip(batch, _k_values([norms[i] for i in batch], d)):
+            models[i] = _ball_model(thetas[i], d, norms[i], k)
+    return models
+
+
+def _ball_model(theta: np.ndarray, d: int, norm: float, k: float) -> CovarianceModel:
+    """The ball model at drift ``theta`` of norm ``norm`` with K value ``k``."""
     if not 0.0 < k < 1.0:
         raise RuntimeError(f"covariance factor k={k!r} outside (0, 1): invariant violation")
     return CovarianceModel(kind=BALL, dimension=d, theta=theta, theta_norm=norm, k=k)

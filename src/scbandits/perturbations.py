@@ -16,7 +16,8 @@ Ball: the density is spherical with radial profile
     c_d   = Gamma(d + 1/2) / (2 pi^{d/2} Gamma((d+1)/2)),
 
 evaluated here by adaptive quadrature after the substitution t = s^2 that
-removes the endpoint singularity. A draw factorizes as (direction on the
+removes the endpoint singularity, with :func:`.quadpack.quad` (the port of
+``scipy.integrate.quad``, so scipy.integrate is never loaded). A draw factorizes as (direction on the
 sphere) x (speed V): the speed density p_V(s) = S_{d-1} f~(s) s^{d-1} and
 its CDF reduce exactly to regularized incomplete beta functions,
 
@@ -125,38 +126,46 @@ def radial_profile_ball(r: float, d: int) -> float:
 
     Substituting t = s^2 turns the inner integral into
     2 * integral_0^1 s^d (1 + s^2 r^2)^{-d-1/2} ds with a smooth integrand.
-    Relative tolerance 1e-10; the Gamma prefactor is evaluated in the log
-    domain.
+    Relative tolerance 1e-10, through :func:`.quadpack.quad`, which returns
+    what ``scipy.integrate.quad`` returns; the Gamma prefactor is evaluated
+    in the log domain, once per d.
     """
-    from scipy import integrate
-    from scipy.special import gammaln
+    from . import quadpack
 
     r = float(r)
     d = int(d)
-    logc = gammaln(d + 0.5) - np.log(2.0) - (d / 2.0) * np.log(np.pi) - gammaln((d + 1) / 2.0)
+    c = _profile_constant(d)
+    p = -d - 0.5
     if r <= 1.0:
         def integrand(s: float) -> float:
-            return 2.0 * s**d * (1.0 + (s * r) ** 2) ** (-d - 0.5)
+            return 2.0 * s**d * (1.0 + (s * r) ** 2) ** p
 
-        val, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)
-        return float(np.exp(logc) * val)
+        val = quadpack.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200).value
+        return float(c * val)
     # rescaling w = s r turns the sharpening integrand into a fixed bump at
     # w ~ 1; the far tail (w > 50) inverts to the same smooth family via
     # v = 1/w, keeping every quadrature interval short and feature-free
     def integrand(w: float) -> float:
-        return 2.0 * w**d * (1.0 + w * w) ** (-d - 0.5)
+        return 2.0 * w**d * (1.0 + w * w) ** p
 
-    head, _ = integrate.quad(integrand, 0.0, min(r, 50.0), epsabs=0.0, epsrel=1e-10,
-                             limit=200, points=[1.0] if r > 1.0 else None)
-    val = head
+    val = quadpack.quad(integrand, 0.0, min(r, 50.0), epsabs=0.0, epsrel=1e-10, limit=200,
+                        points=[1.0]).value
     if r > 50.0:
         def inverted(v: float) -> float:
-            return 2.0 * v ** (d - 1) * (1.0 + v * v) ** (-d - 0.5)
+            return 2.0 * v ** (d - 1) * (1.0 + v * v) ** p
 
-        tail, _ = integrate.quad(inverted, 1.0 / r, 1.0 / 50.0, epsabs=0.0,
-                                 epsrel=1e-10, limit=200)
-        val += tail
-    return float(np.exp(logc) * val / r ** (d + 1))
+        val += quadpack.quad(inverted, 1.0 / r, 1.0 / 50.0, epsabs=0.0, epsrel=1e-10,
+                             limit=200).value
+    return float(c * val / r ** (d + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _profile_constant(d: int) -> float:
+    """c_d = Gamma(d + 1/2) / (2 pi^{d/2} Gamma((d+1)/2)), through its log."""
+    from scipy.special import gammaln
+
+    logc = gammaln(d + 0.5) - np.log(2.0) - (d / 2.0) * np.log(np.pi) - gammaln((d + 1) / 2.0)
+    return float(np.exp(logc))
 
 
 def density_ball(x) -> float:

@@ -1,15 +1,18 @@
 """Adaptive Gauss-Kronrod quadrature, many integrals advanced in lockstep.
 
-A port of the QUADPACK routines that ``scipy.integrate.quad`` runs for a
-finite range and for a range [a, inf) (Piessens, de Doncker-Kapenga,
-Ueberhuber and Kahaner, *QUADPACK*, Springer 1983):
+A port of the QUADPACK routines that ``scipy.integrate.quad`` runs without
+a weight function (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
+*QUADPACK*, Springer 1983):
 
 * dqagse with the 21-point Gauss-Kronrod rule dqk21, for [a, b];
-* dqagie with the 15-point rule dqk15i on the map x = a + (1 - t)/t of
-  t in (0, 1], for [a, inf);
-* dqpsrt, which keeps the subintervals ordered by error estimate, and
-  dqelg, Wynn's epsilon algorithm, which extrapolates the sequence of
-  area estimates.
+* dqagpe with dqk21, for [a, b] with break points: a first pass over the
+  intervals between them, then bisection led by each subinterval's level;
+* dqagie with the 15-point rule dqk15i on the map x = bound + (1 - t)/t of
+  t in (0, 1], for [bound, inf), its mirror for (-inf, bound], and
+  x = (1 - t)/t with f(x) + f(-x) summed at each abscissa for the whole line;
+* dqpsrt, which keeps the subintervals ordered by error estimate, dqelg,
+  Wynn's epsilon algorithm, which extrapolates the sequence of area
+  estimates, and the final choice of result, all three shared.
 
 The arithmetic is the Fortran's, operation by operation, and the rules'
 nodes and weights are the doubles that scipy compiles, so an integral
@@ -21,13 +24,15 @@ Each integral is a generator: it yields the abscissae where it needs its
 integrand, receives the values in the same order through ``send``, and
 returns a :class:`Quadrature`. :func:`lockstep` moves a batch of integrals
 forward together, one bisection each per step, and calls one vectorized
-integrand per step for all of them.
+integrand per step for all of them. :func:`quad` runs one integral of a
+scalar integrand, with quad's signature.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import warnings
 from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
@@ -107,15 +112,6 @@ class Quadrature(NamedTuple):
         return MESSAGES[self.ier].format(limit=self.limit)
 
 
-def _abscissae(xgk: Sequence[float], a: float, b: float) -> list[float]:
-    # a rule's abscissae on [a, b]: the centre, then centre - h x_j and
-    # centre + h x_j for the nonzero x_j
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    absc = [hlgth * x for x in xgk]
-    return [centr] + [centr - t for t in absc] + [centr + t for t in absc]
-
-
 def _rule_tail(resk: float, resg: float, resabs: float, resasc: float,
                hlgth: float, dhlgth: float) -> tuple[float, float, float, float]:
     # the common end of dqk21 and dqk15i: scale by the half-length and turn
@@ -132,73 +128,100 @@ def _rule_tail(resk: float, resg: float, resabs: float, resasc: float,
 
 
 class _Kronrod21:
-    """dqk21 on [a, b], at :func:`_abscissae`."""
+    """dqk21 on [a, b]. It asks for f at the centre, then at centre - h x_j
+    and at centre + h x_j for the ten nonzero Kronrod abscissae x_j."""
 
     size = 21
 
     @staticmethod
     def points(a: float, b: float) -> list[float]:
-        return _abscissae(_XGK21[:10], a, b)
+        c = 0.5 * (a + b)
+        h = 0.5 * (b - a)
+        x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, _ = _XGK21
+        t0, t1, t2, t3, t4 = h * x0, h * x1, h * x2, h * x3, h * x4
+        t5, t6, t7, t8, t9 = h * x5, h * x6, h * x7, h * x8, h * x9
+        return [c, c - t0, c - t1, c - t2, c - t3, c - t4, c - t5, c - t6, c - t7, c - t8, c - t9,
+                c + t0, c + t1, c + t2, c + t3, c + t4, c + t5, c + t6, c + t7, c + t8, c + t9]
 
     @staticmethod
     def apply(f: Sequence[float], a: float, b: float):
+        # the Fortran's loops unrolled, each sum in their order: the Gauss
+        # abscissae (odd j) first, then the others
         hlgth = 0.5 * (b - a)
-        fc = f[0]
-        fv1, fv2 = f[1:11], f[11:21]
-        resg = 0.0
-        resk = _WGK21[10] * fc
-        resabs = abs(resk)
-        for j in (1, 3, 5, 7, 9):
-            fval1, fval2 = fv1[j], fv2[j]
-            fsum = fval1 + fval2
-            resg = resg + _WG10[j >> 1] * fsum
-            resk = resk + _WGK21[j] * fsum
-            resabs = resabs + _WGK21[j] * (abs(fval1) + abs(fval2))
-        for j in (0, 2, 4, 6, 8):
-            fval1, fval2 = fv1[j], fv2[j]
-            fsum = fval1 + fval2
-            resk = resk + _WGK21[j] * fsum
-            resabs = resabs + _WGK21[j] * (abs(fval1) + abs(fval2))
-        reskh = resk * 0.5
-        resasc = _WGK21[10] * abs(fc - reskh)
-        for j in range(10):
-            resasc = resasc + _WGK21[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+        fc, l0, l1, l2, l3, l4, l5, l6, l7, l8, l9, r0, r1, r2, r3, r4, r5, r6, r7, r8, r9 = f
+        k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10 = _WGK21
+        g1, g3, g5, g7, g9 = _WG10
+        s0, s1, s2, s3, s4 = l0 + r0, l1 + r1, l2 + r2, l3 + r3, l4 + r4
+        s5, s6, s7, s8, s9 = l5 + r5, l6 + r6, l7 + r7, l8 + r8, l9 + r9
+        resg = 0.0 + g1 * s1 + g3 * s3 + g5 * s5 + g7 * s7 + g9 * s9
+        resk = k10 * fc
+        resabs = (abs(resk) + k1 * (abs(l1) + abs(r1)) + k3 * (abs(l3) + abs(r3))
+                  + k5 * (abs(l5) + abs(r5)) + k7 * (abs(l7) + abs(r7)) + k9 * (abs(l9) + abs(r9))
+                  + k0 * (abs(l0) + abs(r0)) + k2 * (abs(l2) + abs(r2)) + k4 * (abs(l4) + abs(r4))
+                  + k6 * (abs(l6) + abs(r6)) + k8 * (abs(l8) + abs(r8)))
+        resk = (resk + k1 * s1 + k3 * s3 + k5 * s5 + k7 * s7 + k9 * s9
+                + k0 * s0 + k2 * s2 + k4 * s4 + k6 * s6 + k8 * s8)
+        h = resk * 0.5
+        resasc = (k10 * abs(fc - h) + k0 * (abs(l0 - h) + abs(r0 - h)) + k1 * (abs(l1 - h) + abs(r1 - h))
+                  + k2 * (abs(l2 - h) + abs(r2 - h)) + k3 * (abs(l3 - h) + abs(r3 - h))
+                  + k4 * (abs(l4 - h) + abs(r4 - h)) + k5 * (abs(l5 - h) + abs(r5 - h))
+                  + k6 * (abs(l6 - h) + abs(r6 - h)) + k7 * (abs(l7 - h) + abs(r7 - h))
+                  + k8 * (abs(l8 - h) + abs(r8 - h)) + k9 * (abs(l9 - h) + abs(r9 - h)))
         return _rule_tail(resk, resg, resabs, resasc, hlgth, abs(hlgth))
 
 
 class _Kronrod15Infinite:
-    """dqk15i for [bound, inf), mapped onto t in (0, 1] by x = bound + (1 - t)/t:
-    a subinterval [a, b] of (0, 1] asks for the images of its
-    :func:`_abscissae`."""
+    """dqk15i for an infinite range mapped onto t in (0, 1]: [bound, inf) by
+    x = bound + (1 - t)/t (``inf`` = 1), (-inf, bound] by x = bound - (1 - t)/t
+    (``inf`` = -1), and the whole line by x = (1 - t)/t and its mirror -x,
+    whose values it sums (``inf`` = 2). A subinterval [a, b] of (0, 1] asks
+    for f at the images of t = centre, centre - h x_j and centre + h x_j for
+    the seven nonzero Kronrod abscissae x_j, then, for the whole line, at
+    their mirrors in the same order."""
 
-    size = 15
+    def __init__(self, bound: float, inf: int):
+        self.bound = 0.0 if inf == 2 else bound
+        self.sign = -1.0 if inf == -1 else 1.0  # the Fortran's dinf
+        self.two_sided = inf == 2
+        self.size = 30 if self.two_sided else 15
 
-    def __init__(self, bound: float):
-        self.bound = bound
+    @staticmethod
+    def _abscissae(a: float, b: float) -> list[float]:
+        centr = 0.5 * (a + b)
+        hlgth = 0.5 * (b - a)
+        absc = [hlgth * x for x in _XGK15[:7]]
+        return [centr] + [centr - t for t in absc] + [centr + t for t in absc]
 
     def points(self, a: float, b: float) -> list[float]:
-        boun = self.bound
-        return [boun + (1.0 - t) / t for t in _abscissae(_XGK15[:7], a, b)]
+        boun, dinf = self.bound, self.sign
+        x = [boun + dinf * (1.0 - t) / t for t in self._abscissae(a, b)]
+        return x + [-v for v in x] if self.two_sided else x
 
     def apply(self, f: Sequence[float], a: float, b: float):
         hlgth = 0.5 * (b - a)
-        t = _abscissae(_XGK15[:7], a, b)
-        fv = [(v / s) / s for v, s in zip(f, t)]
-        fc = fv[0]
-        fv1, fv2 = fv[1:8], fv[8:15]
-        resg = _WG7[7] * fc
-        resk = _WGK15[7] * fc
-        resabs = abs(resk)
-        for j in range(7):
-            fval1, fval2 = fv1[j], fv2[j]
-            fsum = fval1 + fval2
-            resg = resg + _WG7[j] * fsum
-            resk = resk + _WGK15[j] * fsum
-            resabs = resabs + _WGK15[j] * (abs(fval1) + abs(fval2))
-        reskh = resk * 0.5
-        resasc = _WGK15[7] * abs(fc - reskh)
-        for j in range(7):
-            resasc = resasc + _WGK15[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+        t = self._abscissae(a, b)
+        if self.two_sided:
+            f = [v + w for v, w in zip(f[:15], f[15:])]
+        # the Fortran's loops unrolled, each sum in their order; the Gauss
+        # sum keeps its zero-weight terms, which are NaN at an infinite value
+        fc, l0, l1, l2, l3, l4, l5, l6, r0, r1, r2, r3, r4, r5, r6 = [
+            (v / s) / s for v, s in zip(f, t)]
+        k0, k1, k2, k3, k4, k5, k6, k7 = _WGK15
+        g0, g1, g2, g3, g4, g5, g6, g7 = _WG7
+        s0, s1, s2, s3 = l0 + r0, l1 + r1, l2 + r2, l3 + r3
+        s4, s5, s6 = l4 + r4, l5 + r5, l6 + r6
+        resg = g7 * fc + g0 * s0 + g1 * s1 + g2 * s2 + g3 * s3 + g4 * s4 + g5 * s5 + g6 * s6
+        resk = k7 * fc
+        resabs = (abs(resk) + k0 * (abs(l0) + abs(r0)) + k1 * (abs(l1) + abs(r1))
+                  + k2 * (abs(l2) + abs(r2)) + k3 * (abs(l3) + abs(r3))
+                  + k4 * (abs(l4) + abs(r4)) + k5 * (abs(l5) + abs(r5))
+                  + k6 * (abs(l6) + abs(r6)))
+        resk = resk + k0 * s0 + k1 * s1 + k2 * s2 + k3 * s3 + k4 * s4 + k5 * s5 + k6 * s6
+        h = resk * 0.5
+        resasc = (k7 * abs(fc - h) + k0 * (abs(l0 - h) + abs(r0 - h)) + k1 * (abs(l1 - h) + abs(r1 - h))
+                  + k2 * (abs(l2 - h) + abs(r2 - h)) + k3 * (abs(l3 - h) + abs(r3 - h))
+                  + k4 * (abs(l4 - h) + abs(r4 - h)) + k5 * (abs(l5 - h) + abs(r5 - h))
+                  + k6 * (abs(l6 - h) + abs(r6 - h)))
         return _rule_tail(resk, resg, resabs, resasc, hlgth, hlgth)
 
 
@@ -339,6 +362,45 @@ def _divide(x: float, y: float) -> float:
 Integral = Generator[list, list, Quadrature]
 
 
+def _final(result: float, abserr: float, area: float, errsum: float, ier: int, ierro: int,
+           correc: float, ksgn: int, resabs: float, rlist: list, last: int,
+           summed: bool) -> tuple[float, float, int]:
+    """The common end of dqagse, dqagie and dqagpe: the extrapolated
+    ``result`` unless ``summed`` (the jump out of the loop when the error sum
+    met the bound) or the tests below prefer the sum of the subintervals'
+    areas, the divergence test, and quad's numbering of ``ier``. Returns
+    (result, abserr, ier)."""
+    if not summed:
+        if abserr == _OFLOW:
+            summed = True
+        else:
+            divergence_test = True
+            if ier + ierro != 0:
+                if ierro == 3:
+                    abserr = abserr + correc
+                if ier == 0:
+                    ier = 3
+                if result != 0.0 and area != 0.0:
+                    summed = abserr / abs(result) > errsum / abs(area)
+                elif abserr > errsum:
+                    summed = True
+                elif area == 0.0:
+                    divergence_test = False
+            if not summed and divergence_test:
+                if not (ksgn == -1 and max(abs(result), abs(area)) <= resabs * 0.01):
+                    ratio = _divide(result, area)
+                    if 0.01 > ratio or ratio > 100.0 or errsum > abs(area):
+                        ier = 6
+    if summed:
+        result = 0.0
+        for k in range(1, last + 1):
+            result = result + rlist[k]
+        abserr = errsum
+    if ier > 2:
+        ier -= 1
+    return result, abserr, ier
+
+
 def _adaptive(rule, a: float, b: float, epsabs: float, epsrel: float,
               limit: int) -> Integral:
     """The common body of dqagse and dqagie: bisection of the subinterval
@@ -409,20 +471,7 @@ def _adaptive(rule, a: float, b: float, epsabs: float, epsrel: float,
             ier = 1
         if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
             ier = 4
-        if error2 > error1:
-            alist[maxerr] = a2
-            alist.append(a1)
-            blist.append(b1)
-            rlist[maxerr] = area2
-            rlist[last] = area1
-            elist[maxerr] = error2
-            elist.append(error1)
-        else:
-            alist.append(a2)
-            blist[maxerr] = b1
-            blist.append(b2)
-            elist[maxerr] = error1
-            elist.append(error2)
+        _append(maxerr, a1, b1, a2, b2, area1, area2, error1, error2, alist, blist, rlist, elist)
         iord.append(0)
         maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
@@ -487,36 +536,205 @@ def _adaptive(rule, a: float, b: float, epsabs: float, epsrel: float,
         extrap = False
         small = small * 0.5
         erlarg = errsum
+    result, abserr, ier = _final(result, abserr, area, errsum, ier, ierro, correc, ksgn,
+                                 defabs, rlist, last, summed)
+    return Quadrature(result, abserr, ier, last, limit)
 
-    if not summed:
-        # set the final result and error estimate
-        if abserr == _OFLOW:
+
+def _append(maxerr: int, a1: float, b1: float, a2: float, b2: float, area1: float,
+            area2: float, error1: float, error2: float, alist: list, blist: list,
+            rlist: list, elist: list) -> None:
+    # the bisected subinterval keeps slot maxerr for the half with the larger
+    # error and appends the other half; rlist holds area1 at maxerr and
+    # area2 appended on entry
+    if error2 > error1:
+        alist[maxerr] = a2
+        alist.append(a1)
+        blist.append(b1)
+        rlist[maxerr] = area2
+        rlist[-1] = area1
+        elist[maxerr] = error2
+        elist.append(error1)
+    else:
+        alist.append(a2)
+        blist[maxerr] = b1
+        blist.append(b2)
+        elist[maxerr] = error1
+        elist.append(error2)
+
+
+def _break_points(a: float, b: float, points: list[float], epsabs: float, epsrel: float,
+                  limit: int) -> Integral:
+    """dqagpe on [a, b] with the ascending break points ``points`` inside it:
+    a first pass over the intervals between them, then bisection of the
+    subinterval with the largest error, with epsilon extrapolation once the
+    subinterval to bisect is of the deepest bisection level."""
+    rule = _Kronrod21
+    npts = len(points)
+    nint = npts + 1
+    ends = [a, *points, b]
+    f = yield [x for i in range(nint) for x in rule.points(ends[i], ends[i + 1])]
+    alist, blist, rlist, elist = [0.0], [0.0], [0.0], [0.0]
+    iord, level, ndin = list(range(nint + 1)), [0] * (nint + 1), [False]
+    result = abserr = resabs = 0.0
+    for i in range(nint):
+        a1, b1 = ends[i], ends[i + 1]
+        area1, error1, defabs, resa = rule.apply(f[21 * i:21 * i + 21], a1, b1)
+        abserr = abserr + error1
+        result = result + area1
+        ndin.append(error1 == resa and error1 != 0.0)
+        resabs = resabs + defabs
+        alist.append(a1)
+        blist.append(b1)
+        rlist.append(area1)
+        elist.append(error1)
+    errsum = 0.0
+    for i in range(1, nint + 1):
+        if ndin[i]:
+            elist[i] = abserr
+        errsum = errsum + elist[i]
+    ier = 0
+    dres = abs(result)
+    errbnd = max(epsabs, epsrel * dres)
+    if abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd:
+        ier = 2
+    if nint > 1:
+        # order the first intervals by decreasing error, a selection sort
+        for i in range(1, npts + 1):
+            ind1 = iord[i]
+            for j in range(i + 1, nint + 1):
+                ind2 = iord[j]
+                if elist[ind1] > elist[ind2]:
+                    continue
+                ind1 = ind2
+                k = j
+            if ind1 == iord[i]:
+                continue
+            iord[k] = iord[i]
+            iord[i] = ind1
+        if limit < npts + 2:
+            ier = 1
+    if ier != 0 or abserr <= errbnd:
+        return Quadrature(result, abserr, ier, nint, limit)
+
+    rlist2 = [0.0] * (_LIMEXP + 3)
+    res3la = [0.0] * 4
+    rlist2[1] = result
+    maxerr = iord[1]
+    errmax = elist[maxerr]
+    area = result
+    nrmax = 1
+    nres = 0
+    numrl2 = 1
+    ktmin = 0
+    extrap = noext = False
+    erlarg = errsum
+    ertest = errbnd
+    levmax = 1
+    ierro = iroff1 = iroff2 = iroff3 = 0
+    abserr = _OFLOW
+    ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * resabs else -1
+    correc = 0.0
+    summed = False  # the Fortran's jump to label 190: sum the subintervals
+    last = nint  # a range with no break point and limit 1 skips the loop
+    for last in range(npts + 2, limit + 1):
+        levcur = level[maxerr] + 1
+        a1 = alist[maxerr]
+        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
+        a2 = b1
+        b2 = blist[maxerr]
+        erlast = errmax
+        f = yield rule.points(a1, b1) + rule.points(a2, b2)
+        area1, error1, _, defab1 = rule.apply(f[:21], a1, b1)
+        area2, error2, _, defab2 = rule.apply(f[21:], a2, b2)
+        area12 = area1 + area2
+        erro12 = error1 + error2
+        errsum = errsum + erro12 - errmax
+        area = area + area12 - rlist[maxerr]
+        if not (defab1 == error1 or defab2 == error2):
+            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
+                    or erro12 < 0.99 * errmax):
+                if extrap:
+                    iroff2 += 1
+                else:
+                    iroff1 += 1
+            if last > 10 and erro12 > errmax:
+                iroff3 += 1
+        level[maxerr] = levcur
+        level.append(levcur)
+        rlist[maxerr] = area1
+        rlist.append(area2)
+        errbnd = max(epsabs, epsrel * abs(area))
+        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
+            ier = 2
+        if iroff2 >= 5:
+            ierro = 3
+        if last == limit:
+            ier = 1
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
+            ier = 4
+        _append(maxerr, a1, b1, a2, b2, area1, area2, error1, error2, alist, blist, rlist, elist)
+        iord.append(0)
+        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        if errsum <= errbnd:
             summed = True
-        else:
-            divergence_test = True
-            if ier + ierro != 0:
-                if ierro == 3:
-                    abserr = abserr + correc
-                if ier == 0:
-                    ier = 3
-                if result != 0.0 and area != 0.0:
-                    summed = abserr / abs(result) > errsum / abs(area)
-                elif abserr > errsum:
-                    summed = True
-                elif area == 0.0:
-                    divergence_test = False
-            if not summed and divergence_test:
-                if not (ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01):
-                    ratio = _divide(result, area)
-                    if 0.01 > ratio or ratio > 100.0 or errsum > abs(area):
-                        ier = 6
-    if summed:
-        result = 0.0
-        for k in range(1, last + 1):
-            result = result + rlist[k]
-        abserr = errsum
-    if ier > 2:
-        ier -= 1
+            break
+        if ier != 0:
+            break
+        if noext:
+            continue
+        erlarg = erlarg - erlast
+        if levcur + 1 <= levmax:
+            erlarg = erlarg + erro12
+        if not extrap:
+            # is the subinterval to bisect next of the deepest level?
+            if level[maxerr] + 1 <= levmax:
+                continue
+            extrap = True
+            nrmax = 2
+        if not (ierro == 3 or erlarg <= ertest):
+            # the deepest subinterval has the largest error: bisect the
+            # shallower ones first while their error sum exceeds the test
+            jupbnd = last
+            if last > 2 + limit // 2:
+                jupbnd = limit + 3 - last
+            larger = False
+            for _ in range(nrmax, jupbnd + 1):
+                maxerr = iord[nrmax]
+                errmax = elist[maxerr]
+                if level[maxerr] + 1 <= levmax:
+                    larger = True
+                    break
+                nrmax += 1
+            if larger:
+                continue
+        numrl2 += 1
+        rlist2[numrl2] = area
+        if numrl2 > 2:
+            numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
+            ktmin += 1
+            if ktmin > 5 and abserr < 1e-3 * errsum:
+                ier = 5
+            if abseps < abserr:
+                ktmin = 0
+                abserr = abseps
+                result = reseps
+                correc = erlarg
+                ertest = max(epsabs, epsrel * abs(reseps))
+                if abserr < ertest:
+                    break
+            if numrl2 == 1:
+                noext = True
+            if ier >= 5:
+                break
+        maxerr = iord[1]
+        errmax = elist[maxerr]
+        nrmax = 1
+        extrap = False
+        levmax += 1
+        erlarg = errsum
+    result, abserr, ier = _final(result, abserr, area, errsum, ier, ierro, correc, ksgn,
+                                 resabs, rlist, last, summed)
     return Quadrature(result, abserr, ier, last, limit)
 
 
@@ -525,9 +743,25 @@ def qags(a: float, b: float, epsabs: float, epsrel: float, limit: int) -> Integr
     return _adaptive(_Kronrod21, float(a), float(b), epsabs, epsrel, limit)
 
 
-def qagi(bound: float, epsabs: float, epsrel: float, limit: int) -> Integral:
-    """The integral over [bound, inf), as ``quad(f, bound, inf, ...)``."""
-    return _adaptive(_Kronrod15Infinite(float(bound)), 0.0, 1.0, epsabs, epsrel, limit)
+def qagi(bound: float, epsabs: float, epsrel: float, limit: int, inf: int = 1) -> Integral:
+    """The integral over [bound, inf) (``inf`` = 1), as ``quad(f, bound, inf,
+    ...)``; over (-inf, bound] (``inf`` = -1); or over the whole line
+    (``inf`` = 2, ``bound`` ignored), as ``quad(f, -inf, inf, ...)``."""
+    return _adaptive(_Kronrod15Infinite(float(bound), inf), 0.0, 1.0, epsabs, epsrel, limit)
+
+
+def qagp(a: float, b: float, points: Sequence[float], epsabs: float, epsrel: float,
+         limit: int) -> Integral:
+    """The integral over [a, b], a < b, with the break points ``points``, as
+    ``quad(f, a, b, epsabs, epsrel, limit, points=points)``: the distinct
+    points strictly inside (a, b) split it. Raises ValueError, as quad does,
+    unless ``limit`` exceeds their number."""
+    a, b = float(a), float(b)
+    inside = sorted({float(p) for p in points if a < p < b})
+    if limit <= len(inside):
+        raise ValueError(f"Number of break points ({len(points):d}) "
+                         f"must be less than subinterval limit ({limit:d})")
+    return _break_points(a, b, inside, epsabs, epsrel, limit)
 
 
 def lockstep(integrals: Sequence[Integral],
@@ -554,3 +788,50 @@ def lockstep(integrals: Sequence[Integral],
                 results[i] = done.value
             start += count
     return results
+
+
+class IntegrationWarning(UserWarning):
+    """A nonzero ``ier`` from :func:`quad`, as ``scipy.integrate.quad`` warns."""
+
+
+def quad(f: Callable[[float], float], a: float, b: float, epsabs: float = 1.49e-8,
+         epsrel: float = 1.49e-8, limit: int = 50,
+         points: Sequence[float] | None = None) -> Quadrature:
+    """``scipy.integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel,
+    limit=limit, points=points)`` for a scalar integrand ``f``.
+
+    Picks the routine quad picks, dqagse, dqagie or dqagpe, calls ``f`` at
+    one float at a time, and returns the whole :class:`Quadrature`: quad's
+    value and error estimate bit for bit, with ``ier`` and ``last``. Reversed
+    limits negate the value, and a nonzero ``ier`` warns with quad's
+    message. Raises ValueError where quad does for invalid input.
+    """
+    if a == b:
+        return Quadrature(0.0, 0.0, 0, 0, limit)
+    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 5e-29):
+        raise ValueError("If 'epsabs'<=0, 'epsrel' must be greater than both"
+                         " 5e-29 and 50*(machine epsilon).")
+    if limit < 1:
+        raise ValueError("Invalid 'limit' argument. There must be at least one subinterval")
+    flip, a, b = b < a, min(a, b), max(a, b)
+    if points is not None:
+        if a == -math.inf or b == math.inf:
+            raise ValueError("Infinity inputs cannot be used with break points.")
+        integral = qagp(a, b, points, epsabs, epsrel, limit)
+    elif b == math.inf:
+        integral = qagi(a, epsabs, epsrel, limit, inf=2 if a == -math.inf else 1)
+    elif a == -math.inf:
+        integral = qagi(b, epsabs, epsrel, limit, inf=-1)
+    else:
+        integral = qags(a, b, epsabs, epsrel, limit)
+    x = next(integral)
+    try:
+        while True:
+            x = integral.send([float(f(p)) for p in x])
+    except StopIteration as done:
+        result = done.value
+    if flip:
+        result = result._replace(value=-result.value)
+    if result.ier:
+        warnings.warn(result.message, IntegrationWarning, stacklevel=2)
+    return result

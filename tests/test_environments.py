@@ -110,3 +110,23 @@ def test_best_in_hindsight_zero_sum_tie():
     u = env.best_in_hindsight(aset, losses)
     # any point is optimal; tie-break returns a vertex with zero regret gap
     assert float(losses.sum(axis=0) @ u) == 0.0
+
+
+@pytest.mark.parametrize("geometry", [geom.HYPERCUBE, geom.BALL])
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_support_norms_in_blocks_equal_whole_array_reductions(monkeypatch, geometry, block):
+    # blocks of any size give each row the bits of one whole-array reduction,
+    # and generate divides by them in place
+    monkeypatch.setattr(env, "_NORM_BLOCK", block)
+    rng = make_rng(71)
+    for d in (1, 3, 9, 130, 1024):
+        rows = rng.standard_normal((50, d)) * rng.uniform(0.1, 10.0, (50, 1))
+        whole = (np.sum(np.abs(rows), axis=1) if geometry == geom.HYPERCUBE
+                 else np.linalg.norm(rows, axis=1))
+        aset = geom.ActionSetModel(dimension=d, kind=geometry)
+        assert np.array_equal(env._support_norms(aset, rows), whole)
+        spec = env.AdversarySpec(kind=env.SEEDED_RANDOM, geometry=geometry, seed=d)
+        drawn = make_rng(d).standard_normal((50, d))
+        scale = (np.sum(np.abs(drawn), axis=1) if geometry == geom.HYPERCUBE
+                 else np.linalg.norm(drawn, axis=1))
+        assert np.array_equal(env.generate(spec, d, 50), drawn / scale[:, None])

@@ -520,6 +520,22 @@ def test_covariance_ball_k_range_guard(monkeypatch):
         est.covariance_ball(np.array([1.0, 0.0]), 2)
 
 
+def test_covariance_balls_equal_covariance_ball():
+    # the per-dimension K batches give each state's covariance_ball model,
+    # the degenerate drifts included
+    rng = make_rng(47)
+    thetas = [rng.standard_normal(d) * rng.uniform(0.1, 5.0)
+              for d in rng.integers(2, 9, size=40).tolist()]
+    thetas += [np.zeros(3), np.array([0.7]), np.array([1e-15, 0.0])]
+    for theta, model in zip(thetas, est.covariance_balls(thetas)):
+        one = est.covariance_ball(theta, theta.size)
+        assert (model.dimension, model.theta_norm, model.k) == (one.dimension, one.theta_norm,
+                                                                one.k)
+        assert np.array_equal(model.theta, one.theta)
+    with pytest.raises(ValueError, match="finite"):
+        est.covariance_balls([np.array([1.0, 2.0]), np.array([math.inf, 0.0])])
+
+
 # ---------------------------------------------------------------------------
 # Q^{-1} closed forms at extreme drift
 # ---------------------------------------------------------------------------

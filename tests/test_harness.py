@@ -970,6 +970,18 @@ def test_ball_run_leaves_scipy_integrate_unloaded(tmp_path):
     assert result.stdout.split() == ["0", "True", "False", "False"]
 
 
+def test_verify_suite_leaves_scipy_integrate_unloaded():
+    # the checks' quadratures, nested ones included, run through the port:
+    # the whole suite loads scipy.special and never scipy.integrate
+    code = ("import sys; from scbandits.cli import main; status = main(sys.argv[1:]); "
+            "print(status, *(m in sys.modules for m in ('scipy.special', 'scipy.integrate')))")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code, "verify", "--scale", "0.01", "--quiet"],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.split() == ["0", "True", "False"]
+
+
 def test_cli_missing_config_file_exits_1(tmp_path, capsys):
     missing = tmp_path / "absent.json"
     assert cli_main(["verify", "--config", str(missing), "--quiet"]) == 1

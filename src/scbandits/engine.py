@@ -263,9 +263,9 @@ def run_seeds(spec: AlgorithmSpec, losses, rngs, competitor) -> tuple[np.ndarray
     """Run one seed per generator in ``rngs``, keeping only what regret outputs read.
 
     Returns the (n, S) per-round regret increments <y_t, A_t - u> of the S
-    seeds against ``competitor`` u, whose ``cumsum`` along rounds is each
-    seed's :func:`cumulative_regret`, and the (S,) step-violation counts;
-    both equal the per-seed runs' values bit for bit. Two or more
+    seeds against ``competitor`` u, column j being ``np.vecdot(losses,
+    trace.action - u)`` of seed j's :func:`run`, and the (S,) step-violation
+    counts; both equal the per-seed runs' values bit for bit. Two or more
     perturbed-leader seeds run their recurrences together on (S, d) arrays;
     one seed, and each Dikin-pole seed, runs alone. Every block of rounds is
     reduced as it comes, so no (n, d) array is kept. An abort raises the
@@ -550,13 +550,6 @@ def regret(trace: Trace, losses, competitor) -> float:
     competitor = np.asarray(competitor, dtype=float)
     played = sum(np.vecdot(losses, trace.action).tolist())
     return played - float(losses.sum(axis=0) @ competitor)
-
-
-def cumulative_regret(trace: Trace, losses, competitor) -> np.ndarray:
-    """Per-round running sum of <y_t, A_t - u>, as an (n,) array."""
-    losses = np.asarray(losses, dtype=float)
-    competitor = np.asarray(competitor, dtype=float)
-    return np.cumsum(np.vecdot(losses, trace.action - competitor))
 
 
 def bregman_diagnostic(aset: ActionSetModel, eta: float, trace: Trace) -> np.ndarray:

@@ -51,30 +51,33 @@ class AdversarySpec:
                 f"unknown adversary kind {self.kind!r}; expected one of {ADVERSARY_KINDS}")
 
 
-# Entries of the (rows, d) temporary that one block of _support_norms makes: 512 KiB
+# Entries of the (rows, d) temporary that one block of support_norms makes: 512 KiB
 _NORM_BLOCK = 1 << 16
 
 
-def _support_norms(aset: ActionSetModel, rows: np.ndarray) -> np.ndarray:
+def support_norms(aset: ActionSetModel, rows: np.ndarray) -> np.ndarray:
     """sup_a |<y, a>| over the body for each row y: the l1 norm on the hypercube, l2 on the ball.
 
     Taken in blocks of rows, so that no temporary as large as ``rows`` is
     made; each row's reduction is the one a whole-array call makes, bit for bit.
+    A norm that overflows is inf, without a warning: the callers reject it.
     """
     out = np.empty(rows.shape[0])
     step = max(_NORM_BLOCK // max(rows.shape[1], 1), 1)
-    for start in range(0, rows.shape[0], step):
-        block = rows[start:start + step]
-        out[start:start + step] = (np.sum(np.abs(block), axis=1) if aset.kind == HYPERCUBE
-                                   else np.linalg.norm(block, axis=1))
+    with np.errstate(over="ignore"):
+        for start in range(0, rows.shape[0], step):
+            block = rows[start:start + step]
+            out[start:start + step] = (np.sum(np.abs(block), axis=1) if aset.kind == HYPERCUBE
+                                       else np.linalg.norm(block, axis=1))
     return out
 
 
 def _normalize_rows(aset: ActionSetModel, rows: np.ndarray) -> np.ndarray:
     """Divide each row of ``rows`` by its support norm, in place, and return it."""
-    scale = _support_norms(aset, rows)
-    if np.any(scale == 0.0):
-        raise ValueError("adversary produced a zero loss vector; cannot normalize")
+    scale = support_norms(aset, rows)
+    if not np.all(np.isfinite(scale) & (scale != 0.0)):
+        raise ValueError("adversary produced a loss vector whose support norm is 0 or not "
+                         "finite; cannot normalize")
     rows /= scale[:, None]
     return rows
 
@@ -146,4 +149,4 @@ def boundedness_violation(aset: ActionSetModel, losses) -> float:
     """max_t sup_a |<y_t, a>| - 1 over an (n, d) array; nonpositive means the
     sequence is valid, NaN that some row has a NaN. An empty sequence gives -1."""
     losses = np.asarray(losses, dtype=float)
-    return float(np.max(_support_norms(aset, losses), initial=0.0) - 1.0)
+    return float(np.max(support_norms(aset, losses), initial=0.0) - 1.0)

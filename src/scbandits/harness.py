@@ -50,6 +50,7 @@ from .environments import (
     AdversarySpec,
     best_in_hindsight,
     generate,
+    support_norms,
 )
 from . import perturbations
 from .rng import make_rng
@@ -159,8 +160,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 f"must be positive or 'auto', got {rate!r}")
         rate = float(rate)
     n = raw.get("horizon")
-    _expect(_is_int(n) and n >= (2 if rate == "auto" else 1), "$.horizon",
-            f"must be a positive integer, at least 2 with the 'auto' learning rate, got {n!r}")
+    _expect(_is_int(n) and (2 if rate == "auto" else 1) <= n <= sys.maxsize, "$.horizon",
+            f"must be an integer in [1, {sys.maxsize}], at least 2 with the 'auto' "
+            f"learning rate, got {n!r}")
 
     algorithm = raw.get("algorithm", SCFTPL)
     _expect(algorithm in (SCFTPL, SCRIBBLE), "$.algorithm",
@@ -174,20 +176,27 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             f"must be one of {ADVERSARY_KINDS}, got {adv_kind!r}")
     _expect(adv_kind != ROTATING_DIRECTION or d >= 2, "$.adversary.kind",
             f"'{ROTATING_DIRECTION}' needs a dimension of at least 2, got {d}")
+    aset = ActionSetModel(dimension=d, kind=kind)
     base_vec = adv_raw.get("base")
     if base_vec is not None:
         _expect(isinstance(base_vec, (list, tuple)) and len(base_vec) == d
                 and all(_is_finite_number(v) for v in base_vec) and any(base_vec),
                 "$.adversary.base", f"must be a length-{d} array of numbers, not all 0")
         base_vec = tuple(float(v) for v in base_vec)
+        # the losses are divided by it: an infinite norm would make them all 0
+        norm = support_norms(aset, np.array([base_vec]))[0]
+        _expect(math.isfinite(norm), "$.adversary.base",
+                f"must have a finite support norm on the {kind}, got {norm!r}")
     period = adv_raw.get("period")
     if period is not None:
-        _expect(_is_int(period) and period >= 1, "$.adversary.period",
-                f"must be a positive integer, got {period!r}")
+        _expect(_is_int(period) and 1 <= period <= sys.maxsize, "$.adversary.period",
+                f"must be an integer in [1, {sys.maxsize}], got {period!r}")
     angle = adv_raw.get("angle")
     if angle is not None:
-        _expect(_is_finite_number(angle), "$.adversary.angle",
-                f"must be a finite number, got {angle!r}")
+        # the last round turns the base by angle * (horizon - 1)
+        _expect(_is_finite_number(angle) and math.isfinite(float(angle) * (n - 1)),
+                "$.adversary.angle",
+                f"must be a finite number, also times horizon - 1 = {n - 1}, got {angle!r}")
         angle = float(angle)
     adv_seed = adv_raw.get("seed")
     if adv_seed is not None:
@@ -224,8 +233,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     limit = 255 - (29 if write_per_seed else 13)
     _expect(size <= limit, "$.label", f"must encode in at most {limit} bytes, got {size}")
 
-    spec = AlgorithmSpec(variant=algorithm, action_set=ActionSetModel(dimension=d, kind=kind),
-                         learning_rate=rate)
+    spec = AlgorithmSpec(variant=algorithm, action_set=aset, learning_rate=rate)
     return ExperimentConfig(spec=spec, horizon=n, adversary=adversary, seeds=tuple(seeds),
                             out_dir=out_dir, label=label, write_per_seed=write_per_seed)
 
@@ -241,9 +249,13 @@ def verify_options_from_dict(raw: dict, scale: float) -> VerifyOptions:
     seed = raw.get("seed", VerifyOptions.seed)
     _expect(_is_int(seed) and 0 <= seed < 2**64, "$.seed",
             f"must be a 64-bit unsigned integer, got {seed!r}")
+    where = "$.scale" if "scale" in raw else "--scale"
     scale = raw.get("scale", scale)
-    _expect(_is_finite_number(scale) and scale > 0, "$.scale",
+    _expect(_is_finite_number(scale) and scale > 0, where,
             f"must be a positive finite number, got {scale!r}")
+    # the largest sample count a check asks for is 10**6 * scale
+    _expect(math.isfinite(1e6 * scale), where,
+            f"must leave 10**6 * scale finite, got {scale!r}")
     checks = raw.get("checks")
     if checks is not None:
         _expect(isinstance(checks, list) and len(checks) >= 1

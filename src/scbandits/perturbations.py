@@ -168,14 +168,6 @@ def _profile_constant(d: int) -> float:
     return float(np.exp(logc))
 
 
-def density_ball(x) -> float:
-    """Density of the ball perturbation at a point (spherical in ||x||)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("density_ball expects a d-vector with d >= 1")
-    return radial_profile_ball(float(np.linalg.norm(x)), x.size)
-
-
 def log_sphere_surface(n: int) -> float:
     """log of the surface area of the unit n-sphere embedded in R^{n+1}."""
     from scipy.special import gammaln

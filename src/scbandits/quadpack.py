@@ -5,14 +5,19 @@ a weight function (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
 *QUADPACK*, Springer 1983):
 
 * dqagse with the 21-point Gauss-Kronrod rule dqk21, for [a, b];
-* dqagpe with dqk21, for [a, b] with break points: a first pass over the
-  intervals between them, then bisection led by each subinterval's level;
 * dqagie with the 15-point rule dqk15i on the map x = bound + (1 - t)/t of
-  t in (0, 1], for [bound, inf), its mirror for (-inf, bound], and
-  x = (1 - t)/t with f(x) + f(-x) summed at each abscissa for the whole line;
+  t in (0, 1], for [bound, inf), and x = (1 - t)/t with f(x) + f(-x) summed
+  at each abscissa for the whole line;
+* dqagpe with dqk21, for [a, b] with break points;
 * dqpsrt, which keeps the subintervals ordered by error estimate, dqelg,
   Wynn's epsilon algorithm, which extrapolates the sequence of area
-  estimates, and the final choice of result, all three shared.
+  estimates, and the final choice of result.
+
+The three routines differ in their first pass: one rule over the whole
+range in dqagse and dqagie, one per interval between break points in
+dqagpe. They share one bisection loop, :func:`_adaptive`, which calls a
+subinterval small by its length in dqagse and dqagie and by its bisection
+level in dqagpe.
 
 The arithmetic is the Fortran's, operation by operation, and the rules'
 nodes and weights are the doubles that scipy compiles, so an integral
@@ -172,16 +177,14 @@ class _Kronrod21:
 
 class _Kronrod15Infinite:
     """dqk15i for an infinite range mapped onto t in (0, 1]: [bound, inf) by
-    x = bound + (1 - t)/t (``inf`` = 1), (-inf, bound] by x = bound - (1 - t)/t
-    (``inf`` = -1), and the whole line by x = (1 - t)/t and its mirror -x,
-    whose values it sums (``inf`` = 2). A subinterval [a, b] of (0, 1] asks
-    for f at the images of t = centre, centre - h x_j and centre + h x_j for
-    the seven nonzero Kronrod abscissae x_j, then, for the whole line, at
-    their mirrors in the same order."""
+    x = bound + (1 - t)/t (``inf`` = 1), and the whole line by x = (1 - t)/t
+    and its mirror -x, whose values it sums (``inf`` = 2). A subinterval
+    [a, b] of (0, 1] asks for f at the images of t = centre, centre - h x_j
+    and centre + h x_j for the seven nonzero Kronrod abscissae x_j, then, for
+    the whole line, at their mirrors in the same order."""
 
     def __init__(self, bound: float, inf: int):
         self.bound = 0.0 if inf == 2 else bound
-        self.sign = -1.0 if inf == -1 else 1.0  # the Fortran's dinf
         self.two_sided = inf == 2
         self.size = 30 if self.two_sided else 15
 
@@ -193,8 +196,8 @@ class _Kronrod15Infinite:
         return [centr] + [centr - t for t in absc] + [centr + t for t in absc]
 
     def points(self, a: float, b: float) -> list[float]:
-        boun, dinf = self.bound, self.sign
-        x = [boun + dinf * (1.0 - t) / t for t in self._abscissae(a, b)]
+        boun = self.bound
+        x = [boun + (1.0 - t) / t for t in self._abscissae(a, b)]
         return x + [-v for v in x] if self.two_sided else x
 
     def apply(self, f: Sequence[float], a: float, b: float):
@@ -401,44 +404,54 @@ def _final(result: float, abserr: float, area: float, errsum: float, ier: int, i
     return result, abserr, ier
 
 
-def _adaptive(rule, a: float, b: float, epsabs: float, epsrel: float,
-              limit: int) -> Integral:
-    """The common body of dqagse and dqagie: bisection of the subinterval
-    with the largest error, with epsilon extrapolation once the smallest
-    subinterval carries it. ``rule`` is :class:`_Kronrod21` on [a, b], or
-    :class:`_Kronrod15Infinite` on [0, 1]."""
-    ier = 0
-    f = yield rule.points(a, b)
-    result, abserr, defabs, resabs = rule.apply(f, a, b)
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
-    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
-        ier = 2
-    if limit == 1:
-        ier = 1
-    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return Quadrature(result, abserr, ier, 1, limit)
+def _large(k: int, alist: list, blist: list, small: float, level: list | None,
+           levmax: int) -> bool:
+    # is subinterval k above the smallest size: longer than ``small`` in
+    # dqagse and dqagie, of a level below ``levmax`` in dqagpe?
+    return abs(blist[k] - alist[k]) > small if level is None else level[k] < levmax
 
-    alist, blist, rlist, elist, iord = [0.0, a], [0.0, b], [0.0, result], [0.0, abserr], [0, 1]
+
+def _adaptive(rule, ends: list[float], first_pass, epsabs: float, epsrel: float,
+              limit: int) -> Integral:
+    """One integral: ``first_pass`` on ``rule``'s values over the intervals
+    between ``ends``, then bisection of the subinterval with the largest
+    error, with the sequence of areas extrapolated by the epsilon algorithm
+    once the subinterval to bisect is of the smallest size.
+
+    ``first_pass`` is :func:`_whole_range` (dqagse and dqagie) or
+    :func:`_break_points` (dqagpe). The first sizes a subinterval by its
+    length against ``small``, set to 0.375 of the range and halved after
+    each extrapolation, the second by its bisection level (``level``)
+    against ``levmax``, raised by one after each extrapolation."""
+    f = yield [x for i in range(len(ends) - 1) for x in rule.points(ends[i], ends[i + 1])]
+    first = first_pass(rule, f, ends, epsabs, epsrel, limit)
+    if isinstance(first, Quadrature):
+        return first
+    alist, blist, rlist, elist, iord, level, result, errsum, resabs = first
     rlist2 = [0.0] * (_LIMEXP + 3)
     res3la = [0.0] * 4
     rlist2[1] = result
-    errmax = abserr
-    maxerr = 1
+    maxerr = iord[1]
+    errmax = elist[maxerr]
     area = result
-    errsum = abserr
+    dres = abs(result)
+    erlarg = errsum
+    ertest = max(epsabs, epsrel * dres)
     abserr = _OFLOW
     nrmax = 1
     nres = 0
-    numrl2 = 2
+    numrl2 = 1
     ktmin = 0
     extrap = noext = False
-    ierro = iroff1 = iroff2 = iroff3 = 0
-    ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * defabs else -1
-    small = erlarg = ertest = correc = 0.0
+    ier = ierro = iroff1 = iroff2 = iroff3 = 0
+    ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * resabs else -1
+    small = abs(blist[1] - alist[1]) * 0.375
+    levmax = 1
+    correc = 0.0
     size = rule.size
-    summed = False  # the Fortran's jump to label 115: sum the subintervals
-    for last in range(2, limit + 1):
+    summed = False  # the Fortran's jump out of the loop: sum the subintervals
+    last = len(alist) - 1  # dqagpe with no break point and limit 1 skips the loop
+    for last in range(last + 1, limit + 1):
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])
         a2 = b1
@@ -460,8 +473,9 @@ def _adaptive(rule, a: float, b: float, epsabs: float, epsrel: float,
                     iroff1 += 1
             if last > 10 and erro12 > errmax:
                 iroff3 += 1
-        rlist[maxerr] = area1
-        rlist.append(area2)
+        if level is not None:
+            level[maxerr] += 1
+            level.append(level[maxerr])
         errbnd = max(epsabs, epsrel * abs(area))
         if iroff1 + iroff2 >= 10 or iroff3 >= 20:
             ier = 2
@@ -471,7 +485,24 @@ def _adaptive(rule, a: float, b: float, epsabs: float, epsrel: float,
             ier = 1
         if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
             ier = 4
-        _append(maxerr, a1, b1, a2, b2, area1, area2, error1, error2, alist, blist, rlist, elist)
+        # the bisected subinterval keeps slot maxerr for the half with the
+        # larger error and appends the other half
+        if error2 > error1:
+            alist[maxerr] = a2
+            alist.append(a1)
+            blist.append(b1)
+            rlist[maxerr] = area2
+            rlist.append(area1)
+            elist[maxerr] = error2
+            elist.append(error1)
+        else:
+            alist.append(a2)
+            blist[maxerr] = b1
+            blist.append(b2)
+            rlist[maxerr] = area1
+            rlist.append(area2)
+            elist[maxerr] = error1
+            elist.append(error2)
         iord.append(0)
         maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
@@ -479,20 +510,22 @@ def _adaptive(rule, a: float, b: float, epsabs: float, epsrel: float,
             break
         if ier != 0:
             break
-        if last == 2:
-            small = abs(b - a) * 0.375
+        if level is None and last == 2:
+            # dqagse and dqagie start the extrapolation table here; dqagpe
+            # stores its second entry at its first pass through the table
             erlarg = errsum
             ertest = errbnd
+            numrl2 = 2
             rlist2[2] = area
             continue
         if noext:
             continue
         erlarg = erlarg - erlast
-        if abs(b1 - a1) > small:
+        if (abs(b1 - a1) > small) if level is None else (level[last] < levmax):
             erlarg = erlarg + erro12
         if not extrap:
-            # is the subinterval to bisect next the smallest one?
-            if abs(blist[maxerr] - alist[maxerr]) > small:
+            # is the subinterval to bisect next of the smallest size?
+            if _large(maxerr, alist, blist, small, level, levmax):
                 continue
             extrap = True
             nrmax = 2
@@ -506,7 +539,7 @@ def _adaptive(rule, a: float, b: float, epsabs: float, epsrel: float,
             for _ in range(nrmax, jupbnd + 1):
                 maxerr = iord[nrmax]
                 errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
+                if _large(maxerr, alist, blist, small, level, levmax):
                     larger = True
                     break
                 nrmax += 1
@@ -514,72 +547,70 @@ def _adaptive(rule, a: float, b: float, epsabs: float, epsrel: float,
                 continue
         numrl2 += 1
         rlist2[numrl2] = area
-        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
-        ktmin += 1
-        if ktmin > 5 and abserr < 1e-3 * errsum:
-            ier = 5
-        if abseps < abserr:
-            ktmin = 0
-            abserr = abseps
-            result = reseps
-            correc = erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
-            if abserr <= ertest:
+        if numrl2 > 2:
+            numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
+            ktmin += 1
+            if ktmin > 5 and abserr < 1e-3 * errsum:
+                ier = 5
+            if abseps < abserr:
+                ktmin = 0
+                abserr = abseps
+                result = reseps
+                correc = erlarg
+                ertest = max(epsabs, epsrel * abs(reseps))
+                # dqagse and dqagie stop at the test too, dqagpe only below it
+                if abserr < ertest or abserr == ertest and level is None:
+                    break
+            if numrl2 == 1:
+                noext = True
+            if ier == 5:
                 break
-        if numrl2 == 1:
-            noext = True
-        if ier == 5:
-            break
         maxerr = iord[1]
         errmax = elist[maxerr]
         nrmax = 1
         extrap = False
         small = small * 0.5
+        levmax += 1
         erlarg = errsum
     result, abserr, ier = _final(result, abserr, area, errsum, ier, ierro, correc, ksgn,
-                                 defabs, rlist, last, summed)
+                                 resabs, rlist, last, summed)
     return Quadrature(result, abserr, ier, last, limit)
 
 
-def _append(maxerr: int, a1: float, b1: float, a2: float, b2: float, area1: float,
-            area2: float, error1: float, error2: float, alist: list, blist: list,
-            rlist: list, elist: list) -> None:
-    # the bisected subinterval keeps slot maxerr for the half with the larger
-    # error and appends the other half; rlist holds area1 at maxerr and
-    # area2 appended on entry
-    if error2 > error1:
-        alist[maxerr] = a2
-        alist.append(a1)
-        blist.append(b1)
-        rlist[maxerr] = area2
-        rlist[-1] = area1
-        elist[maxerr] = error2
-        elist.append(error1)
-    else:
-        alist.append(a2)
-        blist[maxerr] = b1
-        blist.append(b2)
-        elist[maxerr] = error1
-        elist.append(error2)
+def _whole_range(rule, f: list, ends: list[float], epsabs: float, epsrel: float,
+                 limit: int):
+    """The first pass of dqagse and dqagie: one rule over the whole range,
+    [a, b] or, for dqagie, [0, 1]. Returns the :class:`Quadrature` if it ends
+    the routine, else what :func:`_adaptive` bisects."""
+    a, b = ends
+    ier = 0
+    result, abserr, defabs, resabs = rule.apply(f, a, b)
+    errbnd = max(epsabs, epsrel * abs(result))
+    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+        ier = 2
+    if limit == 1:
+        ier = 1
+    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+        return Quadrature(result, abserr, ier, 1, limit)
+    return [0.0, a], [0.0, b], [0.0, result], [0.0, abserr], [0, 1], None, result, abserr, defabs
 
 
-def _break_points(a: float, b: float, points: list[float], epsabs: float, epsrel: float,
-                  limit: int) -> Integral:
-    """dqagpe on [a, b] with the ascending break points ``points`` inside it:
-    a first pass over the intervals between them, then bisection of the
-    subinterval with the largest error, with epsilon extrapolation once the
-    subinterval to bisect is of the deepest bisection level."""
-    rule = _Kronrod21
-    npts = len(points)
-    nint = npts + 1
-    ends = [a, *points, b]
-    f = yield [x for i in range(nint) for x in rule.points(ends[i], ends[i + 1])]
+def _break_points(rule, f: list, ends: list[float], epsabs: float, epsrel: float,
+                  limit: int):
+    """The first pass of dqagpe: the rule over each interval between the
+    ascending ``ends``, the range's ends with the break points inside it,
+    and the intervals ordered by decreasing error. Returns the
+    :class:`Quadrature` if it ends the routine, else what :func:`_adaptive`
+    bisects."""
+    nint = len(ends) - 1
+    npts = nint - 1
+    size = rule.size
     alist, blist, rlist, elist = [0.0], [0.0], [0.0], [0.0]
-    iord, level, ndin = list(range(nint + 1)), [0] * (nint + 1), [False]
+    iord, ndin = list(range(nint + 1)), [False]
     result = abserr = resabs = 0.0
     for i in range(nint):
         a1, b1 = ends[i], ends[i + 1]
-        area1, error1, defabs, resa = rule.apply(f[21 * i:21 * i + 21], a1, b1)
+        area1, error1, defabs, resa = rule.apply(f[size * i:size * i + size], a1, b1)
         abserr = abserr + error1
         result = result + area1
         ndin.append(error1 == resa and error1 != 0.0)
@@ -594,8 +625,7 @@ def _break_points(a: float, b: float, points: list[float], epsabs: float, epsrel
             elist[i] = abserr
         errsum = errsum + elist[i]
     ier = 0
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
+    errbnd = max(epsabs, epsrel * abs(result))
     if abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd:
         ier = 2
     if nint > 1:
@@ -616,138 +646,20 @@ def _break_points(a: float, b: float, points: list[float], epsabs: float, epsrel
             ier = 1
     if ier != 0 or abserr <= errbnd:
         return Quadrature(result, abserr, ier, nint, limit)
-
-    rlist2 = [0.0] * (_LIMEXP + 3)
-    res3la = [0.0] * 4
-    rlist2[1] = result
-    maxerr = iord[1]
-    errmax = elist[maxerr]
-    area = result
-    nrmax = 1
-    nres = 0
-    numrl2 = 1
-    ktmin = 0
-    extrap = noext = False
-    erlarg = errsum
-    ertest = errbnd
-    levmax = 1
-    ierro = iroff1 = iroff2 = iroff3 = 0
-    abserr = _OFLOW
-    ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * resabs else -1
-    correc = 0.0
-    summed = False  # the Fortran's jump to label 190: sum the subintervals
-    last = nint  # a range with no break point and limit 1 skips the loop
-    for last in range(npts + 2, limit + 1):
-        levcur = level[maxerr] + 1
-        a1 = alist[maxerr]
-        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
-        a2 = b1
-        b2 = blist[maxerr]
-        erlast = errmax
-        f = yield rule.points(a1, b1) + rule.points(a2, b2)
-        area1, error1, _, defab1 = rule.apply(f[:21], a1, b1)
-        area2, error2, _, defab2 = rule.apply(f[21:], a2, b2)
-        area12 = area1 + area2
-        erro12 = error1 + error2
-        errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
-        if not (defab1 == error1 or defab2 == error2):
-            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
-                    or erro12 < 0.99 * errmax):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
-            if last > 10 and erro12 > errmax:
-                iroff3 += 1
-        level[maxerr] = levcur
-        level.append(levcur)
-        rlist[maxerr] = area1
-        rlist.append(area2)
-        errbnd = max(epsabs, epsrel * abs(area))
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
-        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
-            ier = 4
-        _append(maxerr, a1, b1, a2, b2, area1, area2, error1, error2, alist, blist, rlist, elist)
-        iord.append(0)
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
-        if errsum <= errbnd:
-            summed = True
-            break
-        if ier != 0:
-            break
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if levcur + 1 <= levmax:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # is the subinterval to bisect next of the deepest level?
-            if level[maxerr] + 1 <= levmax:
-                continue
-            extrap = True
-            nrmax = 2
-        if not (ierro == 3 or erlarg <= ertest):
-            # the deepest subinterval has the largest error: bisect the
-            # shallower ones first while their error sum exceeds the test
-            jupbnd = last
-            if last > 2 + limit // 2:
-                jupbnd = limit + 3 - last
-            larger = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if level[maxerr] + 1 <= levmax:
-                    larger = True
-                    break
-                nrmax += 1
-            if larger:
-                continue
-        numrl2 += 1
-        rlist2[numrl2] = area
-        if numrl2 > 2:
-            numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
-            ktmin += 1
-            if ktmin > 5 and abserr < 1e-3 * errsum:
-                ier = 5
-            if abseps < abserr:
-                ktmin = 0
-                abserr = abseps
-                result = reseps
-                correc = erlarg
-                ertest = max(epsabs, epsrel * abs(reseps))
-                if abserr < ertest:
-                    break
-            if numrl2 == 1:
-                noext = True
-            if ier >= 5:
-                break
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
-        levmax += 1
-        erlarg = errsum
-    result, abserr, ier = _final(result, abserr, area, errsum, ier, ierro, correc, ksgn,
-                                 resabs, rlist, last, summed)
-    return Quadrature(result, abserr, ier, last, limit)
+    return alist, blist, rlist, elist, iord, [0] * (nint + 1), result, errsum, resabs
 
 
 def qags(a: float, b: float, epsabs: float, epsrel: float, limit: int) -> Integral:
     """The integral over [a, b], as ``quad(f, a, b, epsabs, epsrel, limit)``."""
-    return _adaptive(_Kronrod21, float(a), float(b), epsabs, epsrel, limit)
+    return _adaptive(_Kronrod21, [float(a), float(b)], _whole_range, epsabs, epsrel, limit)
 
 
 def qagi(bound: float, epsabs: float, epsrel: float, limit: int, inf: int = 1) -> Integral:
     """The integral over [bound, inf) (``inf`` = 1), as ``quad(f, bound, inf,
-    ...)``; over (-inf, bound] (``inf`` = -1); or over the whole line
-    (``inf`` = 2, ``bound`` ignored), as ``quad(f, -inf, inf, ...)``."""
-    return _adaptive(_Kronrod15Infinite(float(bound), inf), 0.0, 1.0, epsabs, epsrel, limit)
+    ...)``, or over the whole line (``inf`` = 2, ``bound`` ignored), as
+    ``quad(f, -inf, inf, ...)``."""
+    return _adaptive(_Kronrod15Infinite(float(bound), inf), [0.0, 1.0], _whole_range, epsabs,
+                     epsrel, limit)
 
 
 def qagp(a: float, b: float, points: Sequence[float], epsabs: float, epsrel: float,
@@ -761,7 +673,7 @@ def qagp(a: float, b: float, points: Sequence[float], epsabs: float, epsrel: flo
     if limit <= len(inside):
         raise ValueError(f"Number of break points ({len(points):d}) "
                          f"must be less than subinterval limit ({limit:d})")
-    return _break_points(a, b, inside, epsabs, epsrel, limit)
+    return _adaptive(_Kronrod21, [a, *inside, b], _break_points, epsabs, epsrel, limit)
 
 
 def lockstep(integrals: Sequence[Integral],
@@ -798,30 +710,29 @@ def quad(f: Callable[[float], float], a: float, b: float, epsabs: float = 1.49e-
          epsrel: float = 1.49e-8, limit: int = 50,
          points: Sequence[float] | None = None) -> Quadrature:
     """``scipy.integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel,
-    limit=limit, points=points)`` for a scalar integrand ``f``.
+    limit=limit, points=points)`` for a scalar integrand ``f`` over [a, b],
+    [a, inf) or the whole line, a < b.
 
     Picks the routine quad picks, dqagse, dqagie or dqagpe, calls ``f`` at
     one float at a time, and returns the whole :class:`Quadrature`: quad's
-    value and error estimate bit for bit, with ``ier`` and ``last``. Reversed
-    limits negate the value, and a nonzero ``ier`` warns with quad's
-    message. Raises ValueError where quad does for invalid input.
+    value and error estimate bit for bit, with ``ier`` and ``last``. A
+    nonzero ``ier`` warns with quad's message. Raises ValueError where quad
+    does for invalid input, and for a range of none of the three forms.
     """
-    if a == b:
-        return Quadrature(0.0, 0.0, 0, 0, limit)
+    if not (a < b and (a > -math.inf or b == math.inf)):
+        raise ValueError(f"quad integrates over [a, b], [a, inf) or (-inf, inf) with a < b, "
+                         f"not from {a!r} to {b!r}")
     if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 5e-29):
         raise ValueError("If 'epsabs'<=0, 'epsrel' must be greater than both"
                          " 5e-29 and 50*(machine epsilon).")
     if limit < 1:
         raise ValueError("Invalid 'limit' argument. There must be at least one subinterval")
-    flip, a, b = b < a, min(a, b), max(a, b)
     if points is not None:
-        if a == -math.inf or b == math.inf:
+        if b == math.inf:
             raise ValueError("Infinity inputs cannot be used with break points.")
         integral = qagp(a, b, points, epsabs, epsrel, limit)
     elif b == math.inf:
         integral = qagi(a, epsabs, epsrel, limit, inf=2 if a == -math.inf else 1)
-    elif a == -math.inf:
-        integral = qagi(b, epsabs, epsrel, limit, inf=-1)
     else:
         integral = qags(a, b, epsabs, epsrel, limit)
     x = next(integral)
@@ -830,8 +741,6 @@ def quad(f: Callable[[float], float], a: float, b: float, epsabs: float = 1.49e-
             x = integral.send([float(f(p)) for p in x])
     except StopIteration as done:
         result = done.value
-    if flip:
-        result = result._replace(value=-result.value)
     if result.ier:
         warnings.warn(result.message, IntegrationWarning, stacklevel=2)
     return result

@@ -429,8 +429,7 @@ def test_run_seeds_matches_per_seed_runs(kind, variant, d, n, rate, seeds, chunk
                                                   competitor)
     assert increments.shape == (n, len(seeds)) and violations.shape == (len(seeds),)
     for j, trace in enumerate(traces):
-        assert (np.cumsum(increments[:, j])
-                == engine.cumulative_regret(trace, losses, competitor)).all()
+        assert np.array_equal(increments[:, j], np.vecdot(losses, trace.action - competitor))
         assert violations[j] == trace.step_violation.sum()
 
 
@@ -482,8 +481,7 @@ def test_run_seeds_matches_per_seed_runs_at_32_seeds(d):
                                               competitor)
     for j, seed in enumerate(seeds):
         trace = engine.run(spec, losses, make_rng(seed))
-        assert (np.cumsum(increments[:, j])
-                == engine.cumulative_regret(trace, losses, competitor)).all()
+        assert np.array_equal(increments[:, j], np.vecdot(losses, trace.action - competitor))
         assert violations[j] == trace.step_violation.sum()
 
 
@@ -706,12 +704,12 @@ def test_cumulative_regret_consistent_with_total():
     spec = engine.AlgorithmSpec(variant=engine.SCFTPL, action_set=geom.hypercube(d))
     trace = engine.run(spec, losses, make_rng(64))
     u = best_in_hindsight(geom.hypercube(d), losses)
-    curve = engine.cumulative_regret(trace, losses, u)
-    assert curve.shape == (n,)
-    assert math.isclose(curve[-1], engine.regret(trace, losses, u), rel_tol=1e-12)
-    # the array forms reproduce the per-round Python sums bit for bit
+    # the run_seeds increments sum the per-round Python products bit for bit
+    increments, _ = engine.run_seeds(spec, losses, [make_rng(64)], u)
+    curve = np.cumsum(increments[:, 0])
     per_round = [float(losses[i] @ (trace.action[i] - u)) for i in range(n)]
     assert np.array_equal(curve, np.cumsum(per_round))
+    assert math.isclose(curve[-1], engine.regret(trace, losses, u), rel_tol=1e-12)
     played = sum(float(losses[i] @ trace.action[i]) for i in range(n))
     assert engine.regret(trace, losses, u) == played - float(losses.sum(axis=0) @ u)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,21 @@ def test_best_in_hindsight_zero_sum_tie():
     assert float(losses.sum(axis=0) @ u) == 0.0
 
 
+@pytest.mark.parametrize("geometry,kind,base", [
+    (geom.HYPERCUBE, env.FIXED_VECTOR, (1e308, 1e308)),
+    (geom.BALL, env.FIXED_VECTOR, (1e308, 1e308)),
+    # a finite l1 norm that |cos| + |sin| > 1 pushes past the largest double
+    (geom.HYPERCUBE, env.ROTATING_DIRECTION, (1.7e308, 0.0)),
+])
+def test_losses_with_an_infinite_support_norm_are_rejected(geometry, kind, base):
+    # dividing by an infinite norm would give all-zero losses
+    spec = env.AdversarySpec(kind=kind, geometry=geometry, base=base, angle=0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="support norm is 0 or not finite"):
+            env.generate(spec, 2, 4)
+
+
 @pytest.mark.parametrize("geometry", [geom.HYPERCUBE, geom.BALL])
 @pytest.mark.parametrize("block", [1, 7, 1 << 16])
 def test_support_norms_in_blocks_equal_whole_array_reductions(monkeypatch, geometry, block):
@@ -124,7 +140,7 @@ def test_support_norms_in_blocks_equal_whole_array_reductions(monkeypatch, geome
         whole = (np.sum(np.abs(rows), axis=1) if geometry == geom.HYPERCUBE
                  else np.linalg.norm(rows, axis=1))
         aset = geom.ActionSetModel(dimension=d, kind=geometry)
-        assert np.array_equal(env._support_norms(aset, rows), whole)
+        assert np.array_equal(env.support_norms(aset, rows), whole)
         spec = env.AdversarySpec(kind=env.SEEDED_RANDOM, geometry=geometry, seed=d)
         drawn = make_rng(d).standard_normal((50, d))
         scale = (np.sum(np.abs(drawn), axis=1) if geometry == geom.HYPERCUBE

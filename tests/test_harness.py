@@ -96,6 +96,13 @@ BAD_ENTRIES = [
     # label names the file system cannot take: too long beside "_summary.json", or not encodable
     ({"label": "a" * 250}, "$.label"),
     ({"label": "x\ud800"}, "$.label"),
+    # values that overflow: each crashed, or ran on zero or NaN losses
+    ({"adversary": {"kind": "piecewise_switching", "period": 10**30}}, "$.adversary.period"),
+    ({"horizon": 10**30}, "$.horizon"),
+    ({"adversary": {"kind": "fixed_vector", "base": [1e308, 1e308]}}, "$.adversary.base"),
+    ({"set": "ball", "adversary": {"kind": "fixed_vector", "base": [1e308, 1e308]}},
+     "$.adversary.base"),
+    ({"adversary": {"kind": "rotating_direction", "angle": 1e308}}, "$.adversary.angle"),
 ]
 
 
@@ -663,6 +670,24 @@ def test_cli_bad_verify_scale_exits_1_before_any_check(capsys, monkeypatch, scal
     err = capsys.readouterr().err
     assert f"--scale: must be a positive finite number, got '{scale}'" in err
     assert "$.scale" not in err
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_cli_verify_scale_that_overflows_exits_1_before_any_check(tmp_path, capsys,
+                                                                  monkeypatch, source):
+    # 10**6 * scale, the largest sample count, overflows to inf
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a check ran before the scale was validated")
+
+    monkeypatch.setattr(harness, "verify_groups", forbidden)
+    cfg = tmp_path / "v.json"
+    cfg.write_text(json.dumps({"checks": ["ball_radial_ks"],
+                               **({"scale": 1e308} if source == "file" else {})}))
+    argv = ["verify", "--config", str(cfg), "--quiet"]
+    assert cli_main(argv + (["--scale", "1e308"] if source == "flag" else [])) == 1
+    where = "$.scale" if source == "file" else "--scale"
+    err = capsys.readouterr().err
+    assert err == f"error: {where}: must leave 10**6 * scale finite, got 1e+308\n"
 
 
 def test_cli_numeric_error_exit_code(tmp_path):

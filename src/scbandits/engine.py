@@ -13,14 +13,18 @@ unbiased loss-vector estimate back into the accumulator.
   estimate is d * H(x) (A - x) times the scalar loss.
 
 That loop is written once, in :func:`_blocks`, which plays each round by
-one of six per-round functions (one seed or S seeds on each body, and the
-Dikin pole on each body) and yields blocks of rounds. Each call fills its
+one of seven per-round functions (one seed or S seeds on each body, the
+Dikin pole on each body, and one seed on a hypercube wider than
+``_CUBE_FLOAT_DIMS``) and yields blocks of rounds. Each call fills its
 round's rows of the block in place; a perturbed-leader ball round leaves
 theta in its expected-action row, and the loop maps the block's rows to x
-at once. The ball's Dikin pole calls the unchecked geometry and estimator
-kernels. On the hypercube a pole's estimate is nonzero in one coordinate
-only, so that round keeps x from the round before and re-maps the one
-coordinate the last estimate moved, in Python floats. A round whose
+at once. A one-seed hypercube perturbed-leader round is coordinatewise but
+for three dot products, so up to d = ``_CUBE_FLOAT_DIMS`` it runs in Python
+floats and leaves only those dot products to numpy. The ball's Dikin pole
+calls the unchecked geometry and estimator kernels. On the hypercube a
+pole's estimate is nonzero in one coordinate only, so that round keeps x
+from the round before and re-maps the one coordinate the last estimate
+moved, in Python floats. A round whose
 expected action is too close to the boundary raises
 :class:`~scbandits.action_sets.BoundaryError`, and :func:`_blocks`, which
 alone knows the round's number, turns it into an abort. The learner's
@@ -327,8 +331,10 @@ def _blocks(spec: AlgorithmSpec, losses, eta: float, rngs):
     else:
         if ball:
             step = _ball_round if single else _ball_rounds
+        elif single:
+            step = _cube_round if d <= _CUBE_FLOAT_DIMS else _cube_round_array
         else:
-            step = _cube_round if single else _cube_rounds
+            step = _cube_rounds
         state = k_cache_for(spec, n)
         draws = round_noise_blocks(aset, rngs, n)
         if single:
@@ -364,12 +370,20 @@ def _blocks(spec: AlgorithmSpec, losses, eta: float, rngs):
 # S-seed round raises it when any seed's expected action is too close to
 # the boundary. A ball round leaves theta in the x row for _blocks to map.
 # The one-seed twins keep Python floats: at S = 1 and d = 5 the (S, d) code
-# took 1.3-1.4x (hypercube) and 4.7-5.5x (ball) as long per round on a
-# 2-core x86_64 host.
+# took 2.5x (hypercube, against the float round) and 4.2x (ball) as long per
+# round on a 2-core x86_64 host.
 # Where theta^2 would overflow (|theta| > 1.34e154) x would round to 0, so a
 # hypercube round caps it at the largest double, which puts |x_i| at or
 # past 1, and a ball round aborts on an infinite ||theta||^2.
-_FLOAT_MAX = np.finfo(float).max
+_FLOAT_MAX = sys.float_info.max
+# The widest one-seed hypercube run whose rounds _cube_round plays in Python
+# floats; wider rows go to _cube_round_array. The float round costs about
+# 0.5 us more per coordinate, the array round about the same at any d up to
+# 64. On the same host, interleaved one-seed run_seeds timings had the float
+# round faster in 9 of 9 pairs up to d = 8 (0.58x as long at d = 5), in 8 of 9
+# at d = 12, 6 of 9 at d = 16 (a tie, 0.95x), and slower from d = 20 on
+# (2.3x as long at d = 64).
+_CUBE_FLOAT_DIMS = 12
 _CUBE_ABORT = (f"expected action within {SINGULARITY_FLOOR:g} of a vertex; "
                f"covariance numerically singular")
 _BALL_ABORT = (f"expected action within {SINGULARITY_FLOOR:g} of the sphere; "
@@ -406,7 +420,36 @@ def _cube_x(x, residual):
 
 
 def _cube_round(x, action, y_hat, xi, loss, _):
-    # argmin_a <a, eta Yhat - xi> = sign(theta + xi) coordinatewise (+1 at ties)
+    # argmin_a <a, eta Yhat - xi> = sign(theta + xi) coordinatewise (+1 at
+    # ties, and at theta + xi = -0.0). Each coordinate's operations are those
+    # of _cube_round_array in Python floats, which round as numpy's float64
+    # does. The three dot products stay numpy's: their BLAS summation order,
+    # with fused multiply-adds, sets their bits.
+    # theta = -eta * (cumulative estimate) is never NaN, since eta is at most
+    # the largest double and every estimate is finite, so min() of the
+    # residuals aborts where ndarray.min() does.
+    xs, signs, residuals, weighted = [], [], [], []
+    try:
+        for t, e in zip(x.tolist(), xi.tolist()):
+            signs.append(1.0 if t + e >= 0.0 else -1.0)
+            sq = t * t
+            x_i = t / (math.sqrt((_FLOAT_MAX if sq > _FLOAT_MAX else sq) + 1.0) + 1.0)
+            resid = 1.0 - x_i * x_i
+            xs.append(x_i)
+            residuals.append(resid)
+            weighted.append(x_i / resid)
+    except ZeroDivisionError:  # a residual of 0, which the test below rejects
+        raise BoundaryError(_CUBE_ABORT) from None
+    if min(residuals) < SINGULARITY_FLOOR:
+        raise BoundaryError(_CUBE_ABORT)
+    x[...], action[...], y_hat[...] = xs, signs, weighted
+    scalar_loss = float(loss.dot(action))
+    shrink = float(action.dot(y_hat)) / (1.0 + float(x.dot(y_hat)))
+    y_hat[...] = [(a / r - w * shrink) * scalar_loss
+                  for a, r, w in zip(signs, residuals, weighted)]
+
+
+def _cube_round_array(x, action, y_hat, xi, loss, _):
     action[...] = np.where(np.add(x, xi, out=action) >= 0.0, 1.0, -1.0)
     residual = y_hat  # the estimate's row holds 1 - x^2 until the estimate is written
     _cube_x(x, residual)
@@ -470,23 +513,28 @@ def _ball_rounds(theta, action, y_hat, xi, loss, k_cache):
     norm_sq = theta_norm * theta_norm
     drifted = np.add(theta, xi, out=action)
     drift_norm = np.sqrt(np.vecdot(drifted, drifted))
-    still = ~(drift_norm > 0.0)
-    action /= np.where(still, 1.0, drift_norm)[:, None]
-    if still.any():
+    if drift_norm.min() > 0.0:
+        action /= drift_norm[:, None]
+    else:  # some seed, or a NaN norm, takes the still-drift action e_1
+        still = ~(drift_norm > 0.0)
+        action /= np.where(still, 1.0, drift_norm)[:, None]
         action[still] = np.eye(1, d)
     scalar_loss = np.vecdot(loss, action)
     if d == 1:
         np.multiply(action, scalar_loss[:, None], out=y_hat)
         return
-    # K is looked up once for the (S,) drift norms; each row rounds as _ball_round's
-    flat = theta_norm < FLAT_DRIFT
-    k = np.where(flat, 0.5, k_cache(theta_norm))
+    # K is looked up once for the (S,) drift norms; each row rounds as
+    # _ball_round's. Only a round with a flat seed (every seed in round 1) masks.
+    k = k_cache(theta_norm)
+    flat = theta_norm < FLAT_DRIFT if theta_norm.min() < FLAT_DRIFT else None
+    if flat is not None:
+        k[flat], norm_sq[flat] = 0.5, 1.0
     coeff = 1.0 / (1.0 - k) - (d - 1.0) / k
-    proj = np.vecdot(action, theta) / np.where(flat, 1.0, norm_sq)
+    proj = np.vecdot(action, theta) / norm_sq
     np.multiply(((d - 1.0) / k)[:, None], action, out=y_hat)
     y_hat += (coeff * proj)[:, None] * theta
     y_hat *= scalar_loss[:, None]
-    if flat.any():
+    if flat is not None:
         y_hat[flat] = (d * scalar_loss[flat])[:, None] * action[flat]
 
 

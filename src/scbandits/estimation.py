@@ -464,7 +464,15 @@ class KFunctionCache:
             return
         xs = [float(np.sinh(i * K_GRID_SPACING)) for i in range(len(self._values), hi + 1)]
         self._values.extend(_k_values(xs, self.d))
-        self._array = np.array(self._values)  # the nodes, for array lookups
+        # The Catmull-Rom cubic through nodes i - 1 .. i + 2 at frac past node i
+        # is p1 + 0.5 frac (A + frac (B + frac C)), and its node-only terms A, B
+        # and C are stored per cell i, rounded as the whole expression rounds
+        # them. K is even in x, so node -1 mirrors node 1.
+        v = np.array(self._values)
+        p0, p1, p2, p3 = v[abs(np.arange(-1, len(v) - 3))], v[:-2], v[1:-1], v[2:]
+        self._cells = np.stack([p1, p2 - p0, 2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3,
+                                3.0 * (p1 - p2) + p3 - p0])  # (4, cells), for array lookups
+        self._cell_rows = self._cells.T.tolist()  # the same, a list per cell, for float ones
         self._t_max = (len(self._values) - 3) * K_GRID_SPACING  # the last t a lookup covers
 
     def __call__(self, x):
@@ -481,7 +489,9 @@ class KFunctionCache:
                         self(x_i)
                 q = t / K_GRID_SPACING
                 i = q.astype(np.intp)
-                return _catmull_rom(*self._array[abs(i + _NEIGHBOURS)], q - i)
+                frac = q - i
+                p1, a, b, c = self._cells[:, i]
+                return p1 + 0.5 * frac * (a + frac * (b + frac * c))
             x = float(x)
         if not 0.0 <= x < math.inf:
             raise ValueError(f"drift norm must be finite and nonnegative, got {x!r}")
@@ -490,20 +500,9 @@ class KFunctionCache:
             self._extend_to(t + 1.0)
         q = t / K_GRID_SPACING
         i = int(q)
-        v = self._values
-        return _catmull_rom(v[abs(i - 1)], v[i], v[i + 1], v[i + 2], q - i)
-
-
-# Offsets of the nodes i - 1 .. i + 2 that interpolate in cell i, one row
-# each; K is even in x, so node -1 mirrors node 1 (hence the abs of the index).
-_NEIGHBOURS = np.arange(-1, 3)[:, None]
-
-
-def _catmull_rom(p0, p1, p2, p3, frac):
-    """Catmull-Rom cubic through four consecutive nodes at ``frac`` past p1."""
-    return (p1 + 0.5 * frac * (p2 - p0
-                               + frac * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3
-                                         + frac * (3.0 * (p1 - p2) + p3 - p0))))
+        frac = q - i
+        p1, a, b, c = self._cell_rows[i]
+        return p1 + 0.5 * frac * (a + frac * (b + frac * c))
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         norm = support_norms(aset, np.array([base_vec]))[0]
         _expect(math.isfinite(norm), "$.adversary.base",
                 f"must have a finite support norm on the {kind}, got {norm!r}")
+        # rotated rows' l1 norms reach (|cos| + |sin|) <= sqrt(2) times the base's
+        _expect(adv_kind != ROTATING_DIRECTION or kind != HYPERCUBE
+                or math.isfinite(math.sqrt(2.0) * float(norm)), "$.adversary.base",
+                f"must have a support norm that stays finite times sqrt(2), which "
+                f"'{ROTATING_DIRECTION}' rows reach on the {kind}, got {norm!r}")
     period = adv_raw.get("period")
     if period is not None:
         _expect(_is_int(period) and 1 <= period <= sys.maxsize, "$.adversary.period",

@@ -565,6 +565,53 @@ def test_overflowing_drift_aborts_in_its_round(kind, message):
     assert str(batched.value) == message
 
 
+# theta coordinates: ordinary ones and signed zeros (round 1's theta is
+# -0.0), then at most two extreme ones: past the square root of the largest
+# double, where theta^2 is capped (1.3407807929942596e154 puts x at exactly 1),
+# or near 2e10, where 1 - x^2 crosses the 1e-10 abort floor
+_THETAS = st.floats(-4.0, 4.0) | st.floats(-1e9, 1e9) | st.sampled_from([-0.0, 0.0])
+_EXTREME_THETAS = (st.sampled_from([math.inf, -1e300, 1e200, 1.3407807929942596e154,
+                                    -1.35e154])
+                   | st.floats(1.99e10, 2.01e10) | st.floats(-2.01e10, -1.99e10))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=st.sampled_from([1, 2, 5, engine._CUBE_FLOAT_DIMS, engine._CUBE_FLOAT_DIMS + 1, 40]),
+       data=st.data())
+@example(d=3, data=None)  # round 1 at xi = -0.0 (u = 0.5): every sign is +1
+def test_cube_float_round_equals_the_array_rounds(d, data):
+    if data is None:
+        theta, xi, loss = [-0.0] * d, [-0.0, 0.0, -0.0], [0.5, -0.25, 0.25]
+    else:
+        theta = data.draw(st.lists(_THETAS, min_size=d, max_size=d))
+        for i in data.draw(st.lists(st.integers(0, d - 1), max_size=2)):
+            theta[i] = data.draw(_EXTREME_THETAS)
+        xi = data.draw(st.lists(st.floats(-30.0, 30.0) | st.sampled_from([-0.0, 0.0]),
+                                min_size=d, max_size=d))
+        loss = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))
+    loss = np.array(loss) / max(1.0, float(np.abs(loss).sum()))
+    rows, array, floats = np.zeros((3, 1, d)), np.zeros((3, d)), np.zeros((3, d))
+    rows[0, 0] = array[0] = floats[0] = theta
+    outcomes = []
+    with np.errstate(over="ignore"):  # as in the round loop
+        for step, out, draw in ((engine._cube_rounds, rows, np.array([xi])),
+                                (engine._cube_round_array, array, np.array(xi)),
+                                (engine._cube_round, floats, np.array(xi))):
+            try:
+                step(*out, draw, loss, None)
+                outcomes.append(None)
+            except geom.BoundaryError as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    if outcomes[0] is None:
+        assert floats.tobytes() == array.tobytes()
+        # a zero scalar loss may be -0.0 by ndarray.dot and 0.0 by np.vecdot,
+        # which flips the sign of a zero estimate only, and adds nothing
+        assert np.array_equal(floats, rows[:, 0])
+    if data is None:
+        assert floats[1].tolist() == [1.0] * d and str(floats[0, 0]) == "-0.0"
+
+
 # ---------------------------------------------------------------------------
 # unbiasedness along trajectories
 # ---------------------------------------------------------------------------

@@ -10,14 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scbandits import action_sets as geom
 from scbandits import cli, engine, harness, verify
 from scbandits import perturbations as pert
 from scbandits.cli import main as cli_main
-from scbandits.environments import AdversarySpec, best_in_hindsight, generate
+from scbandits.environments import (AdversarySpec, best_in_hindsight, boundedness_violation,
+                                    generate)
+from scbandits.estimation import LOSS_SLACK
 from scbandits.rng import make_rng
 from scbandits.verify import VerifyOptions
 
@@ -103,6 +105,9 @@ BAD_ENTRIES = [
     ({"set": "ball", "adversary": {"kind": "fixed_vector", "base": [1e308, 1e308]}},
      "$.adversary.base"),
     ({"adversary": {"kind": "rotating_direction", "angle": 1e308}}, "$.adversary.angle"),
+    # a finite base whose rotated rows' l1 norms overflow on the hypercube
+    ({"adversary": {"kind": "rotating_direction", "base": [1.7e308, 0.0], "angle": 0.7}},
+     "$.adversary.base"),
 ]
 
 
@@ -132,21 +137,33 @@ def test_cli_bad_label_rejected_before_any_compute(tmp_path, capsys, monkeypatch
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+# floats near the ends of the double range, which st.floats() rarely draws
+_EDGE_FLOATS = st.sampled_from([1e308, 1.7e308, -1.7e308, 5e-324, -5e-324])
+_NUMBERS = st.floats() | _EDGE_FLOATS
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | _NUMBERS
     | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
                                                                max_size=4),
-    max_leaves=8)
+    max_leaves=8) | st.lists(_NUMBERS, min_size=2, max_size=2)  # a d = 2 base
 _CONFIG_KEYS = ("set", "dimension", "horizon", "algorithm", "learning_rate", "adversary",
                 "seeds", "out_dir", "label", "workers", "write_per_seed", "radial_table",
                 "adversary.kind", "adversary.base", "adversary.period", "adversary.angle",
                 "adversary.seed", "extra")
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(base=st.sampled_from([base_config(), base_config(set="ball", algorithm="scribble")]),
+_ROTATING = {"kind": "rotating_direction", "base": [1.0, -0.5], "angle": 0.3}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(base=st.sampled_from([base_config(), base_config(set="ball", algorithm="scribble"),
+                             base_config(adversary=_ROTATING),
+                             base_config(set="ball", adversary=_ROTATING)]),
        key=st.sampled_from(_CONFIG_KEYS), value=_JSON_VALUES)
+@example(base=base_config(adversary=_ROTATING), key="adversary.base", value=[1.7e308, 0.0])
+@example(base=base_config(adversary=_ROTATING), key="adversary.base", value=[5e-324, 5e-324])
+@example(base=base_config(set="ball", adversary=_ROTATING), key="adversary.angle",
+         value=1.7e308 / 299)
 def test_config_any_json_value_is_accepted_or_typed_error(base, key, value):
     raw = json.loads(json.dumps(base))
     outer, _, inner = key.partition(".")
@@ -158,8 +175,15 @@ def test_config_any_json_value_is_accepted_or_typed_error(base, key, value):
         cfg = harness.config_from_dict(raw)
     except harness.ConfigError as exc:
         assert str(exc).startswith("$")
-    else:
-        assert isinstance(cfg, harness.ExperimentConfig)
+        return
+    assert isinstance(cfg, harness.ExperimentConfig)
+    # an accepted config generates its losses: finite rows the engine accepts.
+    # Generating materializes n x d floats, so only small configs are generated.
+    aset = cfg.spec.action_set
+    if cfg.horizon * aset.dimension <= 1 << 16:
+        losses = generate(cfg.adversary, aset.dimension, cfg.horizon)
+        assert np.isfinite(losses).all()
+        assert boundedness_violation(aset, losses) <= LOSS_SLACK
 
 
 def test_config_json_syntax_error_reports_line(tmp_path):

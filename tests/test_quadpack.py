@@ -222,6 +222,17 @@ def _random_integral(rng):
     return lambda x: f(x) * decay(x), -math.inf if form == 3 else a, b, kw
 
 
+@pytest.mark.parametrize("case", [2, 3, 11, 14])
+def test_extrapolation_stops_at_an_error_equal_to_its_test(case):
+    # At epsrel = 5 machine epsilons the epsilon algorithm's error floor,
+    # 5 eps |result|, can equal the test max(epsabs, epsrel |result|) exactly,
+    # and dqagse stops there, at ==; quad accepts that epsrel beside a positive
+    # epsabs. These four cases reach that exit.
+    f, a, b = _CASES[case]
+    port, by_quad = _both(f, a, b, epsabs=5e-324, epsrel=5.0 * np.finfo(float).eps)
+    assert port == by_quad
+
+
 def test_random_integrals_equal_quad():
     # qags, qagp and both forms of qagi through their one bisection loop, on
     # integrals drawn at random, against scipy's quad
